@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
@@ -134,13 +133,6 @@ def build_common(cfg, cache, override=None):
     return field, f, a, c, ell, z
 
 
-def _parallel(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def cmd_zeta(cfg, args, cache) -> dict:
     field, f, a, c, ell, z = build_common(cfg, cache)
     kmax = _int(cfg.get("k_max", "2"), "k_max")
@@ -152,7 +144,7 @@ def cmd_zeta(cfg, args, cache) -> dict:
                 "checks": {"crosscheck": "passed" if crosscheck and k <= 2
                            else "skipped"}}
 
-    rows = _parallel(one, range(kmax + 1), args.threads)
+    rows = [one(k) for k in range(kmax + 1)]
     return {"field": [str(cc) for cc in cfg["field"]["poly"]],
             "f": cfg.get("f", "unit"), "a": cfg.get("a", "unit"),
             "ell": str(ell), "rho": str(z.rho), "values": rows}
@@ -366,7 +358,6 @@ def main(argv=None) -> int:
                     "p-adic integrals for totally real fields")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config path")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--cache", default=None, help="cache directory")
     parser.add_argument("--no-crosscheck", action="store_true")
     parser.add_argument("--precision", type=int, default=None,
@@ -375,11 +366,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cache = None
-    cache_path = None
     if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
-        cache_path = os.path.join(args.cache, "dedekind.tsv")
-        cache = DedekindCache(cache_path)
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+            cache = DedekindCache(os.path.join(args.cache, "dedekind.tsv"))
+        except (OSError, ValueError) as exc:
+            print(f"config error: unusable cache {args.cache}: {exc}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
 
     cfg = {}
     if args.config:
@@ -416,8 +410,8 @@ def main(argv=None) -> int:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     print(out)
-    if cache is not None and cache_path:
-        cache.save(cache_path)
+    if cache is not None:
+        cache.save()
     if args.command == "selftest" and not result.get("ok", True):
         return 1
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import threading
 from fractions import Fraction
 from math import floor, gcd
@@ -401,17 +402,31 @@ class DedekindCache:
             header = fh.readline().strip()
             if header != self.FORMAT:
                 raise ValueError(f"unknown cache format: {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, 2):
                 k, _, frac = line.strip().partition("\t")
                 num, _, den = frac.partition("/")
-                self.data[k] = Fraction(int(num), int(den or 1))
+                try:
+                    self.data[k] = Fraction(int(num), int(den or 1))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: bad cache record {line.strip()!r}"
+                    ) from exc
 
     def save(self, path: str | None = None) -> None:
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
         with self._lock:
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(self.FORMAT + "\n")
-                for k, val in sorted(self.data.items()):
-                    fh.write(f"{k}\t{val.numerator}/{val.denominator}\n")
+            # write a sibling file, then rename it over the cache, so that a
+            # reader never sees a partly written cache
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                       suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="ascii") as fh:
+                    fh.write(self.FORMAT + "\n")
+                    for k, val in sorted(self.data.items()):
+                        fh.write(f"{k}\t{val.numerator}/{val.denominator}\n")
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise

@@ -7,6 +7,12 @@ Riemann sums run in modular integer arithmetic at a chosen working
 precision; every reported precision is a worst-case lower bound, and
 claims derived from truncation are certified by two-level agreement rather
 than by an a-priori epsilon.
+
+Each concept has one implementation: `_log_series` sums the logarithm for
+both `iwasawa_log` and the per-cell `_log_unit_residue`; `_series_loss` is
+the worst-case digit loss of a per-cell log; `_intval` takes every
+valuation; and `CellKernel.defect_numerator` is the sign-defect fallback of
+every Riemann loop.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
+from .cyclotomic import _is_prime
 from .dedekind import LinearFormModL, b1_L_z_fast
 from .exact import Matrix, MultiPoly, lattice_hnf, mat_det, mat_inv, mat_vec
 from .numberfield import Ideal
-from .zeta import ZetaData
+from .zeta import MissingClassData, ZetaData
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -28,17 +35,6 @@ class PrecisionExhausted(ArithmeticError):
 
 class LevelTooSmall(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class PadicInt:
@@ -79,8 +75,9 @@ class PadicInt:
 
     def __mul__(self, other) -> "PadicInt":
         if isinstance(other, int):
-            other = PadicInt(self.p, self.prec + _intval(other, self.p), other) \
-                if other else PadicInt(self.p, 10 ** 9, 0)
+            if other == 0:  # exactly 0, reported at this factor's precision
+                return PadicInt(self.p, self.prec, 0)
+            other = PadicInt(self.p, self.prec + _intval(other, self.p), other)
         self._check(other)
         m = min(self.prec + other.valuation(), other.prec + self.valuation(),
                 self.prec + other.prec)
@@ -89,14 +86,19 @@ class PadicInt:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "PadicInt":
-        out = PadicInt(self.p, self.prec + 64, 1)
+        if k < 0:
+            raise ValueError("negative exponent")
+        if k == 0:  # exactly 1, reported at this base's precision
+            return PadicInt(self.p, self.prec, 1)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return PadicInt(self.p, min(out.prec, 10 ** 9), out.res)
+            if not k:
+                return out
+            base = base * base
 
     def valuation(self) -> int:
         """Largest v <= prec with p^v | residue (= prec when res = 0)."""
@@ -142,17 +144,7 @@ def _intval(n: int, p: int) -> int:
 
 def frac_valuation(q: Fraction, p: int) -> int:
     q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _intval(q.numerator, p) - _intval(q.denominator, p)
 
 
 def teichmuller(a: int, p: int, prec: int) -> int:
@@ -181,35 +173,41 @@ def iwasawa_log(x: PadicInt) -> PadicInt:
     p, prec = u.p, u.prec
     mod = p ** prec
     om = teichmuller(u.res, p, prec)
-    one_unit = u.res * pow(om, -1, mod) % mod
-    y = (one_unit - 1) % mod
+    y = (u.res * pow(om, -1, mod) - 1) % mod
     if y == 0:
         return PadicInt(p, prec, 0)
     vy = _intval(y, p)
     if vy < (2 if p == 2 else 1):
         raise PrecisionExhausted("argument not in the log-convergent disc")
-    # sum (-1)^(k+1) y^k / k; term valuation k*vy - v_p(k)
-    total = 0
-    loss = 0
+    total, loss = _log_series(y, p, prec, vy)
+    return PadicInt(p, prec - loss, total)
+
+
+def _log_series(y: int, p: int, prec: int, vy: int = 1) -> tuple[int, int]:
+    """(log(1 + y) mod p^prec, loss) for v_p(y) >= vy >= 1, where loss is
+    the largest v_p(k) divided out of a term y^k / k.
+
+    Term k has valuation >= k*vy - v_p(k) and vanishes mod p^prec once
+    k*vy >= prec, so the sum runs while k*vy <= prec + loss.
+    """
+    mod = p ** prec
+    total = loss = 0
     term = 1
     k = 1
     while k * vy <= prec + loss:
         term = term * y % mod
-        vk = _intval(k, p) if k % p == 0 else 0
-        loss = max(loss, vk)
-        contrib = term // p ** vk if vk else term
-        kk = k // p ** vk
-        contrib = contrib * pow(kk, -1, mod) % mod
-        # restore the p-part of the term after dividing y^k by p^vk exactly
-        tv = _intval(term, p) if term else prec
-        if vk and tv < vk:
-            raise PrecisionExhausted("series division by p underflows")
-        if k % 2 == 0:
-            total -= contrib
-        else:
-            total += contrib
+        contrib, kk = term, k
+        if k % p == 0:
+            vk = _intval(k, p)
+            if term % p ** vk:
+                raise PrecisionExhausted("series division by p underflows")
+            loss = max(loss, vk)
+            contrib //= p ** vk
+            kk //= p ** vk
+        contrib = contrib * pow(kk, -1, mod)
+        total += contrib if k & 1 else -contrib
         k += 1
-    return PadicInt(p, prec - loss, total)
+    return total % mod, loss
 
 
 def padic_exp(x: PadicInt) -> PadicInt:
@@ -224,21 +222,15 @@ def padic_exp(x: PadicInt) -> PadicInt:
     total = 1
     term = 1
     k = 1
-    while True:
-        # term = x^k / k!, built incrementally; stop when the valuation
-        # bound k*vx - (k-1)/(p-1) clears prec
-        if k * vx - (k - 1) // (p - 1) > prec:
-            break
+    # term = x^k / k!, built incrementally, until the valuation bound
+    # k*vx - (k-1)/(p-1) clears prec
+    while k * vx - (k - 1) // (p - 1) <= prec:
         term = term * x.res
-        fk = k
-        vk = 0
-        while fk % p == 0:
-            fk //= p
-            vk += 1
+        vk = _intval(k, p)
         tv = _intval(term, p) if term % mod else prec + 8
         if tv < vk:
             raise PrecisionExhausted("exp series underflow")
-        term = term // p ** vk * pow(fk, -1, mod) % mod
+        term = term // p ** vk * pow(k // p ** vk, -1, mod) % mod
         total = (total + term) % mod
         k += 1
     return PadicInt(p, prec, total)
@@ -273,6 +265,8 @@ class MeasureHandle:
         self.ell = z.ell
         self.Q = z.Qsingle[form_index]
         self.mu_den = self.ell ** self.n  # m = 1 single form
+        self.nac = Fraction(z.a.norm() * z.c.norm())
+        self.norm_poly = z.P * (1 / self.nac)  # N(w.(v + X))
         self.terms = []
         for coeff, tup in z.chain.terms:
             sigma = first_column_matrix(tup)
@@ -402,41 +396,32 @@ class CellKernel:
 
     def numerator(self, j: Sequence[int]) -> int:
         """mu_den * measure of box (v + j + p^M X)."""
-        h = self.h
-        ell = h.ell
-        n = len(j)
+        ell = self.h.ell
         total = 0
         for mp in self.maps:
             den = mp["den"]
-            a = mp["a"]
-            base = mp["base"]
-            mat = mp["mat"]
+            ys = [b + sum(c * jk for c, jk in zip(row, j))
+                  for b, row in zip(mp["base"], mp["mat"])]
             t = mp["t0"]  # accumulates x_1 - sum a_i floor(y_i)
-            fallback = False
-            for i in range(n):
-                num = base[i]
-                row = mat[i]
-                for k in range(n):
-                    num += row[k] * j[k]
-                q, r = divmod(num, den)
+            for ai, y in zip(mp["a"], ys):
+                q, r = divmod(y, den)
                 if r == 0:
-                    fallback = True
+                    total += self.defect_numerator(mp, ys)
                     break
-                t -= a[i] * q
-            if fallback:
-                # integral coordinate: the sign-defect path, exact fractions
-                ys = []
-                for i in range(n):
-                    num = base[i]
-                    for k in range(n):
-                        num += mat[i][k] * j[k]
-                    ys.append(Fraction(num, den))
-                val = b1_L_z_fast(mp["L"], mp["z"], ys, mp["signs"]) * h.mu_den
-                assert val.denominator == 1
-                total += mp["sign"] * int(val)
+                t -= ai * q
             else:
                 total += mp["sign"] * mp["table"][t % ell]
         return total
+
+    def defect_numerator(self, mp: dict, ys: Sequence[int]) -> int:
+        """Signed mu_den * box value of map mp at the argument ys / den
+        when a coordinate is integral: the sign-defect path, exact
+        fractions."""
+        den = mp["den"]
+        val = b1_L_z_fast(mp["L"], mp["z"], [Fraction(y, den) for y in ys],
+                          mp["signs"]) * self.h.mu_den
+        assert val.denominator == 1
+        return mp["sign"] * int(val)
 
 
 # --- regions ---------------------------------------------------------------------
@@ -523,15 +508,13 @@ class _RegionBuilder:
 def region_units(h: MeasureHandle, f: Ideal) -> Region:
     """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
     rb = _RegionBuilder(h)
-    field = h.z.field
     tf, flat = _stabilized_lattice(f, h.p)
-    nac = h.z.a.norm() * h.z.c.norm()
     t = max(1, tf)
 
     def member(j):
         x = rb.coords_of(j)
-        nx = h.z.P.evaluate([Fraction(vi) + ji for vi, ji in
-                             zip(h.z.v, j)]) / nac
+        nx = h.norm_poly.evaluate([Fraction(vi) + ji
+                                   for vi, ji in zip(h.z.v, j)])
         if nx == 0 or frac_valuation(nx, h.p) != 0:
             return False
         xm1 = list(x)
@@ -664,20 +647,18 @@ def _integrate_fused_n2(h, kernel, region, integrands, pl, mod):
         memb = [[(a, b) in region.mask for b in range(pt)] for a in range(pt)]
     else:
         pt, memb = 1, None
-    maps = [(mp["base"][0], mp["base"][1], mp["mat"][0][0], mp["mat"][0][1],
-             mp["mat"][1][0], mp["mat"][1][1], mp["den"], mp["a"][0],
-             mp["a"][1], mp["t0"], mp["sign"], mp["table"], mp["L"],
-             mp["signs"], mp["z"]) for mp in kernel.maps]
-    single = maps[0] if len(maps) == 1 else None
+    maps = kernel.maps
+    defect = kernel.defect_numerator
     nfn = len(integrands)
     for j0 in range(pl):
         mrow = memb[j0 % pt] if memb is not None else None
-        if single is not None:
-            (b0, b1, m00, m01, m10, m11, den, a0, a1, t0, sgn, table,
-             L, signs, zz) = single
-            p0 = b0 + m00 * j0
-            p1 = b1 + m10 * j0
-            t0a = t0
+        if len(maps) == 1:
+            mp = maps[0]
+            (m00, m01), (m10, m11) = mp["mat"]
+            den, (a0, a1), t0 = mp["den"], mp["a"], mp["t0"]
+            sgn, table = mp["sign"], mp["table"]
+            p0 = mp["base"][0] + m00 * j0
+            p1 = mp["base"][1] + m10 * j0
             for j1 in range(pl):
                 if mrow is not None and not mrow[j1 % pt]:
                     continue
@@ -686,11 +667,9 @@ def _integrate_fused_n2(h, kernel, region, integrands, pl, mod):
                 y1 = p1 + m11 * j1
                 q1, r1 = divmod(y1, den)
                 if r0 and r1:
-                    num = sgn * table[(t0a - a0 * q0 - a1 * q1) % ell]
+                    num = sgn * table[(t0 - a0 * q0 - a1 * q1) % ell]
                 else:
-                    val = b1_L_z_fast(L, zz, (Fraction(y0, den), Fraction(y1, den)),
-                                      signs) * h.mu_den
-                    num = sgn * int(val)
+                    num = defect(mp, (y0, y1))
                 if num == 0:
                     continue
                 if nfn == 1:
@@ -699,14 +678,18 @@ def _integrate_fused_n2(h, kernel, region, integrands, pl, mod):
                     for i in range(nfn):
                         acc[i] = (acc[i] + integrands[i](j0, j1) * num) % mod
         else:
-            parts = [(mp[0] + mp[2] * j0, mp[1] + mp[4] * j0) + mp
-                     for mp in maps]
+            # per map: y at (j0, 0), then the data the j1 loop needs
+            parts = [(mp["base"][0] + mp["mat"][0][0] * j0,
+                      mp["base"][1] + mp["mat"][1][0] * j0,
+                      mp["mat"][0][1], mp["mat"][1][1], mp["den"],
+                      mp["a"][0], mp["a"][1], mp["t0"], mp["sign"],
+                      mp["table"], mp) for mp in maps]
             for j1 in range(pl):
                 if mrow is not None and not mrow[j1 % pt]:
                     continue
                 num = 0
-                for (p0, p1, b0, b1, m00, m01, m10, m11, den, a0, a1, t0,
-                     sgn, table, L, signs, zz) in parts:
+                for (p0, p1, m01, m11, den, a0, a1, t0, sgn, table,
+                     mp) in parts:
                     y0 = p0 + m01 * j1
                     q0, r0 = divmod(y0, den)
                     y1 = p1 + m11 * j1
@@ -714,10 +697,7 @@ def _integrate_fused_n2(h, kernel, region, integrands, pl, mod):
                     if r0 and r1:
                         num += sgn * table[(t0 - a0 * q0 - a1 * q1) % ell]
                     else:
-                        val = b1_L_z_fast(
-                            L, zz, (Fraction(y0, den), Fraction(y1, den)),
-                            signs) * h.mu_den
-                        num += sgn * int(val)
+                        num += defect(mp, (y0, y1))
                 if num == 0:
                     continue
                 for i in range(nfn):
@@ -803,20 +783,6 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     return PadicInt(h.p, work_prec, res)
 
 
-def _norm_residue_evaluator(h: MeasureHandle, work_prec: int, level: int):
-    """cell index -> residue of N(w.(v+j)) = P(v+j)/N(ac) mod p^work."""
-    p = h.p
-    mod = p ** work_prec
-    pres = _poly_residue_evaluator(h, h.z.P, work_prec, level)
-    nac = Fraction(h.z.a.norm() * h.z.c.norm())
-    inv_nac = pow(nac.numerator, -1, mod) * (nac.denominator % mod) % mod
-
-    def ev(*j):
-        return pres(*j) * inv_nac % mod
-
-    return ev
-
-
 def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
                work_prec: int | None = None) -> PadicInt:
     """Value interpolating the prime-to-p smoothed zeta at s = -k:
@@ -827,20 +793,18 @@ def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
     guard = 2 * work_prec  # strata shift valuations; generous
     mod = p ** guard
     level = max(M, region.t)
-    nx = _norm_residue_evaluator(h, guard, level)
+    nx = _poly_residue_evaluator(h, h.norm_poly, guard, level)
 
     def ev(*j):
         r = nx(*j)
         if r == 0:
             raise PrecisionExhausted("norm residue vanished at working precision")
-        v = 0
-        while r % p == 0:
-            r //= p
-            v += 1
+        if r % p == 0:
+            r //= p ** _intval(r, p)
         return pow(r, k, mod)
 
     res = integrate_cells(h, region, [ev], M, guard)[0]
-    nac = Fraction(h.z.a.norm() * h.z.c.norm())
+    nac = h.nac
     scale = pow(nac.numerator, k, mod) * pow(pow(nac.denominator, k, mod), -1, mod) % mod
     return PadicInt(p, work_prec, res * scale)
 
@@ -858,29 +822,22 @@ def _log_tables(p: int, work_prec: int):
 
 
 def _log_unit_residue(r: int, p: int, work_prec: int, teich_inv) -> int:
-    """Iwasawa log of the unit residue r, mod p^(work - loss)."""
+    """Iwasawa log of the unit residue r, mod p^(work - _series_loss)."""
     mod = p ** work_prec
-    one_unit = r * teich_inv[r % (4 if p == 2 else p)] % mod
-    y = (one_unit - 1) % mod
-    if y == 0:
-        return 0
-    total = 0
-    term = 1
-    k = 1
-    vy = 1
-    while k * vy <= work_prec + 4:
-        term = term * y % mod
-        kk, vk = k, 0
-        while kk % p == 0:
-            kk //= p
-            vk += 1
-        contrib = term
-        if vk:
-            contrib //= p ** vk
-        contrib = contrib * pow(kk, -1, mod) % mod
-        total = (total - contrib if k % 2 == 0 else total + contrib) % mod
-        k += 1
-    return total
+    y = (r * teich_inv[r % (4 if p == 2 else p)] - 1) % mod
+    return _log_series(y, p, work_prec)[0]
+
+
+def _series_loss(p: int, work_prec: int) -> int:
+    """Worst-case digits a per-cell log loses to the division by k: a bound
+    on v_p(k) over the terms that survive mod p^work (k < work), taken as
+    the largest v with p^v <= work_prec + 4."""
+    loss = 0
+    q = p
+    while q <= work_prec + 4:
+        loss += 1
+        q *= p
+    return loss
 
 
 def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
@@ -897,7 +854,7 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     p = h.p
     mod = p ** work_prec
     level = max(M, region.t)
-    nx = _norm_residue_evaluator(h, work_prec, level)
+    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
     teich_inv = _log_tables(p, work_prec)
     state = {"stratum": 0, "j": None, "log": 0}
 
@@ -908,12 +865,10 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
         if r == 0:
             raise PrecisionExhausted(
                 "norm vanished at working precision; raise work_prec")
-        v = 0
-        while r % p == 0:
-            r //= p
-            v += 1
-        if v > state["stratum"]:
-            state["stratum"] = v
+        if r % p == 0:
+            v = _intval(r, p)
+            r //= p ** v
+            state["stratum"] = max(state["stratum"], v)
         lg = _log_unit_residue(r, p, work_prec, teich_inv)
         state["j"] = j
         state["log"] = lg
@@ -927,11 +882,7 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
         return lambda *j: pow(logcell(j), k, mod)
 
     res = integrate_cells(h, region, [make_ev(k) for k in ks], M, work_prec)
-    loss = 0
-    q = p
-    while q <= work_prec + 4:
-        loss += 1
-        q *= p
+    loss = _series_loss(p, work_prec)
     return [PadicInt(p, work_prec - k * loss - state["stratum"], r)
             for k, r in zip(ks, res)]
 
@@ -954,7 +905,7 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
     else:
         s_res = s.res % mod
     level = max(M, region.t)
-    nx = _norm_residue_evaluator(h, work_prec, level)
+    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
     teich_inv = _log_tables(p, work_prec)
 
     def char(r: int) -> int:
@@ -971,21 +922,12 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
         return char(r)
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
-    nac = Fraction(h.z.a.norm() * h.z.c.norm())
-    nac_res = nac.numerator * pow(nac.denominator, -1, mod) % mod
+    nac_res = h.nac.numerator * pow(h.nac.denominator, -1, mod) % mod
     if nac_res % p == 0:
         raise PrecisionExhausted("N(ac) is not a p-unit")
     scale = char(nac_res)
-    loss = 0
-    q = p
-    while q <= work_prec + 4:
-        loss += 1
-        q *= p
+    loss = _series_loss(p, work_prec)
     return PadicInt(p, work_prec - loss - 1, res * scale)
-
-
-class MissingClassData(ValueError):
-    pass
 
 
 class ResidueFieldMismatch(ValueError):

@@ -240,15 +240,11 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
             den //= ell
         if den != 1:
             raise ValueError("P does not map v + (1/ell)Z + Z^(n-1) into Z[1/ell]")
-    # multiplication matrices of the units on the adapted basis
-    wmat = tuple(tuple(ws[j].coords[i] for j in range(n)) for i in range(n))
-    winv = mat_inv(wmat)
+    mats = _unit_matrices(field, ws, eps)
+    if mats is None:
+        raise ChainDegenerate("unit does not preserve the adapted lattice")
     amats = []
-    for e in eps:
-        cols = [mat_vec(winv, (e * wj).coords) for wj in ws]
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-        if any(x.denominator != 1 for row in mat for x in row):
-            raise ChainDegenerate("unit does not preserve the adapted lattice")
+    for mat in mats:
         try:
             g = GammaEllMatrix(mat, ell)
         except ValueError as exc:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,13 +50,6 @@ def test_zeta_no_crosscheck_flag(tmp_path, capsys):
                for row in report["result"]["values"])
 
 
-def test_zeta_threads_same_result(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SQRT5)
-    _, rep1 = run(["zeta", "--config", cfg], capsys)
-    _, rep2 = run(["zeta", "--config", cfg, "--threads", "3"], capsys)
-    assert rep1["result"] == rep2["result"]
-
-
 def test_deterministic_modulo_timestamp(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SQRT5)
     _, rep1 = run(["zeta", "--config", cfg], capsys)
@@ -73,6 +67,31 @@ def test_cache_on_off_identical(tmp_path, capsys):
     _, rerun = run(["zeta", "--config", cfg, "--cache", cache_dir], capsys)
     assert plain["result"] == cached["result"] == rerun["result"]
     assert (tmp_path / "cache" / "dedekind.tsv").exists()
+
+
+def test_cache_corrupt_is_config_error(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "dedekind.tsv").write_text(
+        "eisenzeta-dedekind-cache-v1\n" + "0" * 64 + "\tnot-a-number\n")
+    assert main(["selftest", "--cache", str(cache_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "dedekind.tsv:2" in err
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command", ["zeta", "padic-zeta", "oov"])
+def test_golden_report(command, capsys):
+    # reports are pinned byte for byte, timestamp aside: a refactor must
+    # leave every residue, precision and valuation unchanged
+    code, report = run([command, "--config",
+                        str(GOLDEN / "golden_config.json")], capsys)
+    assert code == 0
+    report.pop("timestamp")
+    expected = json.loads((GOLDEN / "golden_reports.json").read_text())
+    assert report == expected[command]
 
 
 def test_json_out(tmp_path, capsys):

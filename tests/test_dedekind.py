@@ -307,6 +307,25 @@ def test_cache_round_trip(tmp_path):
     assert d_ell(sigma, (1, 1), q, v, ell, cache=reloaded) == a
 
 
+def test_cache_save_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "cache.tsv"
+    cache = DedekindCache(str(path))
+    cache.put("a" * 64, Fraction(3, 7))
+    cache.save()
+    before = path.read_text()
+
+    class Unwritable:
+        @property
+        def numerator(self):
+            raise RuntimeError("write interrupted")
+
+    cache.put("0" * 64, Unwritable())  # written before the good record
+    with pytest.raises(RuntimeError):
+        cache.save()
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.tsv"]
+
+
 def test_linear_form_rejects_zero_values():
     with pytest.raises(ValueError):
         LinearFormModL(5, (1, 5))  # 5 = 0 mod 5 on the second basis vector

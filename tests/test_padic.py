@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import eisenzeta
 from eisenzeta.cocycle import CocycleArgs, GammaEllMatrix, psi_ell
 from eisenzeta.exact import MultiPoly, mat_inv
 from eisenzeta.numberfield import Ideal, NumberField, prime_over
@@ -48,6 +49,17 @@ def test_padic_precision_tracking():
     # the divisible factor does raise the precision of the other error term
     d = PadicInt(5, 6, 50)
     assert (d * a).prec == 6  # min(6 + v(7)=0 -> 6, 4 + v(50)=2 -> 6)
+
+
+def test_padic_exact_zero_and_zeroth_power():
+    x = PadicInt(3, 5, 7)
+    zero = x * 0
+    assert zero.res == 0 and zero.prec == x.prec
+    one = x ** 0
+    assert one.res == 1 and one.prec == x.prec
+    assert x ** 3 == PadicInt(3, 5, 7 ** 3)
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_padic_from_fraction_and_valuation():
@@ -355,6 +367,8 @@ def test_L_assemble_errors():
     ru = region_units(h, one)
     with pytest.raises(MissingClassData):
         L_assemble([], 0, 3)
+    with pytest.raises(eisenzeta.MissingClassData):
+        L_assemble([], 0, 1)
     with pytest.raises(ResidueFieldMismatch):
         L_assemble([(PadicInt(5, 6, 1), h, ru)], 0, 3)
 
