@@ -55,6 +55,25 @@ def _int(s, what="integer") -> int:
     return int(v)
 
 
+def _list(x, what) -> list:
+    if not isinstance(x, list):
+        raise ConfigError(f"{what} must be a list, got {type(x).__name__}")
+    return x
+
+
+def _obj(x, what) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigError(f"{what} must be an object, got {type(x).__name__}")
+    return x
+
+
+def _k_max(cfg, default: str) -> int:
+    k = _int(cfg.get("k_max", default), "k_max")
+    if k < 0:
+        raise ConfigError(f"k_max must be >= 0, got {k}")
+    return k
+
+
 def _fmt(q: Fraction) -> str:
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 \
@@ -64,13 +83,18 @@ def _fmt(q: Fraction) -> str:
 def parse_field(cfg) -> NumberField:
     if not isinstance(cfg, dict) or "poly" not in cfg:
         raise ConfigError("field must be an object with a 'poly' list")
-    poly = [_int(c, "polynomial coefficient") for c in cfg["poly"]]
+    poly = [_int(c, "polynomial coefficient")
+            for c in _list(cfg["poly"], "field.poly")]
     kw = {}
     if cfg.get("trusted"):
         kw["trusted"] = True
     if "integral_basis" in cfg:
-        kw["integral_basis"] = [[_num(x) for x in col]
-                                for col in cfg["integral_basis"]]
+        kw["integral_basis"] = [
+            [_num(x) for x in _list(col, "integral_basis column")]
+            for col in _list(cfg["integral_basis"], "integral_basis")]
+        if any(len(col) != len(poly) - 1 for col in kw["integral_basis"]):
+            raise ConfigError("integral_basis columns need one entry per "
+                              "power of theta below the degree")
     return NumberField(poly, **kw)
 
 
@@ -80,16 +104,17 @@ def parse_ideal(field: NumberField, cfg) -> Ideal:
     if not isinstance(cfg, dict):
         raise ConfigError("ideal must be 'unit' or an object")
     if "hnf" in cfg:
-        cols = [[_num(x, "ideal entry") for x in col] for col in cfg["hnf"]]
+        cols = [[_num(x, "ideal entry") for x in _list(col, "hnf column")]
+                for col in _list(cfg["hnf"], "hnf")]
         return Ideal.from_columns(field, cols)
     if "gens" in cfg:
         gens = []
-        for g in cfg["gens"]:
+        for g in _list(cfg["gens"], "gens"):
             if isinstance(g, (str, int)):
                 gens.append(field.from_rational(_num(g, "generator")))
             else:
                 gens.append(field.element([_num(x, "generator coordinate")
-                                           for x in g]))
+                                           for x in _list(g, "generator")]))
         return Ideal.from_generators(field, gens)
     raise ConfigError("ideal needs 'hnf' or 'gens'")
 
@@ -97,17 +122,21 @@ def parse_ideal(field: NumberField, cfg) -> Ideal:
 def parse_units(field: NumberField, cfg):
     if cfg is None:
         return None
-    return [field.element([_num(x, "unit coordinate") for x in u]) for u in cfg]
+    return [field.element([_num(x, "unit coordinate") for x in _list(u, "unit")])
+            for u in _list(cfg, "units")]
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _obj(cfg, "config")
 
 
 def build_common(cfg, cache, override=None):
@@ -135,7 +164,7 @@ def build_common(cfg, cache, override=None):
 
 def cmd_zeta(cfg, args, cache) -> dict:
     field, f, a, c, ell, z = build_common(cfg, cache)
-    kmax = _int(cfg.get("k_max", "2"), "k_max")
+    kmax = _k_max(cfg, "2")
     crosscheck = not args.no_crosscheck
 
     def one(k):
@@ -151,15 +180,18 @@ def cmd_zeta(cfg, args, cache) -> dict:
 
 
 def cmd_padic_zeta(cfg, args, cache) -> dict:
-    pcfg = cfg.get("padic", {})
+    pcfg = _obj(cfg.get("padic", {}), "padic")
     field, f, a, c, ell, z = build_common(cfg, cache, override=pcfg)
     p = _int(pcfg.get("p", "3"), "p")
     M = args.precision or _int(pcfg.get("precision", "4"), "precision")
-    kmax = _int(pcfg.get("k_max", "2"), "k_max")
+    kmax = _k_max(pcfg, "2")
     h = MeasureHandle(z, p)
     region = region_units(h, f)
     divisors = [(0, 1, z)]
-    for d in pcfg.get("divisors", []):
+    for d in _list(pcfg.get("divisors", []), "padic.divisors"):
+        if not isinstance(d, dict) or "factors" not in d or "norm" not in d:
+            raise ConfigError("each divisor must be an object with "
+                              "'factors' and 'norm'")
         da = parse_ideal(field, d.get("a", "unit"))
         dz = z if da == a else build_zeta_data(
             field, f, da, c, ell, units=parse_units(field, cfg.get("units")))
@@ -187,17 +219,20 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
 
 
 def cmd_oov(cfg, args, cache) -> dict:
-    ocfg = cfg.get("oov", {})
+    ocfg = _obj(cfg.get("oov", {}), "oov")
     field, f, a, c, ell, z = build_common(cfg, cache, override=ocfg)
     if "p" not in ocfg or "pi" not in ocfg:
         raise ConfigError("oov needs 'p' and 'pi' (list of generators)")
     p = _int(ocfg["p"], "p")
-    pis = [field.element([_num(x) for x in coords]) for coords in ocfg["pi"]]
-    es = [_int(e, "e") for e in ocfg.get("e", ["1"] * len(pis))]
-    other = [parse_ideal(field, q) for q in ocfg.get("other_primes", [])]
-    levels = [_int(m, "level") for m in ocfg.get("levels", ["1", "2"])]
+    pis = [field.element([_num(x) for x in _list(coords, "pi generator")])
+           for coords in _list(ocfg["pi"], "pi")]
+    es = [_int(e, "e") for e in _list(ocfg.get("e", ["1"] * len(pis)), "e")]
+    other = [parse_ideal(field, q)
+             for q in _list(ocfg.get("other_primes", []), "other_primes")]
+    levels = [_int(m, "level")
+              for m in _list(ocfg.get("levels", ["1", "2"]), "levels")]
     r = len(pis)
-    kmax = _int(ocfg.get("k_max", str(r)), "k_max")
+    kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
     region = region_oov(h, f, list(zip(pis, es)), other)
     rows = []
@@ -218,7 +253,7 @@ def cmd_oov(cfg, args, cache) -> dict:
 
 
 def cmd_cocycle_check(cfg, args, cache) -> dict:
-    ccfg = cfg.get("cocycle_check", {}) if cfg else {}
+    ccfg = _obj(cfg.get("cocycle_check", {}), "cocycle_check")
     ell = _int(ccfg.get("ell", "5"), "ell")
     n = _int(ccfg.get("n", "2"), "n")
     count = _int(ccfg.get("count", "10"), "count")
@@ -406,12 +441,16 @@ def main(argv=None) -> int:
         "result": result,
     }
     out = json.dumps(report, indent=2, sort_keys=True)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
-    print(out)
-    if cache is not None:
-        cache.save()
+    try:
+        if args.json_out:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        print(out)
+        if cache is not None:
+            cache.save()
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "selftest" and not result.get("ok", True):
         return 1
     return 0

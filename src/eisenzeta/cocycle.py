@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .dedekind import d_ell
@@ -32,15 +32,9 @@ class GammaEllMatrix:
     def __init__(self, mat: Sequence[Sequence], ell: int):
         n = len(mat)
         rows = [[Fraction(x) for x in row] for row in mat]
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for row in rows for x in row))
         ints = [[int(x * den) for x in row] for row in rows]
-        content = 0
-        for row in ints:
-            for x in row:
-                content = gcd(content, x)
+        content = gcd(*(x for row in ints for x in row))
         if content > 1:
             ints = [[x // content for x in row] for row in ints]
         det = int(mat_det(ints))

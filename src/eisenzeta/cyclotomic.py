@@ -3,12 +3,18 @@
 Elements are stored in the power basis 1, z, ..., z^(ell-2); reduction by
 the ell-th cyclotomic polynomial happens on every write, so coordinates
 are always canonical.
+
+Each concept has one implementation: `CycloElement.inverse` solves its
+multiplication system with `exact.mat_solve`, and `_is_prime` is the
+primality test of the whole package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+from .exact import mat_solve
 
 
 class MismatchedField(ValueError):
@@ -120,23 +126,11 @@ class CycloElement:
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
         ell = self.ell
         n = ell - 1
-        cols = []
-        for j in range(n):
-            prod = self * CycloElement.zeta_pow(ell, j)
-            cols.append(prod.coords)
+        cols = [(self * CycloElement.zeta_pow(ell, j)).coords for j in range(n)]
         # solve M x = e_0 where column j of M is self * zeta^j
-        m = [[cols[j][i] for j in range(n)] + [Fraction(int(i == 0))]
-             for i in range(n)]
-        for c in range(n):
-            piv = next(r for r in range(c, n) if m[r][c] != 0)
-            m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        return CycloElement(ell, [m[i][n] for i in range(n)])
+        m = tuple(tuple(col[i] for col in cols) for i in range(n))
+        e0 = ((1,),) + ((0,),) * (n - 1)
+        return CycloElement(ell, [row[0] for row in mat_solve(m, e0)])
 
     def trace(self) -> Fraction:
         """Trace to Q: (ell-1)*c_0 - sum of the other coordinates."""

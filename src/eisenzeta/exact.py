@@ -3,13 +3,18 @@
 Everything here is pure and exact: scalars are `fractions.Fraction` (or int),
 matrices are tuples of tuples, and no floating point ever enters.  Matrices
 are small (n <= 8), so dense quadratic/cubic algorithms are used throughout.
+
+Each concept has one implementation: `mat_solve` is the only Gauss-Jordan
+elimination (`mat_inv` and the field-element inverses solve through it),
+and `reduce_mod_lattice` is the only reduction modulo a lattice in HNF
+(membership, as in `Ideal.contains`, is a zero reduction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 
 class SingularMatrix(ValueError):
@@ -27,10 +32,6 @@ class NotHomogeneous(ValueError):
 Matrix = tuple[tuple, ...]
 
 
-def mat_from_rows(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -46,14 +47,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
     return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -78,23 +71,32 @@ def mat_det(a: Matrix) -> Fraction:
     return det
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse over the rationals via Gauss-Jordan."""
+def mat_solve(a: Matrix, b: Matrix) -> Matrix:
+    """The solution X of a * X = b over the rationals, by Gauss-Jordan on
+    the augmented matrix [a | b]; a is square, b has any number of
+    columns."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
+    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in (*row, *brow)]
+         for row, brow in zip(a, b)]
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c] != 0), None)
         if piv is None:
             raise SingularMatrix("matrix is singular")
         m[c], m[piv] = m[piv], m[c]
         inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
+        # skip zero entries: eliminated columns and a unit-vector or
+        # identity right-hand side leave most of each row zero
+        m[c] = [x * inv if x else x for x in m[c]]
         for r in range(n):
             if r != c and m[r][c] != 0:
                 f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[c])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def mat_inv(a: Matrix) -> Matrix:
+    """Exact inverse over the rationals."""
+    return mat_solve(a, identity(len(a)))
 
 
 def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
@@ -106,11 +108,7 @@ def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
     or rational input (rational input is scaled to integers and back).
     """
     n = len(mat)
-    den = 1
-    for row in mat:
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in mat for x in row))
     h = [[int(x * den) for x in row] for row in mat]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -161,11 +159,7 @@ def lattice_hnf(cols: Sequence[Sequence]) -> Matrix:
     if not cols:
         raise SingularMatrix("no generators")
     n = len(cols[0])
-    den = 1
-    for col in cols:
-        for x in col:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for col in cols for x in col))
     h = [[int(x * den) for x in col] for col in cols]  # h[j] is a column
     m = len(h)
 
@@ -274,7 +268,7 @@ def reduce_mod_lattice(w: Sequence, h: Matrix) -> tuple:
     """Canonical representative of w modulo the column lattice of the
     lower-triangular HNF matrix h: coordinates land in [0, h[i][i])."""
     n = len(h)
-    x = [Fraction(t) if isinstance(t, Fraction) else t for t in w]
+    x = list(w)
     for i in range(n):
         if h[i][i] == 0:
             raise SingularMatrix("lattice not full rank")

@@ -6,17 +6,25 @@ isolating rational intervals, refined on demand; every sign decision is
 certified, never floated.  Ideals are O-module lattices given by rational
 column bases in Hermite normal form, where O is the maximal order for
 quadratic fields and Z[theta] (or a user-supplied integral basis) above.
+
+Each concept has one implementation: `_fundamental_discriminant` splits
+off the square part of a quadratic discriminant, `_atanh_bounds` is the
+only logarithm series, `_pmod_divmod` the only division over F_p,
+`Ideal.contains` the only ideal-membership test (a zero
+`exact.reduce_mod_lattice`), `_check_adapted` the only adapted-basis check,
+and `_unit_search_bound` the only bound on unit-power searches.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
-from .exact import (Matrix, SingularMatrix, hnf, identity, lattice_hnf,
-                    mat_det, mat_inv, mat_mul, mat_vec, snf)
+from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
+                    mat_inv, mat_mul, mat_solve, mat_vec, reduce_mod_lattice,
+                    snf)
 
 
 class NotMonic(ValueError):
@@ -146,25 +154,27 @@ def _pmod_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
+def _pmod_divmod(a: list[int], b: list[int],
+                 p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p, both trimmed (the zero
+    polynomial is []); b must have a leading coefficient prime to p."""
+    r = _pmod_trim([x % p for x in a])
+    q = [0] * max(len(r) - len(b) + 1, 0)
     binv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        q = a[-1] * binv % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * c) % p
-        a.pop()
-        _pmod_trim(a)
-        if not a:
-            break
-    return a
+    while len(r) >= len(b):
+        c = r[-1] * binv % p
+        shift = len(r) - len(b)
+        q[shift] = c
+        for i, bc in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * bc) % p
+        _pmod_trim(r)
+    return _pmod_trim(q), r
 
 
 def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _pmod_trim([x % p for x in a]), _pmod_trim([x % p for x in b])
     while b:
-        a, b = b, _pmod_rem(a, b, p)
+        a, b = b, _pmod_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
@@ -177,13 +187,13 @@ def _pmod_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _pmod_rem(out, f, p) or [0]
+    return _pmod_divmod(out, f, p)[1] or [0]
 
 
 def _pmod_xpow(e: int, f: list[int], p: int) -> list[int]:
     """x^e mod (f, p) by square and multiply."""
     result = [1]
-    base = _pmod_rem([0, 1], f, p) or [0]
+    base = _pmod_divmod([0, 1], f, p)[1] or [0]
     while e:
         if e & 1:
             result = _pmod_mulmod(result, base, f, p)
@@ -217,23 +227,8 @@ def factor_degree_pattern(f: Sequence[int], p: int) -> list[int] | None:
         h = _pmod_gcd(g, _pmod_trim(xp) or [0], p)
         if len(h) > 1:
             degrees.extend([d] * ((len(h) - 1) // d))
-            g = _pmod_quot(g, h, p)
+            g = _pmod_divmod(g, h, p)[0]
     return degrees
-
-
-def _pmod_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [x % p for x in a]
-    out = [0] * (len(a) - len(b) + 1)
-    binv = pow(b[-1], -1, p)
-    while len(a) >= len(b) and any(a):
-        q = a[-1] * binv % p
-        out[len(a) - len(b)] = q
-        for i, c in enumerate(b):
-            a[len(a) - len(b) + i] = (a[len(a) - len(b) + i] - q * c) % p
-        _pmod_trim(a)
-        if not a:
-            break
-    return _pmod_trim(out) or [1]
 
 
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -292,7 +287,16 @@ def ln_interval(x: Fraction, terms: int = 24) -> Interval:
     while x >= 2:
         x /= 2
         k += 1
-    y = (x - 1) / (x + 1)
+    lo, hi = _atanh_bounds((x - 1) / (x + 1), terms)
+    if k:
+        l2lo, l2hi = _LN2
+        lo, hi = lo + k * l2lo, hi + k * l2hi
+    return (lo, hi)
+
+
+def _atanh_bounds(y: Fraction, terms: int) -> Interval:
+    """Bounds on 2 atanh(y) = ln((1 + y) / (1 - y)), 0 <= y < 1: the first
+    terms of the series, and that sum plus a geometric tail bound."""
     s = Fraction(0)
     ypow = y
     y2 = y * y
@@ -300,29 +304,28 @@ def ln_interval(x: Fraction, terms: int = 24) -> Interval:
         s += ypow / (2 * i + 1)
         ypow *= y2
     rem = 2 * ypow / ((2 * terms + 1) * (1 - y2))
-    lo, hi = 2 * s, 2 * s + rem
-    if k:
-        l2lo, l2hi = _LN2
-        lo, hi = lo + k * l2lo, hi + k * l2hi
-    return (lo, hi)
-
-
-def _ln2_bounds() -> Interval:
-    y = Fraction(1, 3)  # ln 2 = 2 atanh(1/3)
-    s = Fraction(0)
-    ypow = y
-    y2 = y * y
-    for i in range(40):
-        s += ypow / (2 * i + 1)
-        ypow *= y2
-    rem = 2 * ypow / (81 * (1 - y2))
     return (2 * s, 2 * s + rem)
 
 
-_LN2 = _ln2_bounds()
+_LN2 = _atanh_bounds(Fraction(1, 3), 40)  # ln 2 = 2 atanh(1/3)
 
 
 # --- the field ----------------------------------------------------------------
+
+def _fundamental_discriminant(disc: int) -> tuple[int, int]:
+    """(D, m) with disc = m^2 D and D the discriminant of the maximal order
+    of Q(sqrt(disc)), for a nonsquare discriminant disc = 0, 1 mod 4."""
+    m, d0 = 1, disc
+    k = 2
+    while k * k <= abs(d0):
+        while d0 % (k * k) == 0:
+            d0 //= k * k
+            m *= k
+        k += 1
+    if d0 % 4 != 1:
+        d0, m = 4 * d0, m // 2
+    return d0, m
+
 
 class NumberField:
     """Totally real field presented by a monic irreducible integer
@@ -371,16 +374,7 @@ class NumberField:
 
     def _quadratic_maximal_order(self) -> Matrix:
         b, c = self.f[1], self.f[0]
-        disc = b * b - 4 * c
-        s, d0 = 1, disc
-        k = 2
-        while k * k <= abs(d0):
-            while d0 % (k * k) == 0:
-                d0 //= k * k
-                s *= k
-            k += 1
-        if d0 % 4 != 1:
-            d0, s = 4 * d0, s // 2
+        d0, s = _fundamental_discriminant(b * b - 4 * c)
         # omega = (s*d0 + b + 2*theta) / (2s) spans the maximal order with 1
         omega = (Fraction(s * d0 + b, 2 * s), Fraction(2, 2 * s))
         return lattice_hnf([(Fraction(1), Fraction(0)), omega])
@@ -472,19 +466,6 @@ class NumberField:
                     return (llo, lhi)
             self.refine_root(i)
         raise RefinementBudgetExceeded("log interval did not reach target width")
-
-    def interval_det_sign(self, entries: Sequence[Sequence[Interval]], *,
-                          refine) -> int:
-        """Sign of a determinant of interval entries, refining until the
-        determinant interval excludes zero."""
-        for _ in range(60):
-            det = _interval_det(entries)
-            if det[0] > 0:
-                return 1
-            if det[1] < 0:
-                return -1
-            entries = refine()
-        raise RefinementBudgetExceeded("determinant sign undecided")
 
 
 def embedding_matrix_det_sign(field: NumberField,
@@ -604,9 +585,9 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        inv = mat_inv(self.mult_matrix())
-        e0 = (Fraction(1),) + (Fraction(0),) * (self.field.n - 1)
-        return FieldElement(self.field, mat_vec(inv, e0))
+        e0 = ((1,),) + ((0,),) * (self.field.n - 1)
+        return FieldElement(self.field,
+                            [row[0] for row in mat_solve(self.mult_matrix(), e0)])
 
     def is_totally_positive(self) -> bool:
         return all(self.field.sign_at(self, i) > 0 for i in range(self.field.n))
@@ -637,7 +618,7 @@ class Ideal:
     def from_generators(cls, field: NumberField, gens: Sequence[FieldElement]) -> "Ideal":
         if all(g.is_zero() for g in gens):
             raise ZeroIdeal("zero ideal")
-        omegas = [field.element(col) for col in zip(*field.order_basis)]
+        omegas = cls.unit_ideal(field).basis_elements()
         cols = [(g * w).coords for g in gens for w in omegas]
         return cls.from_columns(field, cols, check=False)
 
@@ -646,28 +627,15 @@ class Ideal:
         return cls(field, field.order_basis, check=False)
 
     def _is_module(self) -> bool:
-        omegas = [self.field.element(col) for col in zip(*self.field.order_basis)]
-        for j in range(self.field.n):
-            b = self.field.element([self.basis[i][j] for i in range(self.field.n)])
-            for w in omegas:
-                if not self.contains(b * w):
-                    return False
-        return True
+        omegas = Ideal.unit_ideal(self.field).basis_elements()
+        return all(self.contains(b * w)
+                   for b in self.basis_elements() for w in omegas)
 
     def contains(self, x: FieldElement) -> bool:
-        coords = list(x.coords)
-        for i in range(self.field.n):
-            q, r = divmod(coords[i], self.basis[i][i])
-            if r != 0:
-                return False
-            for k in range(i, self.field.n):
-                coords[k] -= q * self.basis[k][i]
-        return True
+        return not any(reduce_mod_lattice(x.coords, self.basis))
 
     def contains_lattice(self, other: "Ideal") -> bool:
-        n = self.field.n
-        return all(self.contains(self.field.element([other.basis[i][j] for i in range(n)]))
-                   for j in range(n))
+        return all(self.contains(b) for b in other.basis_elements())
 
     def norm(self) -> Fraction:
         return abs(Fraction(mat_det(self.basis)) / mat_det(self.field.order_basis))
@@ -680,13 +648,8 @@ class Ideal:
         return hash((id(self.field), self.basis))
 
     def __mul__(self, other: "Ideal") -> "Ideal":
-        n = self.field.n
-        cols = []
-        for j in range(n):
-            b = self.field.element([self.basis[i][j] for i in range(n)])
-            for k in range(n):
-                c = self.field.element([other.basis[i][k] for i in range(n)])
-                cols.append((b * c).coords)
+        cols = [(b * c).coords for b in self.basis_elements()
+                for c in other.basis_elements()]
         return Ideal.from_columns(self.field, cols, check=False)
 
     def inverse(self) -> "Ideal":
@@ -698,9 +661,8 @@ class Ideal:
         # element b_j of I the order coordinates of x*b_j are integral,
         # i.e. T_j y in Z^n with T_j[:, k] = coords_O(omega_k b_j).
         rows = []
-        omegas = [self.field.element(col) for col in zip(*self.field.order_basis)]
-        for j in range(n):
-            b = self.field.element([self.basis[i][j] for i in range(n)])
+        omegas = Ideal.unit_ideal(self.field).basis_elements()
+        for b in self.basis_elements():
             prod_cols = [mat_vec(order_inv, (w * b).coords) for w in omegas]
             for i in range(n):
                 rows.append([prod_cols[k][i] for k in range(n)])
@@ -718,9 +680,7 @@ class Ideal:
         return Ideal.unit_ideal(self.field).contains_lattice(self)
 
     def is_coprime(self, other: "Ideal") -> bool:
-        n = self.field.n
-        cols = ([[self.basis[i][j] for i in range(n)] for j in range(n)]
-                + [[other.basis[i][j] for i in range(n)] for j in range(n)])
+        cols = [b.coords for b in self.basis_elements() + other.basis_elements()]
         return lattice_hnf(cols) == Ideal.unit_ideal(self.field).basis
 
     def scale(self, c) -> "Ideal":
@@ -728,8 +688,8 @@ class Ideal:
         if c == 0:
             raise ZeroIdeal("zero ideal")
         return Ideal(self.field,
-                     lattice_hnf([[c * self.basis[i][j] for i in range(self.field.n)]
-                                  for j in range(self.field.n)]), check=False)
+                     lattice_hnf([(b * c).coords for b in self.basis_elements()]),
+                     check=False)
 
     def basis_elements(self) -> list[FieldElement]:
         n = self.field.n
@@ -784,7 +744,7 @@ def adapted_basis(a: Ideal, f: Ideal, c: Ideal, ell: int) -> list[FieldElement]:
     n = field.n
     L1 = a.inverse() * f
     L2 = a.inverse() * c.inverse() * f
-    rel = mat_mul(mat_inv(L2.basis), L1.basis)
+    rel = mat_solve(L2.basis, L1.basis)
     relz = tuple(tuple(int(x) if Fraction(x).denominator == 1 else None
                        for x in row) for row in rel)
     if any(x is None for row in relz for x in row):
@@ -796,13 +756,19 @@ def adapted_basis(a: Ideal, f: Ideal, c: Ideal, ell: int) -> list[FieldElement]:
     cols = [[newb1[i][n - 1] for i in range(n)]] + \
            [[newb1[i][j] for i in range(n)] for j in range(n - 1)]
     ws = [field.element(col) for col in cols]
-    # fail-fast checks: w spans L1 and (w1/ell, w2, ...) spans L2
+    _check_adapted(ws, L1, L2, ell)
+    return ws
+
+
+def _check_adapted(ws: Sequence[FieldElement], L1: Ideal, L2: Ideal,
+                   ell: int) -> None:
+    """Fail fast unless ws spans L1 = a^-1 f and (w_1/ell, w_2, ...) spans
+    L2 = a^-1 c^-1 f."""
     if lattice_hnf([w.coords for w in ws]) != L1.basis:
-        raise IndexNotPrime("adapted basis does not span a^-1 f")
+        raise IndexNotPrime("basis does not span a^-1 f")
     half = [tuple(x / ell for x in ws[0].coords)] + [w.coords for w in ws[1:]]
     if lattice_hnf(half) != L2.basis:
         raise IndexNotPrime("w_1/ell does not complete a basis of a^-1 c^-1 f")
-    return ws
 
 
 # --- units ----------------------------------------------------------------------
@@ -811,17 +777,7 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     """Fundamental unit (> 1 in the larger embedding) of a real quadratic
     field, from the continued fraction of the maximal-order generator."""
     b, cc = field.f[1], field.f[0]
-    disc = b * b - 4 * cc
-    s, d0 = 1, disc
-    k = 2
-    while k * k <= abs(d0):
-        while d0 % (k * k) == 0:
-            d0 //= k * k
-            s *= k
-        k += 1
-    if d0 % 4 != 1:
-        d0 = 4 * d0
-    D = d0  # discriminant of the maximal order
+    D, m = _fundamental_discriminant(b * b - 4 * cc)
     # continued fraction of (P0 + sqrt(D)) / Q0 with the integer recurrence;
     # the invariant Q | D - P^2 holds throughout
     sqD = isqrt(D)
@@ -850,7 +806,6 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
         A, B, C, D0_ = A * aq + B, A, C * aq + D0_, C
     P, Q = state
     # sqrt(disc) = 2*theta + b and sqrt(D) = sqrt(disc)/m with disc = m^2 D
-    m = isqrt(disc // D)
     sqrtD = field.element((Fraction(b, m), Fraction(2, m)))
     alpha = (field.from_rational(P) + sqrtD) * Fraction(1, Q)
     unit = Fraction(C) * alpha + field.from_rational(D0_)
@@ -873,6 +828,12 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     return unit
 
 
+def _unit_search_bound(f: Ideal) -> int:
+    """How many powers of the fundamental unit to try for one that is
+    congruent to 1 mod f."""
+    return 4 * int(f.norm()) ** 2 + 8
+
+
 def totally_positive_unit(field: NumberField, f: Ideal, *,
                           bound: int | None = None) -> FieldElement:
     """Smallest power of the fundamental unit that is totally positive and
@@ -882,7 +843,7 @@ def totally_positive_unit(field: NumberField, f: Ideal, *,
     u = fundamental_unit_quadratic(field)
     one = field.one()
     if bound is None:
-        bound = 4 * int(f.norm()) ** 2 + 8
+        bound = _unit_search_bound(f)
     cur = u
     for _ in range(1, bound + 1):
         if cur.is_totally_positive() and congruent_mod_ideal(cur, one, f):
@@ -984,7 +945,7 @@ def _fix_generator(alpha: FieldElement, f: Ideal, unit: FieldElement | None,
     if unit is None:
         return None
     cur = alpha
-    for _ in range(4 * int(f.norm()) ** 2 + 8):
+    for _ in range(_unit_search_bound(f)):
         cur = cur * unit
         if congruent_mod_ideal(cur, one, f):
             return cur

@@ -18,14 +18,14 @@ every Riemann loop.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .cyclotomic import _is_prime
 from .dedekind import LinearFormModL, b1_L_z_fast
 from .exact import Matrix, MultiPoly, lattice_hnf, mat_det, mat_inv, mat_vec
-from .numberfield import Ideal
+from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
 
@@ -360,9 +360,7 @@ class CellKernel:
         self.M = M
         n = h.n
         pM = h.p ** M
-        dv = 1
-        for vi in h.z.v:
-            dv = dv * Fraction(vi).denominator // gcd(dv, Fraction(vi).denominator)
+        dv = lcm(*(Fraction(vi).denominator for vi in h.z.v))
         self.maps = []
         for t in h.terms:
             den = t["det"] * pM * dv
@@ -455,27 +453,15 @@ def _sum_lattice(I: Ideal, c: int):
     return lattice_hnf(cols)
 
 
-def _lat_contains(h: Matrix, coords: Sequence[Fraction]) -> bool:
-    n = len(h)
-    x = list(coords)
-    for i in range(n):
-        q, r = divmod(x[i], h[i][i])
-        if r != 0:
-            return False
-        for k in range(i, n):
-            x[k] -= q * h[k][i]
-    return True
-
-
 def _stabilized_lattice(I: Ideal, p: int, tmin: int = 1):
-    """Smallest t with I + p^t O = I + p^(t+1) O, and that lattice; from
+    """Smallest t with I + p^t O = I + p^(t+1) O, and that ideal; from
     level t on, membership mod p^t decides membership in I O_p."""
     t = tmin
     prev = _sum_lattice(I, p ** t)
     for _ in range(200):
         nxt = _sum_lattice(I, p ** (t + 1))
         if nxt == prev:
-            return t, prev
+            return t, Ideal(I.field, prev, check=False)
         t, prev = t + 1, nxt
     raise LevelTooSmall("lattice saturation did not stabilize")
 
@@ -484,14 +470,15 @@ class _RegionBuilder:
     def __init__(self, h: MeasureHandle):
         self.h = h
         self.field = h.z.field
+        self.one = self.field.one()
         n = self.field.n
         self.wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n))
                           for i in range(n))
 
-    def coords_of(self, j: Sequence) -> tuple:
-        """Power-basis coordinates of w . (v + j)."""
+    def element_of(self, j: Sequence) -> FieldElement:
+        """The field element w . (v + j)."""
         vj = [Fraction(vi) + ji for vi, ji in zip(self.h.z.v, j)]
-        return mat_vec(self.wmat, vj)
+        return self.field.element(mat_vec(self.wmat, vj))
 
     def build(self, t: int, member, tag: str) -> Region:
         p = self.h.p
@@ -512,14 +499,11 @@ def region_units(h: MeasureHandle, f: Ideal) -> Region:
     t = max(1, tf)
 
     def member(j):
-        x = rb.coords_of(j)
         nx = h.norm_poly.evaluate([Fraction(vi) + ji
                                    for vi, ji in zip(h.z.v, j)])
         if nx == 0 or frac_valuation(nx, h.p) != 0:
             return False
-        xm1 = list(x)
-        xm1[0] -= 1
-        return _lat_contains(flat, xm1)
+        return flat.contains(rb.element_of(j) - rb.one)
 
     return rb.build(t, member, "units")
 
@@ -539,15 +523,10 @@ def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
         excl.append(qlat)
 
     def member(j):
-        x = rb.coords_of(j)
-        if not _lat_contains(blat, x):
+        x = rb.element_of(j)
+        if not blat.contains(x) or any(q.contains(x) for q in excl):
             return False
-        for qlat in excl:
-            if _lat_contains(qlat, x):
-                return False
-        xm1 = list(x)
-        xm1[0] -= 1
-        return _lat_contains(flat, xm1)
+        return flat.contains(x - rb.one)
 
     return rb.build(t, member, "b-units")
 
@@ -561,29 +540,18 @@ def region_oov(h: MeasureHandle, f: Ideal,
     field = h.z.field
     tf, flat = _stabilized_lattice(f, h.p)
     t = max(1, tf)
-    pis = []
-    for pi, e_i in pi_data:
-        ideal = Ideal.from_generators(field, [pi])
-        tq, qlat = _stabilized_lattice(ideal, h.p)
-        t = max(t, tq)
-        pis.append(qlat)
-    others = []
-    for q in other_primes:
+    excl = []
+    for q in ([Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
+              + list(other_primes)):
         tq, qlat = _stabilized_lattice(q, h.p)
         t = max(t, tq)
-        others.append(qlat)
+        excl.append(qlat)
 
     def member(j):
-        x = rb.coords_of(j)
-        for qlat in pis:
-            if _lat_contains(qlat, x):
-                return False
-        for qlat in others:
-            if _lat_contains(qlat, x):
-                return False
-        xm1 = list(x)
-        xm1[0] -= 1
-        return _lat_contains(flat, xm1)
+        x = rb.element_of(j)
+        if any(q.contains(x) for q in excl):
+            return False
+        return flat.contains(x - rb.one)
 
     return rb.build(t, member, "oov")
 

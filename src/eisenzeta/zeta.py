@@ -12,13 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
-                      symmetrized_chain)
+from .cocycle import (CocycleArgs, GammaEllMatrix, first_column_matrix,
+                      psi_ell_chain, symmetrized_chain)
 from .dedekind import DedekindCache
-from .exact import (Matrix, MultiPoly, mat_det, mat_inv, mat_mul, mat_vec,
-                    resultant_norm)
-from .numberfield import (FieldElement, Ideal, NumberField, dual_basis,
-                          adapted_basis, embedding_matrix_det_sign,
+from .exact import (Matrix, MultiPoly, identity, mat_det, mat_inv, mat_mul,
+                    mat_vec, resultant_norm)
+from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
+                          adapted_basis, dual_basis, embedding_matrix_det_sign,
                           regulator_det_sign, unit_basis)
 
 
@@ -58,19 +58,6 @@ class EmbeddedForms:
                 new.append(acc)
             out.append((i, new))
         return EmbeddedForms(self.field, out)
-
-    def negate(self) -> "EmbeddedForms":
-        return EmbeddedForms(self.field,
-                             [(i, [-c for c in cs]) for i, cs in self.rows])
-
-    def scale_row(self, r: int, scalar) -> "EmbeddedForms":
-        scalar = Fraction(scalar)
-        if scalar <= 0:
-            raise ValueError("row scaling must be positive")
-        rows = list(self.rows)
-        i, cs = rows[r]
-        rows[r] = (i, tuple(scalar * c for c in cs))
-        return EmbeddedForms(self.field, rows)
 
     def sign_matrix(self, sigma: Matrix | None = None):
         q = self if sigma is None else self.transform(mat_inv(sigma))
@@ -147,19 +134,14 @@ def _chain_coset_cost(field: NumberField, ws, eps, ell: int) -> int:
     from itertools import permutations
     total = 0
     for perm in permutations(range(n - 1)):
-        tup = [identity_mat(n)]
+        tup = [identity(n)]
         for i in perm:
             tup.append(mat_mul(tup[-1], mats[i]))
-        sigma = tuple(tuple(tup[j][i][0] for j in range(n)) for i in range(n))
-        det = int(mat_det(sigma))
+        det = int(mat_det(first_column_matrix(tup)))
         if det == 0:
             return 1 << 60
         total += abs(det) // ell ** (n - 1)
     return total
-
-
-def identity_mat(n: int):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _reduce_adapted(field: NumberField, ws, eps, ell: int, radius: int = 8):
@@ -208,14 +190,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
             ws = _reduce_adapted(field, ws, eps, ell)
     else:
         ws = list(ws)
-        from .exact import lattice_hnf
-        l1 = a.inverse() * f
-        l2 = a.inverse() * c.inverse() * f
-        if lattice_hnf([w.coords for w in ws]) != l1.basis:
-            raise ValueError("supplied basis does not span a^-1 f")
-        half = [tuple(x / ell for x in ws[0].coords)] + [w.coords for w in ws[1:]]
-        if lattice_hnf(half) != l2.basis:
-            raise ValueError("supplied basis is not adapted to c")
+        _check_adapted(ws, a.inverse() * f, a.inverse() * c.inverse() * f, ell)
     wstar = dual_basis(ws)
     nac = a.norm() * c.norm()
     P = nac * norm_form(field, ws)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from eisenzeta.cli import EXIT_CONFIG, EXIT_PRECONDITION, main
+from eisenzeta.dedekind import DedekindCache
 
 SQRT5 = {
     "field": {"poly": ["-5", "0", "1"]},
@@ -82,16 +83,25 @@ def test_cache_corrupt_is_config_error(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("command", ["zeta", "padic-zeta", "oov"])
-def test_golden_report(command, capsys):
+GOLDEN_ARGV = {command: [command, "--config", "golden_config.json"]
+               for command in ("zeta", "padic-zeta", "oov")}
+# the cubic field runs what Q(sqrt 5) never does: the irreducibility
+# certificate, validation of supplied units and the regulator sign
+GOLDEN_ARGV["zeta-cubic"] = ["zeta", "--config", "golden_config_cubic.json",
+                             "--no-crosscheck"]
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_ARGV))
+def test_golden_report(case, capsys):
     # reports are pinned byte for byte, timestamp aside: a refactor must
     # leave every residue, precision and valuation unchanged
-    code, report = run([command, "--config",
-                        str(GOLDEN / "golden_config.json")], capsys)
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a
+            for a in GOLDEN_ARGV[case]]
+    code, report = run(argv, capsys)
     assert code == 0
     report.pop("timestamp")
     expected = json.loads((GOLDEN / "golden_reports.json").read_text())
-    assert report == expected[command]
+    assert report == expected[case]
 
 
 def test_json_out(tmp_path, capsys):
@@ -155,3 +165,52 @@ def test_precondition_error_exit(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg, "nop.json")
     assert main(["zeta", "--config", path]) == EXIT_PRECONDITION
     capsys.readouterr()
+
+
+def _with(**changes):
+    cfg = json.loads(json.dumps(SQRT5))
+    for key, value in changes.items():
+        section, _, field = key.partition("__")
+        if field:
+            cfg[section][field] = value
+        else:
+            cfg[section] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("zeta", []),
+    ("zeta", _with(field={"poly": 5})),
+    ("padic-zeta", _with(padic__divisors=["unit"])),
+    ("padic-zeta", _with(padic__divisors=[{"norm": "9", "a": "unit"}])),
+    ("zeta", None),  # --config names a directory
+    ("zeta", _with(k_max="-1")),
+    ("zeta", _with(field={"poly": ["-5", "0", "1"], "integral_basis": [[]]})),
+], ids=["top-level-list", "poly-not-list", "divisor-not-object",
+        "divisor-without-factors", "config-is-directory", "negative-k_max",
+        "integral-basis-column-length"])
+def test_config_shape_errors(command, cfg, tmp_path, capsys):
+    path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_json_out_missing_directory(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _with(k_max="0"))
+    out = tmp_path / "missing" / "report.json"
+    assert main(["zeta", "--config", cfg, "--json-out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_cache_save_failure_is_config_error(tmp_path, capsys, monkeypatch):
+    def fail(self, path=None):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(DedekindCache, "save", fail)
+    cfg = write_cfg(tmp_path, _with(k_max="0"))
+    code = main(["zeta", "--config", cfg, "--cache", str(tmp_path / "cache")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["command"] == "zeta"
+    assert captured.err.startswith("config error:") and "disk full" in captured.err
