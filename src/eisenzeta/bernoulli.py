@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, floor
+from math import comb, floor, lcm
 from typing import Sequence
 
 from .exact import MultiPoly
@@ -57,6 +57,28 @@ def periodic_B(k: int, x) -> Fraction:
     if k == 1:
         return Fraction(0) if frac == 0 else frac - Fraction(1, 2)
     return _bern_eval(k, frac)
+
+
+def periodic_B_row(k: int, x, ell: int) -> tuple[int, list[int]]:
+    """A common denominator d and the integers N_y with
+    N_y / d = B_k((x + y) / ell) for y = 0, ..., ell - 1."""
+    x = Fraction(x)
+    coeffs = _bern_coeffs(k)
+    den = x.denominator * ell
+    c = lcm(*(a.denominator for a in coeffs))
+    # homogenised Horner: d * b_k(u / den) = sum_i (c a_i) u^i den^(k-i)
+    scaled = [int(a * c) * den ** (k - i) for i, a in enumerate(coeffs)]
+    row = []
+    for y in range(ell):
+        u = (x.numerator + y * x.denominator) % den
+        if k == 1 and u == 0:
+            row.append(0)
+            continue
+        acc = 0
+        for a in reversed(scaled):
+            acc = acc * u + a
+        row.append(acc)
+    return c * den ** k, row
 
 
 def B_e(e: Sequence[int], x: Sequence) -> Fraction:

@@ -67,11 +67,15 @@ def _obj(x, what) -> dict:
     return x
 
 
+def _int_min(s, what, low: int) -> int:
+    v = _int(s, what)
+    if v < low:
+        raise ConfigError(f"{what} must be >= {low}, got {v}")
+    return v
+
+
 def _k_max(cfg, default: str) -> int:
-    k = _int(cfg.get("k_max", default), "k_max")
-    if k < 0:
-        raise ConfigError(f"k_max must be >= 0, got {k}")
-    return k
+    return _int_min(cfg.get("k_max", default), "k_max", 0)
 
 
 def _fmt(q: Fraction) -> str:
@@ -183,7 +187,8 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
     pcfg = _obj(cfg.get("padic", {}), "padic")
     field, f, a, c, ell, z = build_common(cfg, cache, override=pcfg)
     p = _int(pcfg.get("p", "3"), "p")
-    M = args.precision or _int(pcfg.get("precision", "4"), "precision")
+    M = _int_min(args.precision if args.precision is not None
+                 else pcfg.get("precision", "4"), "precision", 1)
     kmax = _k_max(pcfg, "2")
     h = MeasureHandle(z, p)
     region = region_units(h, f)
@@ -229,7 +234,7 @@ def cmd_oov(cfg, args, cache) -> dict:
     es = [_int(e, "e") for e in _list(ocfg.get("e", ["1"] * len(pis)), "e")]
     other = [parse_ideal(field, q)
              for q in _list(ocfg.get("other_primes", []), "other_primes")]
-    levels = [_int(m, "level")
+    levels = [_int_min(m, "level", 1)
               for m in _list(ocfg.get("levels", ["1", "2"]), "levels")]
     r = len(pis)
     kmax = _k_max(ocfg, str(r))
@@ -343,12 +348,16 @@ def cmd_selftest(cfg, args, cache) -> dict:
         assert lhs == Fraction(2) ** 1 * rhs
 
     def fast_path():
-        from .dedekind import LinearFormModL, b1_L_z_fast, b_L_z_direct
+        from .dedekind import (LinearFormModL, b1_L_z_fast, b_L_z,
+                               b_L_z_direct)
         L = LinearFormModL(5, (1, 3))
         s = ((1, -1),)
         for z in range(5):
             x = (Fraction(1, 2), Fraction(3, 4))
             assert b1_L_z_fast(L, z, x, s) == b_L_z_direct((1, 1), L, z, x, s)
+            # mixed weight with an integral (sign-defect) coordinate
+            x = (Fraction(1, 3), Fraction(0))
+            assert b_L_z((2, 1), L, z, x, s) == b_L_z_direct((2, 1), L, z, x, s)
 
     def zeta_value():
         F = NumberField([-5, 0, 1])

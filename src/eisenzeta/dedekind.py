@@ -1,5 +1,7 @@
 """Generalized Dedekind sums, their prime smoothings, and the restricted
-Bernoulli distributions with a cyclotomic-trace fast path.
+Bernoulli distributions: a cyclotomic trace at weight e = (1, ..., 1) and
+a cyclic convolution over F_ell at every other weight, with the direct
+level-set sum kept as the oracle for both.
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -12,11 +14,13 @@ import hashlib
 import os
 import tempfile
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd
+from operator import mul
 from typing import Sequence
 
-from .bernoulli import B_e_Q, B_e_Q_plus
+from .bernoulli import B_e_Q, B_e_Q_plus, periodic_B, periodic_B_row
 from .cyclotomic import CycloElement
 from .exact import Matrix, coset_reps, mat_det, mat_inv, mat_vec
 
@@ -114,7 +118,6 @@ def b1_exp(x, r: int, ell: int) -> CycloElement:
 
 def b1_exp_sum(x, r: int, ell: int) -> CycloElement:
     """The defining ell-term sum, kept as an independent check."""
-    from .bernoulli import periodic_B
     x = Fraction(x)
     total = CycloElement.zero(ell)
     for m in range(1, ell + 1):
@@ -146,14 +149,16 @@ def _inv_int_table(ell: int) -> list:
     return table
 
 
+def _cyclic_conv(u: Sequence[int], v: Sequence[int], ell: int) -> list[int]:
+    """(u * v)(k) = sum over i of u(i) v(k - i), indices mod ell."""
+    rr = list(reversed(v)) * 2
+    return [sum(map(mul, u, rr[ell - 1 - k:2 * ell - 1 - k]))
+            for k in range(ell)]
+
+
 def _conv_int(u: Sequence[int], v: Sequence[int], ell: int) -> tuple[int, ...]:
     """Product in Z[zeta] on integer coordinate vectors of length ell-1."""
-    raw = [0] * ell
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    raw[(i + j) % ell] += a * b
+    raw = _cyclic_conv([*u, 0], [*v, 0], ell)
     top = raw[ell - 1]
     return tuple(raw[i] - top for i in range(ell - 1))
 
@@ -254,11 +259,71 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     return lead - Fraction(ell) ** (1 - n + ebar) * total
 
 
+def b_L_z_conv(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
+               signs: Sequence[Sequence[int]]) -> Fraction:
+    """Restricted distribution for any weight as a cyclic convolution
+    over F_ell; agrees exactly with b_L_z_direct.
+
+    B_e_Q at (x + y)/ell is the average over the sign rows of a product of
+    one-coordinate factors, so the level-set sum is, row by row, the value
+    at z of the convolution of the factors g_j(t), t = a_j y_j.  A factor
+    depends on the row only at a defect coordinate (e_j = 1, x_j integral),
+    and there only at the one y_j that makes the coordinate integral, so
+    rows are grouped by their entries on the defect coordinates.  Every
+    factor is an integer vector over one denominator per coordinate.  Cost:
+    n*ell Bernoulli values and (n-2)*ell^2 + ell integer products per group,
+    against ell^(n-1) calls of B_e_Q.
+    """
+    ell = L.ell
+    n = len(e)
+    z %= ell
+    lead = B_e_Q(e, x, signs)
+    free, defect, dpos, den = [], [], [], 1
+    for j, (ej, aj) in enumerate(zip(e, L.a)):
+        xj = Fraction(x[j])
+        d, row = periodic_B_row(ej, xj, ell)
+        vec = [0] * ell
+        for y, val in enumerate(row):
+            vec[aj * y % ell] += val
+        den *= d
+        if ej == 1 and xj.denominator == 1:
+            # at the integral point the factor is row[j]/2, not B_1 = 0;
+            # d is even there, as b_1 = x - 1/2
+            defect.append((vec, aj * -xj.numerator % ell, d // 2))
+            dpos.append(j)
+        else:
+            free.append(vec)
+    groups = Counter(tuple(row[j] for j in dpos) for row in signs)
+    # the free factors are shared by every group: convolve them once, all
+    # but the last when no defect factor is left to close the sum
+    base = None
+    for vec in (free if defect else free[:-1]):
+        base = vec if base is None else _cyclic_conv(base, vec, ell)
+    total = 0
+    for pattern, count in groups.items():
+        vecs = [free[-1]] if not defect else []
+        for (vec, t0, half), s in zip(defect, pattern):
+            vec = list(vec)
+            vec[t0] = s * half
+            vecs.append(vec)
+        acc = base
+        for vec in vecs[:-1]:
+            acc = vec if acc is None else _cyclic_conv(acc, vec, ell)
+        last = vecs[-1]
+        total += count * (last[z] if acc is None else
+                          sum(acc[t] * last[(z - t) % ell] for t in range(ell)))
+    ebar = sum(e)
+    return lead - Fraction(ell) ** (1 - n + ebar) \
+        * Fraction(total, den * len(signs))
+
+
 def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
           signs: Sequence[Sequence[int]]) -> Fraction:
+    """Restricted distribution: the cyclotomic trace at e = (1, ..., 1),
+    the cyclic convolution at every other weight."""
     if all(ej == 1 for ej in e):
         return b1_L_z_fast(L, z, x, signs)
-    return b_L_z_direct(e, L, z, x, signs)
+    return b_L_z_conv(e, L, z, x, signs)
 
 
 # --- Dedekind sums -----------------------------------------------------------
@@ -313,8 +378,9 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     """ell-smoothed Dedekind sum.
 
     Equals D(sigma_ell, e, pi Q, pi v) - ell^(1-n+ebar) D(sigma, e, Q, v);
-    evaluated through the level-set decomposition with the cyclotomic fast
-    path when e = (1,...,1), and directly otherwise.
+    evaluated through the level-set decomposition, one b_L_z per coset of
+    sigma_ell (cyclotomic trace at e = (1,...,1), cyclic convolution
+    otherwise).
     """
     n = len(sigma)
     sl = sigma_ell(sigma, ell)  # validates the shape even for det 0

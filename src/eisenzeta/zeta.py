@@ -124,13 +124,11 @@ def _unit_matrices(field: NumberField, ws: Sequence[FieldElement],
     return mats
 
 
-def _chain_coset_cost(field: NumberField, ws, eps, ell: int) -> int:
+def _chain_coset_cost(mats, ell: int) -> int:
     """Total number of residue classes the measure kernel must walk for
-    this basis: sum of |det sigma| / ell^(n-1) over the chain tuples."""
-    mats = _unit_matrices(field, ws, eps)
-    if mats is None:
-        return 1 << 60
-    n = field.n
+    a basis with integer unit matrices mats: sum of |det sigma| /
+    ell^(n-1) over the chain tuples."""
+    n = len(mats[0])
     from itertools import permutations
     total = 0
     for perm in permutations(range(n - 1)):
@@ -147,21 +145,33 @@ def _chain_coset_cost(field: NumberField, ws, eps, ell: int) -> int:
 def _reduce_adapted(field: NumberField, ws, eps, ell: int, radius: int = 8):
     """Shrink the cocycle coset count over the transforms
     w_1 -> w_1 + ell * (integer combination of w_2..w_n), which preserve
-    the adapted property."""
+    the adapted property.
+
+    Such a transform is the integer change of basis T = I + ell (0, m)^t
+    e_1^t, so a candidate's unit matrices are T^-1 U T for the unit
+    matrices U of ws, with T^-1 = I - ell (0, m)^t e_1^t; a non-integral
+    U stays non-integral for every candidate.
+    """
     from itertools import product
     n = field.n
-    best, best_cost = list(ws), _chain_coset_cost(field, ws, eps, ell)
+    mats = _unit_matrices(field, ws, eps)
+    if mats is None:
+        return list(ws)
+    best_m, best_cost = (0,) * (n - 1), _chain_coset_cost(mats, ell)
     for m in product(range(-radius, radius + 1), repeat=n - 1):
         if not any(m):
             continue
-        w1 = ws[0]
-        for mj, wj in zip(m, ws[1:]):
-            w1 = w1 + (ell * mj) * wj
-        cand = [w1] + list(ws[1:])
-        cost = _chain_coset_cost(field, cand, eps, ell)
+        t, tinv = [list(r) for r in identity(n)], [list(r) for r in identity(n)]
+        for i, mi in enumerate(m, 1):
+            t[i][0], tinv[i][0] = ell * mi, -ell * mi
+        cost = _chain_coset_cost([mat_mul(mat_mul(tinv, u), t) for u in mats],
+                                 ell)
         if cost < best_cost:
-            best, best_cost = cand, cost
-    return best
+            best_m, best_cost = m, cost
+    w1 = ws[0]
+    for mj, wj in zip(best_m, ws[1:]):
+        w1 = w1 + (ell * mj) * wj
+    return [w1] + list(ws[1:])
 
 
 def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,

@@ -186,12 +186,20 @@ def _with(**changes):
     ("zeta", None),  # --config names a directory
     ("zeta", _with(k_max="-1")),
     ("zeta", _with(field={"poly": ["-5", "0", "1"], "integral_basis": [[]]})),
+    ("oov", _with(oov__levels=["-1"])),
+    ("oov", _with(oov__levels=["1", "0"])),
+    ("padic-zeta", _with(padic__precision="-2")),
+    ("padic-zeta --precision 0", SQRT5),
+    ("padic-zeta --precision -2", SQRT5),
 ], ids=["top-level-list", "poly-not-list", "divisor-not-object",
         "divisor-without-factors", "config-is-directory", "negative-k_max",
-        "integral-basis-column-length"])
+        "integral-basis-column-length", "negative-level", "zero-level",
+        "negative-precision", "zero-precision-flag",
+        "negative-precision-flag"])
 def test_config_shape_errors(command, cfg, tmp_path, capsys):
+    # command is the subcommand, followed by any flags
     path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)
-    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert main([*command.split(), "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
 

@@ -260,6 +260,18 @@ def test_decomposition_identity():
                 d_ell_direct(sigma, e, q, v, ell, plus=True)
 
 
+def test_d_ell_plus_cubic_mixed_weights():
+    # three forms (two with equal signs) on a cubic sigma; v = 0 puts
+    # integral coordinates at e_j = 1, so the defect rows are exercised
+    sigma = ((1, 2, -3), (5, -5, 0), (0, 5, 10))
+    q = RationalForms([[1, Fraction(1, 2), -2], [-3, 1, Fraction(2, 3)],
+                       [2, -1, 1]])
+    for v in ((0, 0, 0), (Fraction(1, 2), 0, Fraction(2, 3))):
+        for e in ((2, 1, 1), (1, 3, 2), (1, 1, 4)):
+            assert d_ell(sigma, e, q, v, 5, plus=True) == \
+                d_ell_direct(sigma, e, q, v, 5, plus=True)
+
+
 def test_representative_independence():
     # shifting every coset representative by a lattice vector leaves the
     # smoothed sum unchanged (evaluated through shifted v as a proxy for

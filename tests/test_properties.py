@@ -1,5 +1,6 @@
 """Property tests: exact linear algebra, lattice membership, mod-p division,
-logarithm bounds and the Bernoulli distribution relation.
+logarithm bounds, the Bernoulli distribution relation, and the integer
+Bernoulli rows and convolution behind the restricted distribution.
 
 Every test runs a fixed, derandomized example sequence and keeps no example
 database, so the suite stays deterministic and writes nothing to the
@@ -15,7 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from eisenzeta.bernoulli import B_e, B_e_Q, B_e_Q_plus
+from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
+                                 periodic_B_row)
+from eisenzeta.dedekind import (LinearFormModL, b_L_z, b_L_z_conv,
+                                b_L_z_direct)
 from eisenzeta.exact import (SingularMatrix, identity, lattice_hnf, mat_det,
                              mat_inv, mat_mul, mat_solve, mat_vec,
                              reduce_mod_lattice)
@@ -176,3 +180,42 @@ def test_bernoulli_distribution_relation(args):
         total = sum(B(e, [(xj + yj) / N for xj, yj in zip(x, y)])
                     for y in product(range(N), repeat=len(e)))
         assert B(e, x) == scale * total
+
+
+@PROPS
+@given(st.integers(0, 8), st.builds(Fraction, st.integers(-30, 30),
+                                    st.integers(1, 6)),
+       st.sampled_from([2, 3, 5, 7, 11]))
+def test_periodic_B_row(k, x, ell):
+    d, row = periodic_B_row(k, x, ell)
+    assert [Fraction(n, d) for n in row] == \
+        [periodic_B(k, (x + y) / ell) for y in range(ell)]
+
+
+@st.composite
+def restricted_args(draw):
+    n = draw(st.integers(2, 4))
+    ell = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    L = LinearFormModL(ell, draw(st.lists(st.integers(1, ell - 1),
+                                          min_size=n, max_size=n)))
+    e = tuple(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    # integral coordinates make defect points at e_j = 1
+    coord = st.one_of(st.integers(-12, 12).map(Fraction),
+                      st.builds(Fraction, st.integers(-12, 12),
+                                st.integers(2, 6)))
+    x = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    # rows drawn from a pool of one or two, so duplicated rows are common
+    row = st.lists(st.sampled_from([1, -1]), min_size=n,
+                   max_size=n).map(tuple)
+    pool = draw(st.lists(row, min_size=1, max_size=2))
+    signs = tuple(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=3)))
+    return e, L, draw(st.integers(-ell, 2 * ell)), x, signs
+
+
+@PROPS
+@given(restricted_args())
+def test_b_L_z_conv_equals_direct(args):
+    expected = b_L_z_direct(*args)
+    assert b_L_z_conv(*args) == expected
+    assert b_L_z(*args) == expected

@@ -4,11 +4,14 @@ from math import isqrt
 import pytest
 
 from eisenzeta.exact import Matrix, mat_det
-from eisenzeta.numberfield import (Ideal, NumberField, prime_over,
-                                   totally_positive_unit)
+from eisenzeta.numberfield import (Ideal, NumberField, adapted_basis,
+                                   prime_over, totally_positive_unit,
+                                   unit_basis)
 from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
-                            build_zeta_data, combine_smoothing, norm_form,
-                            zeta_minus_k, zeta_star_minus_k)
+                            _chain_coset_cost, _reduce_adapted,
+                            _unit_matrices, build_zeta_data,
+                            combine_smoothing, norm_form, zeta_minus_k,
+                            zeta_star_minus_k)
 
 
 def sigma1(n):
@@ -209,3 +212,37 @@ def test_cross_check_failure_detectable():
                    z.units, z.rho, z.chain)
     with pytest.raises(CrossCheckFailure):
         zeta_minus_k(bad, 1, crosscheck=True)
+
+
+def _reduce_by_rebuilding(field, ws, eps, ell, radius=8):
+    """Oracle for _reduce_adapted: rebuild every candidate basis and its
+    unit matrices from field arithmetic."""
+    from itertools import product
+    best, best_cost = list(ws), _chain_coset_cost(
+        _unit_matrices(field, ws, eps), ell)
+    for m in product(range(-radius, radius + 1), repeat=field.n - 1):
+        if not any(m):
+            continue
+        w1 = ws[0]
+        for mj, wj in zip(m, ws[1:]):
+            w1 = w1 + (ell * mj) * wj
+        cand = [w1] + list(ws[1:])
+        cost = _chain_coset_cost(_unit_matrices(field, cand, eps), ell)
+        if cost < best_cost:
+            best, best_cost = cand, cost
+    return best
+
+
+@pytest.mark.parametrize("poly, units, ell", [
+    ([-1, -3, 0, 1], [[0, 0, 1], [1, 2, 1]], 17),
+    ([-5, 0, 1], None, 11),
+], ids=["cubic-17", "sqrt5-11"])
+def test_reduce_adapted_matches_rebuilding(poly, units, ell):
+    F = NumberField(poly)
+    one = Ideal.unit_ideal(F)
+    c = prime_over(F, ell)
+    eps = unit_basis(F, one, supplied=units and [F.element(u) for u in units])
+    ws = adapted_basis(one, one, c, ell)
+    got = _reduce_adapted(F, ws, eps, ell)
+    assert got == _reduce_by_rebuilding(F, ws, eps, ell)
+    assert got != ws  # the search moves the basis at both primes
