@@ -34,7 +34,8 @@ from .zeta import (ChainDegenerate, CrossCheckFailure, EmbeddedForms,
 from .padic import (L_assemble, MeasureHandle, PadicInt, PrecisionExhausted,
                     Region, agreement_precision, integrate_poly, iwasawa_log,
                     oov_integral, oov_integrals, padic_exp, padic_zeta,
-                    padic_zeta_weight, region_b_units, region_box, region_oov,
-                    region_units, teichmuller, unit_power_character)
+                    padic_zeta_weight, padic_zetas, region_b_units, region_box,
+                    region_oov, region_units, teichmuller,
+                    unit_power_character)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .dedekind import DedekindCache, RationalForms
 from .exact import MultiPoly, mat_det
 from .numberfield import Ideal, NumberField, prime_over
 from .padic import (MeasureHandle, PadicInt, agreement_precision,
-                    oov_integrals, padic_zeta, region_oov, region_units)
+                    oov_integrals, padic_zetas, region_oov, region_units)
 from .zeta import (CrossCheckFailure, build_zeta_data, zeta_minus_k,
                    zeta_star_minus_k)
 
@@ -202,11 +202,11 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
             field, f, da, c, ell, units=parse_units(field, cfg.get("units")))
         divisors.append((_int(d["factors"], "factors"),
                          _int(d["norm"], "norm"), dz))
+    ks = list(range(kmax + 1))
     rows = []
-    for k in range(kmax + 1):
+    for k, val in zip(ks, padic_zetas(h, region, ks, M)):
         exact = zeta_star_minus_k(z, k, divisors, cache=cache) \
             if len(divisors) > 1 else zeta_minus_k(z, k, cache=cache)
-        val = padic_zeta(h, region, k, M)
         target = PadicInt.from_fraction(exact, p, val.prec)
         agree = agreement_precision(val, target)
         rows.append({

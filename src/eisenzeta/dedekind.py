@@ -131,8 +131,9 @@ _lock = threading.Lock()
 
 
 def _inv_int_table(ell: int) -> list:
-    """Integer power-basis coordinates of ell * (zeta^a - 1)^-1; integral
-    because (zeta^a - 1) divides ell in Z[zeta]."""
+    """Integer power-basis coordinates of ell * (zeta^a - 1)^-1, which is
+    sum_{k<ell} k zeta^(ak): at x = zeta^a, (x - 1) sum_k k x^k equals
+    (ell - 1) x^ell - sum_{k=1}^{ell-1} x^k = ell."""
     table = _INV_TABLES.get(ell)
     if table is None:
         with _lock:
@@ -140,11 +141,12 @@ def _inv_int_table(ell: int) -> list:
             if table is None:
                 table = [None] * ell
                 for a in range(1, ell):
-                    inv = (CycloElement.zeta_pow(ell, a)
-                           - CycloElement.one(ell)).inverse()
-                    coords = tuple(c * ell for c in inv.coords)
-                    assert all(c.denominator == 1 for c in coords)
-                    table[a] = tuple(int(c) for c in coords)
+                    raw = [0] * ell
+                    for k in range(1, ell):
+                        raw[a * k % ell] = k
+                    # fold zeta^(ell-1) = -(1 + zeta + ... + zeta^(ell-2))
+                    top = raw[ell - 1]
+                    table[a] = tuple(c - top for c in raw[:ell - 1])
                 _INV_TABLES[ell] = table
     return table
 

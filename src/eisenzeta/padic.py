@@ -11,8 +11,14 @@ than by an a-priori epsilon.
 Each concept has one implementation: `_log_series` sums the logarithm for
 both `iwasawa_log` and the per-cell `_log_unit_residue`; `_series_loss` is
 the worst-case digit loss of a per-cell log; `_intval` takes every
-valuation; and `CellKernel.defect_numerator` is the sign-defect fallback of
-every Riemann loop.
+valuation; `CellKernel.defect_numerator` is the sign-defect fallback of
+every Riemann loop; and `_cell_memo` holds the per-cell value that several
+integrands of one sweep share.
+
+The values at s = -k for k = 0..K are moments of one measure over one
+region, so `padic_zetas` takes them all from one `integrate_cells` sweep,
+with one integrand per k sharing the cell's unit-part norm residue, as
+`oov_integrals` shares the cell's log across its powers.
 """
 
 from __future__ import annotations
@@ -751,10 +757,36 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     return PadicInt(h.p, work_prec, res)
 
 
-def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
-               work_prec: int | None = None) -> PadicInt:
-    """Value interpolating the prime-to-p smoothed zeta at s = -k:
-    N(ac)^k * integral over the region of (unit part of Nx)^k d mu."""
+def _cell_memo(fn: Callable[[tuple], int]) -> Callable[[tuple], int]:
+    """j -> fn(j), evaluated once per cell: the integrands of one sweep are
+    called in turn on the same cell index, so the last value is kept."""
+    last_j, last = None, None
+
+    def at(j):
+        nonlocal last_j, last
+        if j != last_j:
+            last, last_j = fn(j), j
+        return last
+
+    return at
+
+
+def _unit_part(r: int, p: int, message: str) -> tuple[int, int]:
+    """(u, v) with r = p^v * u and u prime to p; PrecisionExhausted(message)
+    when the residue r is 0."""
+    if r == 0:
+        raise PrecisionExhausted(message)
+    if r % p:
+        return r, 0
+    v = _intval(r, p)
+    return r // p ** v, v
+
+
+def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
+                work_prec: int | None = None) -> list[PadicInt]:
+    """Values interpolating the prime-to-p smoothed zeta at s = -k for each
+    k, sharing one pass: N(ac)^k * integral over the region of
+    (unit part of Nx)^k d mu, the k-th moment of one measure."""
     if work_prec is None:
         work_prec = M + 8
     p = h.p
@@ -762,19 +794,26 @@ def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
     mod = p ** guard
     level = max(M, region.t)
     nx = _poly_residue_evaluator(h, h.norm_poly, guard, level)
+    unit = _cell_memo(lambda j: _unit_part(
+        nx(*j), p, "norm residue vanished at working precision")[0])
 
-    def ev(*j):
-        r = nx(*j)
-        if r == 0:
-            raise PrecisionExhausted("norm residue vanished at working precision")
-        if r % p == 0:
-            r //= p ** _intval(r, p)
-        return pow(r, k, mod)
+    def make_ev(k):
+        return lambda *j: pow(unit(j), k, mod)
 
-    res = integrate_cells(h, region, [ev], M, guard)[0]
+    res = integrate_cells(h, region, [make_ev(k) for k in ks], M, guard)
     nac = h.nac
-    scale = pow(nac.numerator, k, mod) * pow(pow(nac.denominator, k, mod), -1, mod) % mod
-    return PadicInt(p, work_prec, res * scale)
+    out = []
+    for k, r in zip(ks, res):
+        scale = pow(nac.numerator, k, mod) \
+            * pow(pow(nac.denominator, k, mod), -1, mod) % mod
+        out.append(PadicInt(p, work_prec, r * scale))
+    return out
+
+
+def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
+               work_prec: int | None = None) -> PadicInt:
+    """The value at one k; see `padic_zetas`."""
+    return padic_zetas(h, region, [k], M, work_prec)[0]
 
 
 def _log_tables(p: int, work_prec: int):
@@ -824,23 +863,16 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     level = max(M, region.t)
     nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
     teich_inv = _log_tables(p, work_prec)
-    state = {"stratum": 0, "j": None, "log": 0}
+    stratum = 0
 
-    def logcell(j):
-        if state["j"] == j:
-            return state["log"]
-        r = nx(*j)
-        if r == 0:
-            raise PrecisionExhausted(
-                "norm vanished at working precision; raise work_prec")
-        if r % p == 0:
-            v = _intval(r, p)
-            r //= p ** v
-            state["stratum"] = max(state["stratum"], v)
-        lg = _log_unit_residue(r, p, work_prec, teich_inv)
-        state["j"] = j
-        state["log"] = lg
-        return lg
+    def cell_log(j):
+        nonlocal stratum
+        r, v = _unit_part(nx(*j), p,
+                          "norm vanished at working precision; raise work_prec")
+        stratum = max(stratum, v)
+        return _log_unit_residue(r, p, work_prec, teich_inv)
+
+    logcell = _cell_memo(cell_log)
 
     def make_ev(k):
         if k == 0:
@@ -851,7 +883,7 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
 
     res = integrate_cells(h, region, [make_ev(k) for k in ks], M, work_prec)
     loss = _series_loss(p, work_prec)
-    return [PadicInt(p, work_prec - k * loss - state["stratum"], r)
+    return [PadicInt(p, work_prec - k * loss - stratum, r)
             for k, r in zip(ks, res)]
 
 

@@ -12,14 +12,15 @@ from math import isqrt
 
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
+from eisenzeta.cyclotomic import CycloElement
 from eisenzeta.dedekind import (LinearFormModL, RationalForms, b1_L_z_fast,
                                 b_L_z_direct)
 from eisenzeta.exact import MultiPoly, mat_det, mat_inv, mat_vec
 from eisenzeta.numberfield import Ideal, NumberField, prime_over
 from eisenzeta.padic import (MeasureHandle, PadicInt, agreement_precision,
                              integrate_cells, oov_integrals,
-                             _poly_residue_evaluator, padic_zeta, region_oov,
-                             region_units)
+                             _poly_residue_evaluator, padic_zetas,
+                             region_oov, region_units)
 from eisenzeta.zeta import (build_zeta_data, combine_smoothing, zeta_minus_k,
                             zeta_star_minus_k)
 from eisenzeta.cocycle import psi_ell_chain
@@ -279,9 +280,9 @@ def test_criterion_6_interpolation():
     divisors = [(0, 1, z), (1, 9, z)]
     M = 6
     deficits = []
-    for k in range(5):
+    ks = list(range(5))
+    for k, val in zip(ks, padic_zetas(h, region, ks, M)):
         star = zeta_star_minus_k(z, k, divisors)
-        val = padic_zeta(h, region, k, M)
         target = PadicInt.from_fraction(star, 3, val.prec)
         deficits.append(M - agreement_precision(val, target))
     eps = max(0, max(deficits))
@@ -392,3 +393,47 @@ def test_criterion_9_twice_smoothed():
     assert val.denominator == 1
     report(9, f"twice-smoothed value over (11, 19) at k=1 is 1440, an "
               f"integer matching the oracle ({time.time()-t0:.0f}s)")
+
+
+def _B2(x):
+    return x * x - x + Fraction(1, 6)
+
+
+def cyclic_cubic_9_zeta_minus1():
+    """Independent oracle for zeta_F(-1), F = Q(t), t^3 - 3t - 1, the cyclic
+    cubic field of conductor 9: zeta(-1) L(-1, chi) L(-1, chi-bar), with
+    L(-1, chi) = -B_{2,chi}/2 and B_{2,chi} = 9 sum_{a<=9} chi(a) B_2(a/9)
+    evaluated exactly in Q(zeta_3)."""
+    # chi(2^i mod 9) = zeta_3^i: an even character of order 3 mod 9
+    log2 = {pow(2, i, 9): i for i in range(6)}
+    chi = {a: i % 3 for a, i in log2.items()}
+    assert all(chi[a * b % 9] == (chi[a] + chi[b]) % 3
+               for a in chi for b in chi)
+    assert chi[9 - 1] == 0
+
+    def L_minus1(sign):
+        B = CycloElement.zero(3)
+        for a, i in chi.items():
+            B = B + 9 * _B2(Fraction(a, 9)) * CycloElement.zeta_pow(3, sign * i)
+        return Fraction(-1, 2) * B
+
+    product = L_minus1(1) * L_minus1(-1)
+    assert product.coords[1] == 0  # L(-1, chi-bar) is the conjugate
+    zeta_q = -_B2(Fraction(0)) / 2
+    return zeta_q * product.coords[0]
+
+
+def test_criterion_10_cubic_zeta_oracle():
+    t0 = time.time()
+    zF = cyclic_cubic_9_zeta_minus1()
+    assert zF == Fraction(-1, 9)
+    F = NumberField([-1, -3, 0, 1])
+    one = Ideal.unit_ideal(F)
+    units = [F.element(u) for u in ([0, 0, 1], [1, 2, 1])]
+    for ell, expected in ((17, 32), (19, 40)):
+        z = build_zeta_data(F, one, one, prime_over(F, ell), ell, units=units)
+        val = zeta_minus_k(z, 1)
+        assert val == (1 - ell ** 2) * zF == expected
+    report(10, f"cubic t^3-3t-1: smoothed zeta(-1) = 32 (ell=17) and 40 "
+               f"(ell=19), matching (1-ell^2) * (-1/9) from L(-1, chi) L(-1, "
+               f"chi-bar) in Q(zeta_3) ({time.time()-t0:.1f}s)")

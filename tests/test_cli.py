@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import eisenzeta.padic
 from eisenzeta.cli import EXIT_CONFIG, EXIT_PRECONDITION, main
 from eisenzeta.dedekind import DedekindCache
 
@@ -122,6 +123,22 @@ def test_padic_zeta_command(tmp_path, capsys):
     assert report["result"]["region"]["tag"] == "units"
     for row in rows:
         assert int(row["M_certified"]) >= 3
+
+
+def test_padic_zeta_sweeps_once(capsys, monkeypatch):
+    # every k of a run is a moment of one measure: one pass over the cells
+    sweeps = []
+    sweep = eisenzeta.padic.integrate_cells
+
+    def counting(h, region, integrands, M, work_prec):
+        sweeps.append(len(integrands))
+        return sweep(h, region, integrands, M, work_prec)
+
+    monkeypatch.setattr(eisenzeta.padic, "integrate_cells", counting)
+    code, report = run(["padic-zeta", "--config",
+                        str(GOLDEN / "golden_config.json")], capsys)
+    assert code == 0
+    assert sweeps == [len(report["result"]["values"])] == [3]
 
 
 def test_oov_command(tmp_path, capsys):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from eisenzeta.bernoulli import B_e_Q
-from eisenzeta.cyclotomic import CycloElement
+from eisenzeta.cyclotomic import CycloElement, _is_prime
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
-                                ShapeError, b1_exp, b1_exp_sum, b1_L_z_fast,
-                                b_L_z_direct, d_ell, d_ell_direct, d_ell_plus,
-                                d_plus, sigma_ell)
+                                ShapeError, _inv_int_table, b1_exp,
+                                b1_exp_sum, b1_L_z_fast, b_L_z_direct, d_ell,
+                                d_ell_direct, d_ell_plus, d_plus, sigma_ell)
 from eisenzeta.exact import mat_det
 
 rng = random.Random(1234)
@@ -69,6 +69,16 @@ def test_b1_exp_rejects_zero_residue():
 
 
 # --- restricted distributions ---------------------------------------------------
+
+@pytest.mark.parametrize("ell", [q for q in range(2, 32) if _is_prime(q)])
+def test_inv_int_table_equals_cyclotomic_inverse(ell):
+    # the closed form sum_k k zeta^(ak) against an exact linear solve
+    table = _inv_int_table(ell)
+    assert len(table) == ell and table[0] is None
+    for a in range(1, ell):
+        inv = (CycloElement.zeta_pow(ell, a) - CycloElement.one(ell)).inverse()
+        assert CycloElement(ell, table[a]) == ell * inv
+
 
 def test_b1_fast_hand_values():
     # n = 2, ell = 3, L = (1,1): worked out by hand from the definitions

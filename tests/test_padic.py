@@ -8,12 +8,14 @@ from eisenzeta.cocycle import CocycleArgs, GammaEllMatrix, psi_ell
 from eisenzeta.exact import MultiPoly, mat_inv
 from eisenzeta.numberfield import Ideal, NumberField, prime_over
 from eisenzeta.padic import (L_assemble, MeasureHandle, PadicInt,
-                             PrecisionExhausted, Region, agreement_precision,
-                             frac_valuation, integrate_poly, iwasawa_log,
+                             PrecisionExhausted, Region, _intval,
+                             _poly_residue_evaluator, _series_loss,
+                             agreement_precision, frac_valuation,
+                             integrate_cells, integrate_poly, iwasawa_log,
                              oov_integral, oov_integrals, padic_exp,
-                             padic_zeta, padic_zeta_weight, region_b_units,
-                             region_box, region_oov, region_units,
-                             teichmuller, unit_power_character)
+                             padic_zeta, padic_zeta_weight, padic_zetas,
+                             region_b_units, region_box, region_oov,
+                             region_units, teichmuller, unit_power_character)
 from eisenzeta.zeta import build_zeta_data, zeta_minus_k, zeta_star_minus_k
 
 rng = random.Random(31415)
@@ -300,6 +302,47 @@ def test_padic_zeta_euler_stripped_consistency():
         assert agreement_precision(val, target) >= 4 - 1
 
 
+def _padic_zeta_one_sweep(h, region, k, M):
+    """Reference: one sweep with a single integrand that evaluates the
+    norm residue itself, as before the k values shared a sweep."""
+    work_prec = M + 8
+    p, guard = h.p, 2 * work_prec
+    mod = p ** guard
+    nx = _poly_residue_evaluator(h, h.norm_poly, guard, max(M, region.t))
+
+    def ev(*j):
+        r = nx(*j)
+        assert r != 0
+        return pow(r // p ** _intval(r, p), k, mod)
+
+    res = integrate_cells(h, region, [ev], M, guard)[0]
+    scale = Fraction(h.nac) ** k
+    scale = scale.numerator * pow(scale.denominator, -1, mod)
+    return PadicInt(p, work_prec, res * scale)
+
+
+@pytest.mark.parametrize("tag", ["units", "b-units"])
+def test_padic_zetas_one_sweep_equals_per_k(tag):
+    F, one, z, h = sqrt5_setup()
+    if tag == "units":
+        region = region_units(h, one)
+    else:
+        b3 = Ideal.from_generators(F, [F.from_rational(3)])
+        region = region_b_units(h, one, b3, [b3])
+    M = 3
+    ks = [0, 1, 2, 3, 4]
+    fused = padic_zetas(h, region, ks, M)
+    assert len(fused) == len(ks)
+    for k, val in zip(ks, fused):
+        for other in (padic_zeta(h, region, k, M),
+                      _padic_zeta_one_sweep(h, region, k, M)):
+            assert (val.res, val.prec) == (other.res, other.prec)
+    # the result follows the order of ks, not the order of k
+    unordered = padic_zetas(h, region, [3, 1], M)
+    assert [(v.res, v.prec) for v in unordered] == \
+        [(fused[3].res, fused[3].prec), (fused[1].res, fused[1].prec)]
+
+
 def test_padic_zeta_weight_matches_integer_point():
     # at k = 0 mod (p-1) the Teichmuller twist is trivial and the weight
     # route reproduces the integer route
@@ -340,6 +383,26 @@ def test_oov_low_levels():
         assert v1.valuation() >= M      # first log moment vanishes
     # k = 2: reported, not asserted zero; successive levels agree
     assert agreement_precision(vals[1][2], vals[2][2]) >= 1
+
+
+def test_oov_precision_drops_by_deepest_stratum():
+    # with only pi1 excluded, cells divisible by pi2 stay in the region: the
+    # reported precision loses the deepest norm valuation among the cells
+    # of nonzero measure, taken here from the exact box measures
+    F = NumberField([-5, 0, 1])
+    one = Ideal.unit_ideal(F)
+    z19 = build_zeta_data(F, one, one, prime_over(F, 19), 19)
+    h11 = MeasureHandle(z19, 11)
+    ro = region_oov(h11, one, [(F.element((4, -1)), 1)])
+    M, work_prec = 1, 7
+    stratum = max(
+        frac_valuation(h11.norm_poly.evaluate(
+            [Fraction(vi) + ji for vi, ji in zip(z19.v, j)]), 11)
+        for j in sorted(ro.mask) if h11.measure_box(j, M) != 0)
+    assert stratum >= 1
+    v0, v1 = oov_integrals(h11, ro, [0, 1], M, work_prec)
+    assert v0.prec == work_prec - stratum
+    assert v1.prec == work_prec - _series_loss(11, work_prec) - stratum
 
 
 def test_oov_matches_exact_region_mass():
