@@ -3,7 +3,8 @@
 Config files are JSON with every number carried as a string ("7", "-4/3")
 so that values survive round trips without precision mangling.  Exit
 codes: 0 success, 2 config error, 3 mathematical precondition violated,
-4 internal cross-check alarm.
+4 internal cross-check alarm (a failed selftest check, or a padic-zeta
+value certified below M - 1 while the cross-check is on).
 """
 
 from __future__ import annotations
@@ -217,6 +218,11 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
             "M_certified": str(min(val.prec, agree)),
             "valuation": str(val.valuation()),
         })
+    # criterion 6's cap: every value interpolates its exact value to M - 1
+    low = [row["k"] for row in rows if int(row["M_certified"]) < M - 1]
+    if low and not args.no_crosscheck:
+        raise CrossCheckFailure(f"M_certified below M - 1 = {M - 1} "
+                                f"at k = {', '.join(low)}")
     return {"p": str(p), "M_requested": str(M),
             "region": {"tag": region.tag, "level": str(region.t),
                        "cells": str(region.cell_count())},
@@ -405,9 +411,14 @@ def main(argv=None) -> int:
     parser.add_argument("--cache", default=None, help="cache directory")
     parser.add_argument("--no-crosscheck", action="store_true")
     parser.add_argument("--precision", type=int, default=None,
-                        help="p-adic working precision / level override")
+                        help="padic-zeta only: the Riemann level M, "
+                             "overriding padic.precision")
     parser.add_argument("--json-out", default=None)
     args = parser.parse_args(argv)
+    if args.precision is not None and args.command != "padic-zeta":
+        print(f"config error: --precision applies to padic-zeta only, "
+              f"not {args.command}", file=sys.stderr)
+        return EXIT_CONFIG
 
     cache = None
     if args.cache:
@@ -461,7 +472,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "selftest" and not result.get("ok", True):
-        return 1
+        return EXIT_CROSSCHECK
     return 0
 
 

@@ -12,8 +12,11 @@ Each concept has one implementation: `_log_series` sums the logarithm for
 both `iwasawa_log` and the per-cell `_log_unit_residue`; `_series_loss` is
 the worst-case digit loss of a per-cell log; `_intval` takes every
 valuation; `CellKernel.defect_numerator` is the sign-defect fallback of
-every Riemann loop; and `_cell_memo` holds the per-cell value that several
-integrands of one sweep share.
+every Riemann loop; `_cell_memo` holds the per-cell value that several
+integrands of one sweep share; and `_region` builds every region, with
+`_in_completion` its one membership test.  That test works in the
+completion at p, since for a class representative a != O the points
+x = w . (v + j) carry denominators prime to p.
 
 The values at s = -k for k = 0..K are moments of one measure over one
 region, so `padic_zetas` takes them all from one `integrate_cells` sweep,
@@ -24,6 +27,7 @@ with one integrand per k sharing the cell's unit-part norm residue, as
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Callable, Sequence
 
@@ -472,69 +476,62 @@ def _stabilized_lattice(I: Ideal, p: int, tmin: int = 1):
     raise LevelTooSmall("lattice saturation did not stabilize")
 
 
-class _RegionBuilder:
-    def __init__(self, h: MeasureHandle):
-        self.h = h
-        self.field = h.z.field
-        self.one = self.field.one()
-        n = self.field.n
-        self.wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n))
-                          for i in range(n))
+def _in_completion(lattice: Ideal, x: FieldElement, p: int) -> bool:
+    """x in lattice O_p, for a lattice between p^t O and O.
 
-    def element_of(self, j: Sequence) -> FieldElement:
-        """The field element w . (v + j)."""
-        vj = [Fraction(vi) + ji for vi, ji in zip(self.h.z.v, j)]
-        return self.field.element(mat_vec(self.wmat, vj))
+    The prime-to-p part d of the denominators of x is a unit at p, and d x
+    lies in O[1/p].  There the global test is the local one: O / lattice is
+    a p-group, and an element of O[1/p] outside O is outside O_p."""
+    d = lcm(*(c.denominator for c in x.coords))
+    while d % p == 0:
+        d //= p
+    return lattice.contains(x * d)
 
-    def build(self, t: int, member, tag: str) -> Region:
-        p = self.h.p
-        n = self.field.n
-        pt = p ** t
-        mask = set()
-        from itertools import product
-        for j in product(range(pt), repeat=n):
-            if member(j):
-                mask.add(j)
-        return Region(p, t, frozenset(mask), tag)
+
+def _region(h: MeasureHandle, tag: str, f: Ideal, *,
+            inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = (),
+            unit_norm: bool = False) -> Region:
+    """The cells j whose x = w . (v + j) lies in every ideal of `inside`
+    and in none of `avoid`, is congruent to 1 modulo f and, with
+    `unit_norm`, has a p-unit norm.  Each ideal is replaced by its
+    stabilised lattice and tested in the completion at p; the region's
+    level is the deepest stabilisation level."""
+    p = h.p
+    field = h.z.field
+    n = field.n
+    stable = [_stabilized_lattice(I, p) for I in [f, *inside, *avoid]]
+    t = max(1, *(tI for tI, _ in stable))
+    flat, *lats = [lat for _, lat in stable]
+    inside_lats, avoid_lats = lats[:len(inside)], lats[len(inside):]
+    one = field.one()
+    wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n)) for i in range(n))
+
+    def member(j):
+        vj = [Fraction(vi) + ji for vi, ji in zip(h.z.v, j)]
+        if unit_norm:
+            nx = h.norm_poly.evaluate(vj)
+            if nx == 0 or frac_valuation(nx, p) != 0:
+                return False
+        x = field.element(mat_vec(wmat, vj))
+        if not all(_in_completion(q, x, p) for q in inside_lats) \
+                or any(_in_completion(q, x, p) for q in avoid_lats):
+            return False
+        return _in_completion(flat, x - one, p)
+
+    mask = frozenset(j for j in product(range(p ** t), repeat=n) if member(j))
+    return Region(p, t, mask, tag)
 
 
 def region_units(h: MeasureHandle, f: Ideal) -> Region:
     """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
-    rb = _RegionBuilder(h)
-    tf, flat = _stabilized_lattice(f, h.p)
-    t = max(1, tf)
-
-    def member(j):
-        nx = h.norm_poly.evaluate([Fraction(vi) + ji
-                                   for vi, ji in zip(h.z.v, j)])
-        if nx == 0 or frac_valuation(nx, h.p) != 0:
-            return False
-        return flat.contains(rb.element_of(j) - rb.one)
-
-    return rb.build(t, member, "units")
+    return _region(h, "units", f, unit_norm=True)
 
 
 def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
                    b_primes: Sequence[Ideal]) -> Region:
     """O*_{p,b,f}: valuation exactly that of b at the primes dividing b,
     units congruent to 1 mod f elsewhere."""
-    rb = _RegionBuilder(h)
-    tf, flat = _stabilized_lattice(f, h.p)
-    tb, blat = _stabilized_lattice(b, h.p)
-    excl = []
-    t = max(1, tf, tb)
-    for q in b_primes:
-        tq, qlat = _stabilized_lattice(b * q, h.p)
-        t = max(t, tq)
-        excl.append(qlat)
-
-    def member(j):
-        x = rb.element_of(j)
-        if not blat.contains(x) or any(q.contains(x) for q in excl):
-            return False
-        return flat.contains(x - rb.one)
-
-    return rb.build(t, member, "b-units")
+    return _region(h, "b-units", f, inside=[b], avoid=[b * q for q in b_primes])
 
 
 def region_oov(h: MeasureHandle, f: Ideal,
@@ -542,24 +539,9 @@ def region_oov(h: MeasureHandle, f: Ideal,
     """The order-of-vanishing region: valuation < e_i at each supplied
     prime (pi_i generates p_i^{e_i}), unit and congruent to 1 mod f at the
     remaining primes above p."""
-    rb = _RegionBuilder(h)
     field = h.z.field
-    tf, flat = _stabilized_lattice(f, h.p)
-    t = max(1, tf)
-    excl = []
-    for q in ([Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
-              + list(other_primes)):
-        tq, qlat = _stabilized_lattice(q, h.p)
-        t = max(t, tq)
-        excl.append(qlat)
-
-    def member(j):
-        x = rb.element_of(j)
-        if any(q.contains(x) for q in excl):
-            return False
-        return flat.contains(x - rb.one)
-
-    return rb.build(t, member, "oov")
+    avoid = [Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
+    return _region(h, "oov", f, avoid=avoid + list(other_primes))
 
 
 def region_box(h: MeasureHandle, a: Sequence[int], r: int) -> Region:
@@ -595,7 +577,6 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
 
 
 def _integrate_generic(h, kernel, region, integrands, pl, mod, n):
-    from itertools import product
     acc = [0] * len(integrands)
     if region is not None and region.t > 0:
         pt = h.p ** region.t

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import eisenzeta.cli
 import eisenzeta.padic
-from eisenzeta.cli import EXIT_CONFIG, EXIT_PRECONDITION, main
+from eisenzeta.cli import EXIT_CONFIG, EXIT_CROSSCHECK, EXIT_PRECONDITION, main
+from eisenzeta.padic import PadicInt
 from eisenzeta.dedekind import DedekindCache
 
 SQRT5 = {
@@ -141,6 +143,55 @@ def test_padic_zeta_sweeps_once(capsys, monkeypatch):
     assert sweeps == [len(report["result"]["values"])] == [3]
 
 
+A19 = {"gens": ["19", ["-9", "1"]]}  # the prime (19, theta - 9)
+
+
+def test_padic_zeta_class_representative(tmp_path, capsys):
+    # a != O: the units region is still the 8 units of O/3, and every value
+    # interpolates its exact value
+    cfg = json.loads((GOLDEN / "golden_config.json").read_text())
+    cfg["a"] = A19
+    cfg["padic"]["divisors"][0]["a"] = A19
+    code, report = run(["padic-zeta", "--config", write_cfg(tmp_path, cfg)],
+                       capsys)
+    assert code == 0
+    assert report["result"]["region"]["cells"] == "8"
+    assert [row["M_certified"] for row in report["result"]["values"]] == \
+        ["11", "5", "3"]
+
+
+def test_padic_zeta_below_cap_is_crosscheck_failure(capsys, monkeypatch):
+    # a value certified below M - 1 is an alarm while the cross-check is on
+    sweep = eisenzeta.cli.padic_zetas
+
+    def off_by_p(h, region, ks, M):
+        return [PadicInt(v.p, v.prec, v.res + v.p)
+                for v in sweep(h, region, ks, M)]
+
+    monkeypatch.setattr(eisenzeta.cli, "padic_zetas", off_by_p)
+    argv = ["padic-zeta", "--config", str(GOLDEN / "golden_config.json")]
+    assert main(argv) == EXIT_CROSSCHECK
+    assert capsys.readouterr().err.startswith("cross-check failure:")
+    code, report = run(argv + ["--no-crosscheck"], capsys)
+    assert code == 0
+    assert {row["M_certified"] for row in report["result"]["values"]} == {"1"}
+
+
+def test_padic_zeta_cubic_baseline(tmp_path, capsys):
+    # the n = 3 Riemann sweep: 5 is inert in Q(theta), theta^3 = 3 theta + 1
+    cfg = json.loads((GOLDEN / "golden_config_cubic.json").read_text())
+    cfg["padic"] = {"p": "5", "precision": "2", "k_max": "1",
+                    "divisors": [{"factors": "1", "norm": "125",
+                                  "a": "unit"}]}
+    code, report = run(["padic-zeta", "--config", write_cfg(tmp_path, cfg),
+                        "--no-crosscheck"], capsys)
+    assert code == 0
+    result = report["result"]
+    assert result["region"]["cells"] == "124"
+    assert result["values"][1]["exact"] == "-3968"
+    assert result["values"][1]["M_certified"] == "2"
+
+
 def test_oov_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SQRT5)
     code, report = run(["oov", "--config", cfg], capsys)
@@ -164,6 +215,12 @@ def test_selftest_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") >= 5 and "FAIL" not in out
+
+
+def test_selftest_failure_is_crosscheck_failure(capsys, monkeypatch):
+    monkeypatch.setattr(eisenzeta.cli, "zeta_minus_k", lambda *a, **kw: 0)
+    assert main(["selftest"]) == EXIT_CROSSCHECK
+    assert "FAIL zeta-sqrt5-minus1" in capsys.readouterr().out
 
 
 def test_config_errors(tmp_path, capsys):
@@ -208,11 +265,12 @@ def _with(**changes):
     ("padic-zeta", _with(padic__precision="-2")),
     ("padic-zeta --precision 0", SQRT5),
     ("padic-zeta --precision -2", SQRT5),
+    ("oov --precision 3", SQRT5),  # the flag sets padic-zeta's level only
 ], ids=["top-level-list", "poly-not-list", "divisor-not-object",
         "divisor-without-factors", "config-is-directory", "negative-k_max",
         "integral-basis-column-length", "negative-level", "zero-level",
         "negative-precision", "zero-precision-flag",
-        "negative-precision-flag"])
+        "negative-precision-flag", "precision-flag-outside-padic-zeta"])
 def test_config_shape_errors(command, cfg, tmp_path, capsys):
     # command is the subcommand, followed by any flags
     path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)

@@ -21,12 +21,16 @@ from eisenzeta.zeta import build_zeta_data, zeta_minus_k, zeta_star_minus_k
 rng = random.Random(31415)
 
 
-def sqrt5_setup(ell=11, p=3):
+def sqrt5_setup(ell=11, p=3, a=None, f=1):
+    """Q(sqrt 5) data with c above ell; a is the prime above the given
+    rational prime (O when None) and f the ideal (f)."""
     F = NumberField([-5, 0, 1])
     one = Ideal.unit_ideal(F)
     c = prime_over(F, ell)
-    z = build_zeta_data(F, one, one, c, ell)
-    return F, one, z, MeasureHandle(z, p)
+    fi = one if f == 1 else Ideal.from_generators(F, [F.from_rational(f)])
+    ai = one if a is None else prime_over(F, a)
+    z = build_zeta_data(F, fi, ai, c, ell)
+    return F, fi, z, MeasureHandle(z, p)
 
 
 # --- PadicInt -------------------------------------------------------------------
@@ -231,34 +235,43 @@ def test_sublattice_integral_matches_transformed_cocycle():
 
 # --- regions ---------------------------------------------------------------------
 
-def test_region_units_inert():
-    F, one, z, h = sqrt5_setup()
-    r = region_units(h, one)
+# class representatives a prime to p: the regions are the same sets of
+# local units for every a, although x = w . (v + j) then carries
+# denominators prime to p
+@pytest.mark.parametrize("a, f, ell, p, units", [
+    (None, 1, 11, 3, 8),   # F_9 units among 9 residues
+    (19, 1, 11, 3, 8),
+    (29, 1, 11, 3, 8),
+    (11, 3, 19, 7, 48),    # F_49 units among 49 residues
+    (19, 3, 11, 7, 48),
+], ids=["O", "a19", "a29", "f3-a11-c19", "f3-a19-c11"])
+def test_region_units_inert(a, f, ell, p, units):
+    F, fi, z, h = sqrt5_setup(ell, p, a, f)
+    r = region_units(h, fi)
     assert r.t == 1
-    assert r.cell_count() == 8  # F_9 units among 9 residues
+    assert r.cell_count() == units
 
 
-def test_region_masks_partition():
+@pytest.mark.parametrize("a", [None, 19, 29], ids=["O", "a19", "a29"])
+def test_region_masks_partition(a):
     # units + (v=1 shell) + (v>=2 core) tile everything at level 2
-    F, one, z, h = sqrt5_setup()
+    F, one, z, h = sqrt5_setup(a=a)
     b3 = Ideal.from_generators(F, [F.from_rational(3)])
     ru = region_units(h, one)
     rb = region_b_units(h, one, b3, [b3])
-    lift_units = {(a, b) for a in range(9) for b in range(9)
-                  if (a % 3, b % 3) in ru.mask}
+    lift_units = {(j0, j1) for j0 in range(9) for j1 in range(9)
+                  if (j0 % 3, j1 % 3) in ru.mask}
     assert len(lift_units) == 72
     assert lift_units.isdisjoint(rb.mask)
     assert len(rb.mask) == 8
-    rest = {(a, b) for a in range(9) for b in range(9)} - lift_units - set(rb.mask)
+    rest = {(j0, j1) for j0 in range(9) for j1 in range(9)} \
+        - lift_units - set(rb.mask)
     assert len(rest) == 1  # the v >= 2 core
 
 
-def test_region_oov_split_11():
-    F = NumberField([-5, 0, 1])
-    one = Ideal.unit_ideal(F)
-    c19 = prime_over(F, 19)
-    z19 = build_zeta_data(F, one, one, c19, 19)
-    h11 = MeasureHandle(z19, 11)
+@pytest.mark.parametrize("a", [None, 29], ids=["O", "a29"])
+def test_region_oov_split_11(a):
+    F, one, z19, h11 = sqrt5_setup(19, 11, a)
     pi1 = F.element((4, -1))
     pi2 = F.element((4, 1))
     r = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
@@ -284,6 +297,20 @@ def test_padic_zeta_interpolation_small():
         val = padic_zeta(h, ru, k, 4)
         target = PadicInt.from_fraction(star, 3, val.prec)
         assert agreement_precision(val, target) >= 4
+
+
+@pytest.mark.parametrize("a", [19, 29], ids=["a19", "a29"])
+def test_padic_zetas_interpolate_class(a):
+    # criterion 6 for a class representative a != O: the Riemann sums over
+    # the units region interpolate the exact prime-to-3 values
+    F, one, z, h = sqrt5_setup(a=a)
+    divisors = [(0, 1, z), (1, 9, z)]  # b = (3) is principal
+    M = 3
+    for k, val in enumerate(padic_zetas(h, region_units(h, one),
+                                        [0, 1, 2, 3], M)):
+        star = zeta_star_minus_k(z, k, divisors)
+        target = PadicInt.from_fraction(star, 3, val.prec)
+        assert agreement_precision(val, target) >= M - 1
 
 
 def test_padic_zeta_euler_stripped_consistency():
