@@ -34,8 +34,20 @@ EXIT_PRECONDITION = 3
 EXIT_CROSSCHECK = 4
 
 
+# Most cells, (p^max(M, t))^n, one Riemann sweep may visit: about a minute
+# on the 19-map oov kernel.
+MAX_SWEEP_CELLS = 10 ** 7
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _check_sweep(h: MeasureHandle, region, M: int) -> None:
+    cells = (h.p ** max(M, region.t)) ** h.n
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(f"level {M} sweeps {cells} cells, above the "
+                          f"limit of {MAX_SWEEP_CELLS}")
 
 
 def _num(s, what="number") -> Fraction:
@@ -193,6 +205,7 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
     kmax = _k_max(pcfg, "2")
     h = MeasureHandle(z, p)
     region = region_units(h, f)
+    _check_sweep(h, region, M)
     divisors = [(0, 1, z)]
     for d in _list(pcfg.get("divisors", []), "padic.divisors"):
         if not isinstance(d, dict) or "factors" not in d or "norm" not in d:
@@ -206,8 +219,8 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
     ks = list(range(kmax + 1))
     rows = []
     for k, val in zip(ks, padic_zetas(h, region, ks, M)):
-        exact = zeta_star_minus_k(z, k, divisors, cache=cache) \
-            if len(divisors) > 1 else zeta_minus_k(z, k, cache=cache)
+        exact = zeta_star_minus_k(z, k, divisors, cache=cache, crosscheck=(
+            False if args.no_crosscheck else None))  # None: k <= 2
         target = PadicInt.from_fraction(exact, p, val.prec)
         agree = agreement_precision(val, target)
         rows.append({
@@ -246,6 +259,7 @@ def cmd_oov(cfg, args, cache) -> dict:
     kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
     region = region_oov(h, f, list(zip(pis, es)), other)
+    _check_sweep(h, region, max(levels, default=0))
     rows = []
     for M in levels:
         vals = oov_integrals(h, region, list(range(kmax + 1)), M)

@@ -11,24 +11,24 @@ than by an a-priori epsilon.
 Each concept has one implementation: `_log_series` sums the logarithm for
 both `iwasawa_log` and the per-cell `_log_unit_residue`; `_series_loss` is
 the worst-case digit loss of a per-cell log; `_intval` takes every
-valuation; `CellKernel.defect_numerator` is the sign-defect fallback of
-every Riemann loop; `_cell_memo` holds the per-cell value that several
-integrands of one sweep share; and `_region` builds every region, with
-`_in_completion` its one membership test.  That test works in the
-completion at p, since for a class representative a != O the points
-x = w . (v + j) carry denominators prime to p.
+valuation; `integrate_cells` is the one Riemann loop; and `_region`
+builds every region, with `_in_completion` its one membership test.  That
+test works in the completion at p, since for a class representative
+a != O the points x = w . (v + j) carry denominators prime to p.
 
-The values at s = -k for k = 0..K are moments of one measure over one
-region, so `padic_zetas` takes them all from one `integrate_cells` sweep,
-with one integrand per k sharing the cell's unit-part norm residue, as
-`oov_integrals` shares the cell's log across its powers.
+The loop runs row by row: on a row every kernel map is affine in the last
+coordinate, so `CellKernel.row` reads the trace table once per step, not
+once per cell.  The values at s = -k are moments of one measure, so
+`padic_zetas` and `oov_integrals` take every k from one sweep (`powers`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from functools import lru_cache
+from itertools import accumulate, compress, product, repeat
+from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
@@ -201,23 +201,34 @@ def _log_series(y: int, p: int, prec: int, vy: int = 1) -> tuple[int, int]:
     k*vy >= prec, so the sum runs while k*vy <= prec + loss.
     """
     mod = p ** prec
+    inverses = _series_inverses(p, prec)
     total = loss = 0
     term = 1
     k = 1
     while k * vy <= prec + loss:
         term = term * y % mod
-        contrib, kk = term, k
-        if k % p == 0:
-            vk = _intval(k, p)
+        vk, kinv = inverses[k]
+        contrib = term
+        if vk:
             if term % p ** vk:
                 raise PrecisionExhausted("series division by p underflows")
             loss = max(loss, vk)
             contrib //= p ** vk
-            kk //= p ** vk
-        contrib = contrib * pow(kk, -1, mod)
-        total += contrib if k & 1 else -contrib
+        total += contrib * kinv if k & 1 else -contrib * kinv
         k += 1
     return total % mod, loss
+
+
+@lru_cache(maxsize=None)
+def _series_inverses(p: int, prec: int) -> list[tuple[int, int]]:
+    """(v_p(k), (k / p^v_p(k))^-1 mod p^prec) at index k < 2 prec + 2,
+    which bounds the terms of `_log_series`: k <= prec + log_p(k - 1)."""
+    mod = p ** prec
+    out = [(0, 0)]
+    for k in range(1, 2 * prec + 2):
+        vk = _intval(k, p)
+        out.append((vk, pow(k // p ** vk, -1, mod)))
+    return out
 
 
 def padic_exp(x: PadicInt) -> PadicInt:
@@ -333,11 +344,8 @@ class MeasureHandle:
 
 
 def _adjugate(m: Matrix) -> Matrix:
-    n = len(m)
     det = mat_det(m)
-    inv = mat_inv(m)
-    adj = tuple(tuple(int(inv[i][j] * det) for j in range(n)) for i in range(n))
-    return adj
+    return tuple(tuple(int(e * det) for e in row) for row in mat_inv(m))
 
 
 def _trace_table(L: LinearFormModL, signs, mu_den: int) -> list[int]:
@@ -368,35 +376,22 @@ class CellKernel:
     def __init__(self, h: MeasureHandle, M: int):
         self.h = h
         self.M = M
-        n = h.n
         pM = h.p ** M
         dv = lcm(*(Fraction(vi).denominator for vi in h.z.v))
+        vd = [int(Fraction(vi) * dv) for vi in h.z.v]
+        scale = [h.ell] + [1] * (h.n - 1)  # pi_ell
         self.maps = []
         for t in h.terms:
             den = t["det"] * pM * dv
-            adj = t["adj"]
+            sg = 1 if den > 0 else -1  # keep the denominator positive
+            mat = [[sg * a * sk * dv for a, sk in zip(arow, scale)]
+                   for arow in t["adj"]]
             for x in t["cosets"]:
-                base = []
-                mat = []
-                for i in range(n):
-                    b = 0
-                    row = []
-                    for k in range(n):
-                        scale = h.ell if k == 0 else 1
-                        vk = Fraction(h.z.v[k])
-                        b += adj[i][k] * (pM * dv * x[k]
-                                          + scale * int(vk * dv))
-                        row.append(adj[i][k] * scale * dv)
-                    base.append(b)
-                    mat.append(row)
-                if den < 0:
-                    den_pos = -den
-                    base = [-b for b in base]
-                    mat = [[-c for c in row] for row in mat]
-                else:
-                    den_pos = den
+                base = [sg * sum(a * (pM * dv * xk + sk * vk) for a, xk, sk, vk
+                                 in zip(arow, x, scale, vd))
+                        for arow in t["adj"]]
                 self.maps.append({
-                    "base": base, "mat": mat, "den": den_pos,
+                    "base": base, "mat": mat, "den": abs(den),
                     "a": t["L"].a, "z": (-x[0]) % h.ell, "t0": x[0] % h.ell,
                     "sign": t["sign"], "table": t["table"], "L": t["L"],
                     "signs": t["signs"],
@@ -421,6 +416,55 @@ class CellKernel:
                 total += mp["sign"] * mp["table"][t % ell]
         return total
 
+    def row(self, prefix: Sequence[int],
+            keep: Sequence[bool] | None = None) -> list[int]:
+        """[numerator(prefix + (x,)) for x in range(p^M)].
+
+        Each y_i = c_i + s_i x, so a map's table value changes only where
+        some floor(y_i / den) steps; those steps go into a difference
+        array.  Cells with some y_i = 0 mod den take the sign-defect value,
+        except where `keep[x]` is false: those cells are left unspecified.
+        """
+        ell = self.h.ell
+        pl = self.h.p ** self.M
+        diff = [0] * pl
+        fixes = []
+        for mp in self.maps:
+            den, sign, table = mp["den"], mp["sign"], mp["table"]
+            t = mp["t0"]
+            cs = [b + sum(m * jk for m, jk in zip(mrow, prefix))
+                  for b, mrow in zip(mp["base"], mp["mat"])]
+            ss = [mrow[-1] for mrow in mp["mat"]]
+            steps, defects = [], set()
+            for ai, c, s in zip(mp["a"], cs, ss):
+                t -= ai * (c // den)
+                # with c2 = -c - 1 for s < 0, floor(y / den) is -1 minus
+                # floor((c2 + |s| x) / den)
+                dt, c2, s2 = (-ai, c, s) if s >= 0 else (ai, -c - 1, -s)
+                steps += _floor_steps(c2, s2, den, pl, dt)
+                g = gcd(s, den)  # s x = -c mod den
+                if c % g == 0:
+                    step = den // g
+                    x0 = -c // g * pow(s // g, -1, step) % step
+                    defects.update(range(x0, pl, step))
+            val = sign * table[t % ell]
+            diff[0] += val
+            for x, dt in sorted(steps):
+                t += dt
+                new = sign * table[t % ell]
+                diff[x] += new - val
+                val = new
+            fixes += [(x, mp, cs, ss) for x in defects
+                      if keep is None or keep[x]]
+        out = list(accumulate(diff))
+        for x, mp, cs, ss in fixes:
+            ys = [c + s * x for c, s in zip(cs, ss)]
+            t = mp["t0"] - sum(ai * (y // mp["den"])
+                               for ai, y in zip(mp["a"], ys))
+            out[x] += self.defect_numerator(mp, ys) \
+                - mp["sign"] * mp["table"][t % ell]
+        return out
+
     def defect_numerator(self, mp: dict, ys: Sequence[int]) -> int:
         """Signed mu_den * box value of map mp at the argument ys / den
         when a coordinate is integral: the sign-defect path, exact
@@ -430,6 +474,18 @@ class CellKernel:
                           mp["signs"]) * self.h.mu_den
         assert val.denominator == 1
         return mp["sign"] * int(val)
+
+
+def _floor_steps(c: int, s: int, den: int, n: int,
+                 dt: int) -> list[tuple[int, int]]:
+    """[(x, dt * rise)] at each x < n where floor((c + s x) / den) rises,
+    for s >= 0."""
+    r0, r1 = c // den, (c + s * (n - 1)) // den
+    if r1 - r0 < n:  # it reaches m at the first x >= (m den - c) / s
+        return [(-((c - m * den) // s), dt) for m in range(r0 + 1, r1 + 1)]
+    rs = [(c + s * x) // den for x in range(n)]  # it rises at most cells
+    return [(x, dt * (rs[x] - rs[x - 1])) for x in range(1, n)
+            if rs[x] != rs[x - 1]]
 
 
 # --- regions ---------------------------------------------------------------------
@@ -554,126 +610,81 @@ def region_box(h: MeasureHandle, a: Sequence[int], r: int) -> Region:
 
 def integrate_cells(h: MeasureHandle, region: Region | None,
                     integrands: Sequence[Callable[..., int]],
-                    M: int, work_prec: int) -> list[int]:
-    """One pass over the level-M cells: accumulated residues mod p^work of
-    sum over region cells of integrand(j) * measure(box_j), with the fixed
-    measure denominator divided out at the end.
+                    M: int, work_prec: int,
+                    powers: Sequence[int] = (1,)) -> list[int]:
+    """One pass over the level-M cells: for each integrand g, then each k
+    in `powers`, the residue mod p^work of the sum over region cells of
+    g(j)^k * measure(box_j).
 
-    Integrands are called with the cell index coordinates as separate
-    arguments.  A fused two-variable loop handles the common n = 2 case.
+    g gets the cell index coordinates as separate arguments, once per
+    region cell of nonzero measure, and no call when every power is 0.
     """
     level = max(M, region.t if region is not None else 0)
     kernel = h.cell_numerators(level)
     p = h.p
     mod = p ** work_prec
-    n = h.n
     pl = p ** level
-    if n == 2:
-        acc = _integrate_fused_n2(h, kernel, region, integrands, pl, mod)
+    powers = list(powers)
+    call = any(powers)
+    ng = len(integrands)
+    acc = [0] * (ng * len(powers))
+    if region is not None and region.t > 0:
+        pt = p ** region.t
+        mask = region.mask
     else:
-        acc = _integrate_generic(h, kernel, region, integrands, pl, mod, n)
+        pt, mask = 1, None
+    rows_in: dict[tuple, list[bool]] = {}  # prefix mod p^t -> membership
+    for prefix in product(range(pl), repeat=h.n - 1):
+        keep = None
+        if mask is not None:
+            key = tuple(ji % pt for ji in prefix)
+            if key not in rows_in:
+                rows_in[key] = [key + (x % pt,) in mask for x in range(pl)]
+            keep = rows_in[key]
+            if not any(keep):
+                continue
+        row = kernel.row(prefix, keep)
+        cells = range(pl) if keep is None else compress(range(pl), keep)
+        xs = [x for x in cells if row[x]]
+        nums = [row[x] for x in xs]
+        # cell-major: an integrand raises at the first failing cell
+        vals = [g(*prefix, x) for x in xs for g in integrands] if call else []
+        for gi in range(ng):
+            sums = _moment_sums(nums, vals[gi::ng], powers, mod)
+            for i, s in enumerate(sums, gi * len(powers)):
+                acc[i] += s
     inv_den = pow(h.mu_den % mod, -1, mod)
     return [a * inv_den % mod for a in acc]
 
 
-def _integrate_generic(h, kernel, region, integrands, pl, mod, n):
-    acc = [0] * len(integrands)
-    if region is not None and region.t > 0:
-        pt = h.p ** region.t
-        mask = region.mask
-    else:
-        pt, mask = 1, None
-    for j in product(range(pl), repeat=n):
-        if mask is not None and tuple(ji % pt for ji in j) not in mask:
-            continue
-        num = kernel.numerator(j)
-        if num == 0:
-            continue
-        for i, f in enumerate(integrands):
-            acc[i] = (acc[i] + f(*j) * num) % mod
-    return acc
-
-
-def _integrate_fused_n2(h, kernel, region, integrands, pl, mod):
-    ell = h.ell
-    acc = [0] * len(integrands)
-    if region is not None and region.t > 0:
-        pt = h.p ** region.t
-        memb = [[(a, b) in region.mask for b in range(pt)] for a in range(pt)]
-    else:
-        pt, memb = 1, None
-    maps = kernel.maps
-    defect = kernel.defect_numerator
-    nfn = len(integrands)
-    for j0 in range(pl):
-        mrow = memb[j0 % pt] if memb is not None else None
-        if len(maps) == 1:
-            mp = maps[0]
-            (m00, m01), (m10, m11) = mp["mat"]
-            den, (a0, a1), t0 = mp["den"], mp["a"], mp["t0"]
-            sgn, table = mp["sign"], mp["table"]
-            p0 = mp["base"][0] + m00 * j0
-            p1 = mp["base"][1] + m10 * j0
-            for j1 in range(pl):
-                if mrow is not None and not mrow[j1 % pt]:
-                    continue
-                y0 = p0 + m01 * j1
-                q0, r0 = divmod(y0, den)
-                y1 = p1 + m11 * j1
-                q1, r1 = divmod(y1, den)
-                if r0 and r1:
-                    num = sgn * table[(t0 - a0 * q0 - a1 * q1) % ell]
-                else:
-                    num = defect(mp, (y0, y1))
-                if num == 0:
-                    continue
-                if nfn == 1:
-                    acc[0] = (acc[0] + integrands[0](j0, j1) * num) % mod
-                else:
-                    for i in range(nfn):
-                        acc[i] = (acc[i] + integrands[i](j0, j1) * num) % mod
-        else:
-            # per map: y at (j0, 0), then the data the j1 loop needs
-            parts = [(mp["base"][0] + mp["mat"][0][0] * j0,
-                      mp["base"][1] + mp["mat"][1][0] * j0,
-                      mp["mat"][0][1], mp["mat"][1][1], mp["den"],
-                      mp["a"][0], mp["a"][1], mp["t0"], mp["sign"],
-                      mp["table"], mp) for mp in maps]
-            for j1 in range(pl):
-                if mrow is not None and not mrow[j1 % pt]:
-                    continue
-                num = 0
-                for (p0, p1, m01, m11, den, a0, a1, t0, sgn, table,
-                     mp) in parts:
-                    y0 = p0 + m01 * j1
-                    q0, r0 = divmod(y0, den)
-                    y1 = p1 + m11 * j1
-                    q1, r1 = divmod(y1, den)
-                    if r0 and r1:
-                        num += sgn * table[(t0 - a0 * q0 - a1 * q1) % ell]
-                    else:
-                        num += defect(mp, (y0, y1))
-                if num == 0:
-                    continue
-                for i in range(nfn):
-                    acc[i] = (acc[i] + integrands[i](j0, j1) * num) % mod
-    return acc
+def _moment_sums(nums: list[int], vals: list[int], powers: Sequence[int],
+                 mod: int) -> list[int]:
+    """[sum of num * val^k, for k in powers] modulo `mod`: unreduced
+    running products for 0 <= k <= 8, else modular powers."""
+    top = max(powers, default=0)
+    if top > 8 or min(powers, default=0) < 0:
+        return [sum(map(mul, nums, map(pow, vals, repeat(k), repeat(mod))))
+                for k in powers]
+    sums = [sum(nums)]
+    pw = nums
+    for _ in range(top):
+        pw = list(map(mul, pw, vals))
+        sums.append(sum(pw))
+    return [sums[k] for k in powers]
 
 
 def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int,
                             level: int):
     """(j0, ..., j_{n-1}) -> residue of P(v + j) mod p^work; for n = 2 the
     evaluation is table-driven per axis."""
-    p = h.p
-    mod = p ** work_prec
-    vres = []
-    for vi in h.z.v:
-        vi = Fraction(vi)
-        vres.append(vi.numerator * pow(vi.denominator, -1, mod) % mod)
-    terms = []
-    for mono, c in P.coeffs.items():
-        c = Fraction(c)
-        terms.append((c.numerator * pow(c.denominator, -1, mod) % mod, mono))
+    mod = h.p ** work_prec
+
+    def res(q):
+        q = Fraction(q)
+        return q.numerator * pow(q.denominator, -1, mod) % mod
+
+    vres = [res(vi) for vi in h.z.v]
+    terms = [(res(c), mono) for mono, c in P.coeffs.items()]
     if h.n != 2:
         def ev(*j):
             total = 0
@@ -686,33 +697,14 @@ def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int,
             return total
         return ev
 
-    pl = p ** level
-    deg0 = max((mono[0] for _, mono in terms), default=0)
-    x0 = [(vres[0] + j0) % mod for j0 in range(pl)]
-    x1 = [(vres[1] + j1) % mod for j1 in range(pl)]
-    pow0 = [[1] * pl]
-    for _ in range(deg0):
-        prev = pow0[-1]
-        pow0.append([prev[j] * x0[j] % mod for j in range(pl)])
-    by_e0: dict[int, list[tuple[int, int]]] = {}
-    for cres, mono in terms:
-        by_e0.setdefault(mono[0], []).append((mono[1], cres))
-    gtab = {}
-    for e0, row in by_e0.items():
-        deg1 = max(e1 for e1, _ in row)
-        g = [0] * pl
-        for j1 in range(pl):
-            xpow = 1
-            acc = 0
-            want = dict(row)
-            for e1 in range(deg1 + 1):
-                c = want.get(e1)
-                if c is not None:
-                    acc += c * xpow
-                xpow = xpow * x1[j1] % mod
-            g[j1] = acc % mod
-        gtab[e0] = g
-    pairs = [(pow0[e0], g) for e0, g in gtab.items()]
+    pl = h.p ** level
+    x0, x1 = ([(vr + j) % mod for j in range(pl)] for vr in vres)
+    by_e0: dict[int, list[int]] = {}  # e0 -> sum of c x1^e1 at each j1
+    for cres, (e0, e1) in terms:
+        g = by_e0.setdefault(e0, [0] * pl)
+        for j1, x in enumerate(x1):
+            g[j1] = (g[j1] + cres * pow(x, e1, mod)) % mod
+    pairs = [([pow(x, e0, mod) for x in x0], g) for e0, g in by_e0.items()]
 
     def ev2(j0, j1):
         total = 0
@@ -738,20 +730,6 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     return PadicInt(h.p, work_prec, res)
 
 
-def _cell_memo(fn: Callable[[tuple], int]) -> Callable[[tuple], int]:
-    """j -> fn(j), evaluated once per cell: the integrands of one sweep are
-    called in turn on the same cell index, so the last value is kept."""
-    last_j, last = None, None
-
-    def at(j):
-        nonlocal last_j, last
-        if j != last_j:
-            last, last_j = fn(j), j
-        return last
-
-    return at
-
-
 def _unit_part(r: int, p: int, message: str) -> tuple[int, int]:
     """(u, v) with r = p^v * u and u prime to p; PrecisionExhausted(message)
     when the residue r is 0."""
@@ -775,13 +753,12 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     mod = p ** guard
     level = max(M, region.t)
     nx = _poly_residue_evaluator(h, h.norm_poly, guard, level)
-    unit = _cell_memo(lambda j: _unit_part(
-        nx(*j), p, "norm residue vanished at working precision")[0])
 
-    def make_ev(k):
-        return lambda *j: pow(unit(j), k, mod)
+    def unit(*j):
+        return _unit_part(nx(*j), p,
+                          "norm residue vanished at working precision")[0]
 
-    res = integrate_cells(h, region, [make_ev(k) for k in ks], M, guard)
+    res = integrate_cells(h, region, [unit], M, guard, powers=ks)
     nac = h.nac
     out = []
     for k, r in zip(ks, res):
@@ -840,29 +817,19 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     if work_prec is None:
         work_prec = M + 6
     p = h.p
-    mod = p ** work_prec
     level = max(M, region.t)
     nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
     teich_inv = _log_tables(p, work_prec)
     stratum = 0
 
-    def cell_log(j):
+    def cell_log(*j):
         nonlocal stratum
         r, v = _unit_part(nx(*j), p,
                           "norm vanished at working precision; raise work_prec")
         stratum = max(stratum, v)
         return _log_unit_residue(r, p, work_prec, teich_inv)
 
-    logcell = _cell_memo(cell_log)
-
-    def make_ev(k):
-        if k == 0:
-            return lambda *j: 1
-        if k == 1:
-            return lambda *j: logcell(j)
-        return lambda *j: pow(logcell(j), k, mod)
-
-    res = integrate_cells(h, region, [make_ev(k) for k in ks], M, work_prec)
+    res = integrate_cells(h, region, [cell_log], M, work_prec, powers=ks)
     loss = _series_loss(p, work_prec)
     return [PadicInt(p, work_prec - k * loss - stratum, r)
             for k, r in zip(ks, res)]

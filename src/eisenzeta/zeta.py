@@ -310,18 +310,22 @@ class MissingClassData(ValueError):
 
 def zeta_star_minus_k(z: ZetaData, k: int,
                       divisors: Sequence[tuple[int, int, "ZetaData"]],
-                      cache: DedekindCache | None = None) -> Fraction:
+                      cache: DedekindCache | None = None, *,
+                      crosscheck: bool | None = None) -> Fraction:
     """Prime-to-p restricted zeta value at s = -k.
 
     divisors lists one entry per divisor b of the product of primes above p
     away from the conductor: (number of prime factors of b, N(b), zeta data
     for the class of a b^-1).  The trivial divisor must be present.
+    Divisors with the same zeta data share one `zeta_minus_k` call.
     """
     if not any(r == 0 and nb == 1 for r, nb, _ in divisors):
         raise MissingClassData("divisor list must include the trivial ideal")
-    total = Fraction(0)
+    weights = {}  # id(zeta data) -> (data, sum of (-1)^r N(b)^k)
     for r, nb, zb in divisors:
         if zb is None:
             raise MissingClassData("missing zeta data for a divisor class")
-        total += Fraction(-1) ** r * Fraction(nb) ** k * zeta_minus_k(zb, k, cache=cache)
-    return total
+        w = Fraction(-1) ** r * Fraction(nb) ** k
+        weights[id(zb)] = zb, weights.get(id(zb), (zb, 0))[1] + w
+    return sum((w * zeta_minus_k(zb, k, crosscheck=crosscheck, cache=cache)
+                for zb, w in weights.values()), Fraction(0))

@@ -5,6 +5,7 @@ import pytest
 
 import eisenzeta.cli
 import eisenzeta.padic
+import eisenzeta.zeta
 from eisenzeta.cli import EXIT_CONFIG, EXIT_CROSSCHECK, EXIT_PRECONDITION, main
 from eisenzeta.padic import PadicInt
 from eisenzeta.dedekind import DedekindCache
@@ -132,15 +133,67 @@ def test_padic_zeta_sweeps_once(capsys, monkeypatch):
     sweeps = []
     sweep = eisenzeta.padic.integrate_cells
 
-    def counting(h, region, integrands, M, work_prec):
-        sweeps.append(len(integrands))
-        return sweep(h, region, integrands, M, work_prec)
+    def counting(h, region, integrands, M, work_prec, powers=(1,)):
+        sweeps.append(len(integrands) * len(powers))
+        return sweep(h, region, integrands, M, work_prec, powers)
 
     monkeypatch.setattr(eisenzeta.padic, "integrate_cells", counting)
     code, report = run(["padic-zeta", "--config",
                         str(GOLDEN / "golden_config.json")], capsys)
     assert code == 0
     assert sweeps == [len(report["result"]["values"])] == [3]
+
+
+@pytest.mark.parametrize("flags,checked", [([], True),
+                                           (["--no-crosscheck"], False)],
+                         ids=["checked", "no-crosscheck"])
+def test_padic_zeta_exact_values_once(flags, checked, capsys, monkeypatch):
+    # the divisor shares the run's class data: one exact value per k, and
+    # --no-crosscheck turns the exact values' cross-check off
+    calls = []
+    exact = eisenzeta.zeta.zeta_minus_k
+
+    def counting(z, k, *, crosscheck=None, cache=None):
+        calls.append((k, crosscheck))
+        return exact(z, k, crosscheck=crosscheck, cache=cache)
+
+    monkeypatch.setattr(eisenzeta.zeta, "zeta_minus_k", counting)
+    argv = ["padic-zeta", "--config", str(GOLDEN / "golden_config.json")]
+    code, report = run(argv + flags, capsys)
+    assert code == 0
+    assert calls == [(k, None if checked else False) for k in range(3)]
+    expected = json.loads((GOLDEN / "golden_reports.json").read_text())
+    report.pop("timestamp")
+    assert report == expected["padic-zeta"]
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("oov", "oov", "levels", ["5"]),  # 11^10 cells
+    ("padic-zeta", "padic", "precision", "15"),  # 3^30 cells
+], ids=["oov-level-5", "padic-zeta-M-15"])
+def test_sweep_over_budget_is_config_error(command, section, key, value,
+                                          tmp_path, capsys):
+    # refused before any sweep; the alarm ends a sweep that was not refused
+    import signal
+    import time
+
+    def sweeping(signum, frame):
+        raise TimeoutError("the over-budget sweep started")
+
+    cfg = json.loads(json.dumps(SQRT5))
+    cfg[section][key] = value
+    previous = signal.signal(signal.SIGALRM, sweeping)
+    signal.alarm(5)
+    try:
+        start = time.monotonic()
+        code = main([command, "--config", write_cfg(tmp_path, cfg)])
+        assert time.monotonic() - start < 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "10000000" in err
 
 
 A19 = {"gens": ["19", ["-9", "1"]]}  # the prime (19, theta - 9)

@@ -553,3 +553,165 @@ def test_successive_difference_slope():
     vals = [agreement_precision(sums[M], sums[M + 1]) for M in (2, 3, 4)]
     assert all(v >= M for v, M in zip(vals, (2, 3, 4)))
     assert vals[1] >= vals[0] and vals[2] >= vals[1]
+
+
+# --- the row kernel and fused moments ------------------------------------------
+
+def _row_kernel_handle(case):
+    """(handle, level, number of maps) for the row-kernel comparisons."""
+    F = NumberField([-5, 0, 1])
+    one = Ideal.unit_ideal(F)
+    if case == "sqrt5-p3":
+        return sqrt5_setup()[3], 2, 1
+    if case == "unreduced":  # the handle of test_multi_coset_kernel_agrees
+        z = build_zeta_data(F, one, one, prime_over(F, 11), 11,
+                            reduce_basis=False)
+        return MeasureHandle(z, 3), 2, 41
+    if case == "oov":
+        z = build_zeta_data(F, one, one, prime_over(F, 19), 19)
+        return MeasureHandle(z, 11), 1, 19
+    if case == "a19":
+        return sqrt5_setup(a=19)[3], 1, 179
+    C = NumberField([-1, -3, 0, 1])  # t^3 - 3t - 1
+    o = Ideal.unit_ideal(C)
+    z = build_zeta_data(C, o, o, prime_over(C, 17), 17,
+                        units=[C.element([0, 0, 1]), C.element([1, 2, 1])])
+    return MeasureHandle(z, 5), 1, 8
+
+
+@pytest.mark.parametrize("case", ["sqrt5-p3", "unreduced", "oov", "a19",
+                                  "cubic-p5"])
+def test_row_equals_cell_numerator(case):
+    # the step-function row is the per-cell oracle at every cell, sign-defect
+    # cells included; with keep, the kept cells still are
+    from itertools import product
+    h, level, maps = _row_kernel_handle(case)
+    kernel = h.cell_numerators(level)
+    assert len(kernel.maps) == maps
+    pl = h.p ** level
+    keep = [x % 2 == 0 for x in range(pl)]
+    defects = 0
+    for prefix in product(range(pl), repeat=h.n - 1):
+        row = kernel.row(prefix)
+        kept = kernel.row(prefix, keep)
+        assert len(row) == pl
+        for x in range(pl):
+            j = prefix + (x,)
+            num = kernel.numerator(j)
+            assert row[x] == num
+            if keep[x]:
+                assert kept[x] == num
+            defects += any(
+                (b + sum(c * jk for c, jk in zip(mrow, j))) % mp["den"] == 0
+                for mp in kernel.maps
+                for b, mrow in zip(mp["base"], mp["mat"]))
+    assert defects >= 1
+
+
+def test_integrate_cells_powers_are_moments():
+    # powers=ks returns sum g^k dmu for each g and k, calling each g once
+    # per region cell of nonzero measure, and never when every power is 0
+    F, one, z, h = sqrt5_setup()
+    region = region_units(h, one)
+    M, work = 3, 9
+    mod = 3 ** work
+    ev = _poly_residue_evaluator(h, z.P, work, M)
+    calls = []
+
+    def g(*j):
+        calls.append(j)
+        return ev(*j)
+
+    def minus(*j):
+        return -ev(*j)
+
+    ks = [2, 0, 1, 4]
+    fused = integrate_cells(h, region, [g, minus], M, work, powers=ks)
+    kernel = h.cell_numerators(M)
+    cells = [(r0 + 3 * a, r1 + 3 * b) for r0, r1 in region.mask
+             for a in range(9) for b in range(9)]  # region level 1, M = 3
+    live = [j for j in cells if kernel.numerator(j) != 0]
+    assert sorted(calls) == sorted(live) and len(set(calls)) == len(calls)
+    for gi, f in enumerate((g, minus)):
+        for ki, k in enumerate(ks):
+            single = integrate_cells(
+                h, region, [lambda *j, f=f, k=k: pow(f(*j), k, mod)], M, work)
+            assert fused[gi * len(ks) + ki] == single[0]
+    calls.clear()
+    zeroth = integrate_cells(h, region, [g], M, work, powers=[0, 0])
+    assert calls == []
+    mass = integrate_cells(h, region, [lambda *j: 1], M, work)[0]
+    assert zeroth == [mass, mass]
+    # large and negative powers take the modular-power path
+    for ks in ([9], [-1, 2]):
+        for k, val in zip(ks, integrate_cells(h, region, [ev], M, work,
+                                              powers=ks)):
+            single = integrate_cells(
+                h, region, [lambda *j, k=k: pow(ev(*j), k, mod)], M, work)
+            assert val == single[0]
+
+
+def test_oov_zeroth_moment_skips_log(monkeypatch):
+    # k = 0 needs no log: the log is never taken, so neither the series
+    # loss nor the valuation stratum lowers its precision
+    F = NumberField([-5, 0, 1])
+    one = Ideal.unit_ideal(F)
+    z19 = build_zeta_data(F, one, one, prime_over(F, 19), 19)
+    h11 = MeasureHandle(z19, 11)
+    ro = region_oov(h11, one, [(F.element((4, -1)), 1)])  # stratum >= 1
+    M, work_prec = 1, 7
+    expected = oov_integrals(h11, ro, [0, 1], M, work_prec)[0]
+
+    def no_log(*args):
+        raise AssertionError("log evaluated for k = 0")
+
+    monkeypatch.setattr(eisenzeta.padic, "_log_unit_residue", no_log)
+    v0 = oov_integrals(h11, ro, [0], M, work_prec)[0]
+    assert v0.prec == work_prec > expected.prec
+    assert v0.res == expected.res
+
+
+def _log_series_formula(y, p, prec, vy=1):
+    """The log series with one modular inverse per term, the formula the
+    cached inverse table replaces."""
+    mod = p ** prec
+    total = loss = 0
+    term = 1
+    k = 1
+    while k * vy <= prec + loss:
+        term = term * y % mod
+        contrib, kk = term, k
+        if k % p == 0:
+            vk = _intval(k, p)
+            if term % p ** vk:
+                raise PrecisionExhausted("series division by p underflows")
+            loss = max(loss, vk)
+            contrib //= p ** vk
+            kk //= p ** vk
+        contrib = contrib * pow(kk, -1, mod)
+        total += contrib if k & 1 else -contrib
+        k += 1
+    return total % mod, loss
+
+
+@pytest.mark.parametrize("p,prec", [(2, 12), (3, 10), (11, 14)])
+def test_log_series_inverse_table(p, prec):
+    # prec >= p + 1, so terms with p | k are summed and divided
+    from eisenzeta.padic import _log_series, _log_tables, _log_unit_residue
+    mod = p ** prec
+    table = _log_tables(p, prec)
+    divided = 0
+    for r in [r for r in range(1, 400) if r % p][:120]:
+        om = teichmuller(r, p, prec)
+        y = (r * pow(om, -1, mod) - 1) % mod
+        want, _ = _log_series_formula(y, p, prec)
+        assert _log_unit_residue(r, p, prec, table) == want
+        if y:
+            vy = _intval(y, p)
+            w, wl = _log_series_formula(y, p, prec, vy)
+            assert _log_series(y, p, prec, vy) == (w, wl)
+            direct = iwasawa_log(PadicInt(p, prec, r))
+            assert (direct.res, direct.prec) == \
+                (w % p ** (prec - wl), prec - wl)
+            divided = max(divided, wl)
+    assert divided >= 1
