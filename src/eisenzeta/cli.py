@@ -22,8 +22,9 @@ from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
 from .dedekind import DedekindCache, RationalForms
 from .exact import MultiPoly, mat_det
 from .numberfield import Ideal, NumberField, prime_over
-from .padic import (MeasureHandle, PadicInt, agreement_precision,
-                    oov_integrals, padic_zetas, region_oov, region_units)
+from .padic import (MeasureHandle, PadicInt, TooManyCells,
+                    agreement_precision, oov_integrals, padic_zetas,
+                    region_oov, region_units)
 from .zeta import (CrossCheckFailure, build_zeta_data, zeta_minus_k,
                    zeta_star_minus_k)
 
@@ -34,20 +35,24 @@ EXIT_PRECONDITION = 3
 EXIT_CROSSCHECK = 4
 
 
-# Most cells, (p^max(M, t))^n, one Riemann sweep may visit: about a minute
-# on the 19-map oov kernel.
+# Most cells a command may visit, each checked before the work starts: the
+# sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
+# about a minute on the 19-map oov kernel), and the (p^t)^n cells of its
+# region at level t (a membership test costs about 150 us, so 10^6 take
+# about 2.5 minutes).
 MAX_SWEEP_CELLS = 10 ** 7
+MAX_REGION_CELLS = 10 ** 6
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _check_sweep(h: MeasureHandle, region, M: int) -> None:
-    cells = (h.p ** max(M, region.t)) ** h.n
+def _check_sweeps(h: MeasureHandle, region, levels: list[int]) -> None:
+    cells = sum((h.p ** max(M, region.t)) ** h.n for M in levels)
     if cells > MAX_SWEEP_CELLS:
-        raise ConfigError(f"level {M} sweeps {cells} cells, above the "
-                          f"limit of {MAX_SWEEP_CELLS}")
+        raise ConfigError(f"the sweeps at levels {levels} visit {cells} "
+                          f"cells, above the limit of {MAX_SWEEP_CELLS}")
 
 
 def _num(s, what="number") -> Fraction:
@@ -204,8 +209,8 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
                  else pcfg.get("precision", "4"), "precision", 1)
     kmax = _k_max(pcfg, "2")
     h = MeasureHandle(z, p)
-    region = region_units(h, f)
-    _check_sweep(h, region, M)
+    region = region_units(h, f, max_cells=MAX_REGION_CELLS)
+    _check_sweeps(h, region, [M])
     divisors = [(0, 1, z)]
     for d in _list(pcfg.get("divisors", []), "padic.divisors"):
         if not isinstance(d, dict) or "factors" not in d or "norm" not in d:
@@ -258,8 +263,9 @@ def cmd_oov(cfg, args, cache) -> dict:
     r = len(pis)
     kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
-    region = region_oov(h, f, list(zip(pis, es)), other)
-    _check_sweep(h, region, max(levels, default=0))
+    region = region_oov(h, f, list(zip(pis, es)), other,
+                        max_cells=MAX_REGION_CELLS)
+    _check_sweeps(h, region, levels)
     rows = []
     for M in levels:
         vals = oov_integrals(h, region, list(range(kmax + 1)), M)
@@ -458,7 +464,7 @@ def main(argv=None) -> int:
 
     try:
         result = COMMANDS[args.command](cfg, args, cache)
-    except ConfigError as exc:
+    except (ConfigError, TooManyCells) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CrossCheckFailure as exc:

@@ -47,6 +47,10 @@ class LevelTooSmall(ValueError):
     pass
 
 
+class TooManyCells(ValueError):
+    pass
+
+
 class PadicInt:
     """Element of Z_p known modulo p^prec (worst-case tracking)."""
 
@@ -546,17 +550,21 @@ def _in_completion(lattice: Ideal, x: FieldElement, p: int) -> bool:
 
 def _region(h: MeasureHandle, tag: str, f: Ideal, *,
             inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = (),
-            unit_norm: bool = False) -> Region:
+            unit_norm: bool = False, max_cells: int | None = None) -> Region:
     """The cells j whose x = w . (v + j) lies in every ideal of `inside`
     and in none of `avoid`, is congruent to 1 modulo f and, with
     `unit_norm`, has a p-unit norm.  Each ideal is replaced by its
     stabilised lattice and tested in the completion at p; the region's
-    level is the deepest stabilisation level."""
+    level is the deepest stabilisation level.  A level with more than
+    `max_cells` cells raises TooManyCells before any cell is tested."""
     p = h.p
     field = h.z.field
     n = field.n
     stable = [_stabilized_lattice(I, p) for I in [f, *inside, *avoid]]
     t = max(1, *(tI for tI, _ in stable))
+    if max_cells is not None and (p ** t) ** n > max_cells:
+        raise TooManyCells(f"the region's level {t} has {(p ** t) ** n} "
+                           f"cells, above the limit of {max_cells}")
     flat, *lats = [lat for _, lat in stable]
     inside_lats, avoid_lats = lats[:len(inside)], lats[len(inside):]
     one = field.one()
@@ -578,9 +586,10 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
     return Region(p, t, mask, tag)
 
 
-def region_units(h: MeasureHandle, f: Ideal) -> Region:
+def region_units(h: MeasureHandle, f: Ideal, *,
+                 max_cells: int | None = None) -> Region:
     """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
-    return _region(h, "units", f, unit_norm=True)
+    return _region(h, "units", f, unit_norm=True, max_cells=max_cells)
 
 
 def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
@@ -591,13 +600,15 @@ def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
 
 
 def region_oov(h: MeasureHandle, f: Ideal,
-               pi_data: Sequence[tuple], other_primes: Sequence[Ideal] = ()) -> Region:
+               pi_data: Sequence[tuple], other_primes: Sequence[Ideal] = (),
+               *, max_cells: int | None = None) -> Region:
     """The order-of-vanishing region: valuation < e_i at each supplied
     prime (pi_i generates p_i^{e_i}), unit and congruent to 1 mod f at the
     remaining primes above p."""
     field = h.z.field
     avoid = [Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
-    return _region(h, "oov", f, avoid=avoid + list(other_primes))
+    return _region(h, "oov", f, avoid=avoid + list(other_primes),
+                   max_cells=max_cells)
 
 
 def region_box(h: MeasureHandle, a: Sequence[int], r: int) -> Region:
@@ -659,15 +670,14 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
 
 def _moment_sums(nums: list[int], vals: list[int], powers: Sequence[int],
                  mod: int) -> list[int]:
-    """[sum of num * val^k, for k in powers] modulo `mod`: unreduced
-    running products for 0 <= k <= 8, else modular powers."""
-    top = max(powers, default=0)
-    if top > 8 or min(powers, default=0) < 0:
+    """[sum of num * val^k, for k in powers] modulo `mod`: sums of unreduced
+    running products, or of modular powers when some k is negative."""
+    if min(powers, default=0) < 0:
         return [sum(map(mul, nums, map(pow, vals, repeat(k), repeat(mod))))
                 for k in powers]
     sums = [sum(nums)]
     pw = nums
-    for _ in range(top):
+    for _ in range(max(powers, default=0)):
         pw = list(map(mul, pw, vals))
         sums.append(sum(pw))
     return [sums[k] for k in powers]
@@ -758,7 +768,10 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
         return _unit_part(nx(*j), p,
                           "norm residue vanished at working precision")[0]
 
-    res = integrate_cells(h, region, [unit], M, guard, powers=ks)
+    # ks all 0 still takes the unit part at every cell (the extra moment),
+    # so a vanishing norm residue raises whatever moments are asked for
+    check = [1] if ks and not any(ks) else []
+    res = integrate_cells(h, region, [unit], M, guard, powers=[*ks, *check])
     nac = h.nac
     out = []
     for k, r in zip(ks, res):

@@ -167,13 +167,19 @@ def test_padic_zeta_exact_values_once(flags, checked, capsys, monkeypatch):
     assert report == expected["padic-zeta"]
 
 
-@pytest.mark.parametrize("command,section,key,value", [
-    ("oov", "oov", "levels", ["5"]),  # 11^10 cells
-    ("padic-zeta", "padic", "precision", "15"),  # 3^30 cells
-], ids=["oov-level-5", "padic-zeta-M-15"])
+@pytest.mark.parametrize("command,section,key,value,limit", [
+    ("oov", "oov", "levels", ["5"], "10000000"),  # 11^10 cells
+    ("padic-zeta", "padic", "precision", "15", "10000000"),  # 3^30 cells
+    # 6 * 11^6 cells, each level under the limit
+    ("oov", "oov", "levels", ["3"] * 6, "10000000"),
+    # a level-1 region of 10007^2 cells
+    ("padic-zeta", "padic", "p", "10007", "1000000"),
+], ids=["oov-level-5", "padic-zeta-M-15", "oov-repeated-level",
+        "padic-zeta-large-p"])
 def test_sweep_over_budget_is_config_error(command, section, key, value,
-                                          tmp_path, capsys):
-    # refused before any sweep; the alarm ends a sweep that was not refused
+                                          limit, tmp_path, capsys):
+    # refused before any region cell or sweep; the alarm ends work that was
+    # not refused
     import signal
     import time
 
@@ -193,7 +199,7 @@ def test_sweep_over_budget_is_config_error(command, section, key, value,
         signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "10000000" in err
+    assert err.startswith("config error:") and f"limit of {limit}" in err
 
 
 A19 = {"gens": ["19", ["-9", "1"]]}  # the prime (19, theta - 9)

@@ -642,7 +642,8 @@ def test_integrate_cells_powers_are_moments():
     assert calls == []
     mass = integrate_cells(h, region, [lambda *j: 1], M, work)[0]
     assert zeroth == [mass, mass]
-    # large and negative powers take the modular-power path
+    # a large power takes the running products, a negative one the
+    # modular-power path
     for ks in ([9], [-1, 2]):
         for k, val in zip(ks, integrate_cells(h, region, [ev], M, work,
                                               powers=ks)):
@@ -669,6 +670,23 @@ def test_oov_zeroth_moment_skips_log(monkeypatch):
     v0 = oov_integrals(h11, ro, [0], M, work_prec)[0]
     assert v0.prec == work_prec > expected.prec
     assert v0.res == expected.res
+
+
+def test_padic_zetas_zeroth_moment_checks_norm(monkeypatch):
+    # unlike the log of oov_integrals, the unit part of the norm is taken at
+    # every cell of nonzero measure even when k = 0 is the only moment, so
+    # a vanishing norm residue raises for every nonempty ks
+    F, one, z, h = sqrt5_setup()
+    region = region_units(h, one)
+    M = 2
+    mass = integrate_cells(h, region, [lambda *j: 1], M, 2 * (M + 8))[0]
+    assert padic_zetas(h, region, [0], M)[0].res == mass % 3 ** (M + 8)
+    monkeypatch.setattr(eisenzeta.padic, "_poly_residue_evaluator",
+                        lambda *args: lambda *j: 0)
+    for ks in ([0], [0, 0], [0, 2], [-1]):
+        with pytest.raises(PrecisionExhausted, match="norm residue vanished"):
+            padic_zetas(h, region, ks, M)
+    assert padic_zetas(h, region, [], M) == []
 
 
 def _log_series_formula(y, p, prec, vy=1):
