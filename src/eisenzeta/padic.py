@@ -8,18 +8,20 @@ precision; every reported precision is a worst-case lower bound, and
 claims derived from truncation are certified by two-level agreement rather
 than by an a-priori epsilon.
 
-Each concept has one implementation: `_log_series` sums the logarithm for
-both `iwasawa_log` and the per-cell `_log_unit_residue`; `_series_loss` is
-the worst-case digit loss of a per-cell log; `_intval` takes every
-valuation; `integrate_cells` is the one Riemann loop; and `_region`
+Each concept has one implementation: `_log_series` sums the logarithm of
+a list of arguments, one for `iwasawa_log`, a row for the sweeps;
+`_series_loss` is the worst-case digit loss of a per-cell log; `_intval`
+takes every valuation; `integrate_cells` is the one Riemann loop,
+`_poly_residue_evaluator` the one polynomial evaluator; and `_region`
 builds every region, with `_in_completion` its one membership test.  That
 test works in the completion at p, since for a class representative
 a != O the points x = w . (v + j) carry denominators prime to p.
 
 The loop runs row by row: on a row every kernel map is affine in the last
-coordinate, so `CellKernel.row` reads the trace table once per step, not
-once per cell.  The values at s = -k are moments of one measure, so
-`padic_zetas` and `oov_integrals` take every k from one sweep (`powers`).
+coordinate, so `CellKernel.row` reads the trace table once per step, and
+each integrand takes a row's cells in one call.  The values at s = -k are
+moments of one measure, so `padic_zetas` and `oov_integrals` take every k
+from one sweep (`powers`).
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .cyclotomic import _is_prime
-from .dedekind import LinearFormModL, b1_L_z_fast
-from .exact import Matrix, MultiPoly, lattice_hnf, mat_det, mat_inv, mat_vec
+from .dedekind import (LinearFormModL, _beta_for, _trace_shift_int,
+                       b1_L_z_fast, sigma_ell)
+from .exact import (Matrix, MultiPoly, coset_reps, lattice_hnf, mat_det,
+                    mat_inv, mat_vec)
 from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
@@ -193,34 +197,43 @@ def iwasawa_log(x: PadicInt) -> PadicInt:
     vy = _intval(y, p)
     if vy < (2 if p == 2 else 1):
         raise PrecisionExhausted("argument not in the log-convergent disc")
-    total, loss = _log_series(y, p, prec, vy)
+    (total,), loss = _log_series([y], p, prec, vy)
     return PadicInt(p, prec - loss, total)
 
 
-def _log_series(y: int, p: int, prec: int, vy: int = 1) -> tuple[int, int]:
-    """(log(1 + y) mod p^prec, loss) for v_p(y) >= vy >= 1, where loss is
-    the largest v_p(k) divided out of a term y^k / k.
+def _log_series(ys: Sequence[int], p: int, prec: int,
+                vy: int = 1) -> tuple[list[int], int]:
+    """([log(1 + y) mod p^prec for y in ys], loss) for v_p(y) >= vy >= 1,
+    where loss is the largest v_p(k) divided out of a term y^k / k.
 
     Term k has valuation >= k*vy - v_p(k) and vanishes mod p^prec once
-    k*vy >= prec, so the sum runs while k*vy <= prec + loss.
+    k*vy >= prec, so the sum runs while k*vy <= prec + loss; that bound does
+    not depend on y.  The terms with p not dividing k are one polynomial in
+    y, summed by Horner mod p^prec.  A term with p | k is y^k mod p^prec
+    divided by p^v_p(k), where the digits are lost, so it is taken as such.
     """
     mod = p ** prec
     inverses = _series_inverses(p, prec)
-    total = loss = 0
-    term = 1
+    coeffs, divided = [], []  # (-1)^(k+1) / k, by whether p | k
+    loss = 0
     k = 1
     while k * vy <= prec + loss:
-        term = term * y % mod
         vk, kinv = inverses[k]
-        contrib = term
+        c = kinv if k & 1 else -kinv
         if vk:
-            if term % p ** vk:
-                raise PrecisionExhausted("series division by p underflows")
+            divided.append((k, p ** vk, c))
             loss = max(loss, vk)
-            contrib //= p ** vk
-        total += contrib * kinv if k & 1 else -contrib * kinv
+        coeffs.append(0 if vk else c)
         k += 1
-    return total % mod, loss
+    totals = [0] * len(ys)
+    for c in reversed(coeffs):
+        totals = [(s + c) * y % mod for s, y in zip(totals, ys)]
+    for k, pv, c in divided:
+        terms = [pow(y, k, mod) for y in ys]
+        if any(t % pv for t in terms):
+            raise PrecisionExhausted("series division by p underflows")
+        totals = [s + t // pv * c for s, t in zip(totals, terms)]
+    return [s % mod for s in totals], loss
 
 
 @lru_cache(maxsize=None)
@@ -298,12 +311,10 @@ class MeasureHandle:
             det = int(mat_det(sigma))
             if det == 0:
                 continue
-            from .dedekind import sigma_ell
             sl = sigma_ell(sigma, self.ell)
             sign = coeff * (-1) ** self.n * (1 if det > 0 else -1)
             signs = self.Q.sign_matrix(sigma)
             L = LinearFormModL(self.ell, [int(t) for t in sigma[0]])
-            from .exact import coset_reps
             cosets = coset_reps(sl)
             adj = _adjugate(sl)
             dsl = int(mat_det(sl))
@@ -355,7 +366,6 @@ def _adjugate(m: Matrix) -> Matrix:
 def _trace_table(L: LinearFormModL, signs, mu_den: int) -> list[int]:
     """T[t] = mu_den * value of the restricted distribution at shift t for
     nonintegral arguments (empty defect set)."""
-    from .dedekind import _beta_for, _trace_shift_int
     ell = L.ell
     beta = _beta_for(ell, L.a, (), None)
     scale = ell ** len(L.a)
@@ -627,8 +637,11 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
     in `powers`, the residue mod p^work of the sum over region cells of
     g(j)^k * measure(box_j).
 
-    g gets the cell index coordinates as separate arguments, once per
-    region cell of nonzero measure, and no call when every power is 0.
+    g is called once per row as g(prefix, xs): prefix holds the first n - 1
+    cell coordinates, xs the last coordinates of the row's live cells
+    (region cells of nonzero measure) in increasing order, and g returns
+    its values at those cells as a list.  Rows without a live cell get no
+    call, and g is never called when every power is 0.
     """
     level = max(M, region.t if region is not None else 0)
     kernel = h.cell_numerators(level)
@@ -637,8 +650,7 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
     pl = p ** level
     powers = list(powers)
     call = any(powers)
-    ng = len(integrands)
-    acc = [0] * (ng * len(powers))
+    acc = [0] * (len(integrands) * len(powers))
     if region is not None and region.t > 0:
         pt = p ** region.t
         mask = region.mask
@@ -657,11 +669,12 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
         row = kernel.row(prefix, keep)
         cells = range(pl) if keep is None else compress(range(pl), keep)
         xs = [x for x in cells if row[x]]
+        if not xs:
+            continue
         nums = [row[x] for x in xs]
-        # cell-major: an integrand raises at the first failing cell
-        vals = [g(*prefix, x) for x in xs for g in integrands] if call else []
-        for gi in range(ng):
-            sums = _moment_sums(nums, vals[gi::ng], powers, mod)
+        for gi, g in enumerate(integrands):
+            vals = g(prefix, xs) if call else []
+            sums = _moment_sums(nums, vals, powers, mod)
             for i, s in enumerate(sums, gi * len(powers)):
                 acc[i] += s
     inv_den = pow(h.mu_den % mod, -1, mod)
@@ -683,46 +696,44 @@ def _moment_sums(nums: list[int], vals: list[int], powers: Sequence[int],
     return [sums[k] for k in powers]
 
 
-def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int,
-                            level: int):
-    """(j0, ..., j_{n-1}) -> residue of P(v + j) mod p^work; for n = 2 the
-    evaluation is table-driven per axis."""
+def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int):
+    """Row integrand (prefix, xs) -> [residue of P(v + prefix + (x,)) mod
+    p^work for x in xs], for xs increasing.
+
+    Substituting the prefix leaves a polynomial q of degree d in the last
+    coordinate, once per row.  Its values at x = 0..d give its forward
+    differences at 0, and d running sums of those give q along the row.
+    """
     mod = h.p ** work_prec
 
     def res(q):
         q = Fraction(q)
         return q.numerator * pow(q.denominator, -1, mod) % mod
 
-    vres = [res(vi) for vi in h.z.v]
-    terms = [(res(c), mono) for mono, c in P.coeffs.items()]
-    if h.n != 2:
-        def ev(*j):
-            total = 0
-            for cres, mono in terms:
-                t = cres
-                for vi, ji, e in zip(vres, j, mono):
-                    if e:
-                        t = t * pow(vi + ji, e, mod) % mod
-                total = (total + t) % mod
-            return total
-        return ev
+    *vhead, vlast = [res(vi) for vi in h.z.v]
+    terms = [(res(c), mono[:-1], mono[-1]) for mono, c in P.coeffs.items()]
+    deg = max((e for _, _, e in terms), default=0)
 
-    pl = h.p ** level
-    x0, x1 = ([(vr + j) % mod for j in range(pl)] for vr in vres)
-    by_e0: dict[int, list[int]] = {}  # e0 -> sum of c x1^e1 at each j1
-    for cres, (e0, e1) in terms:
-        g = by_e0.setdefault(e0, [0] * pl)
-        for j1, x in enumerate(x1):
-            g[j1] = (g[j1] + cres * pow(x, e1, mod)) % mod
-    pairs = [([pow(x, e0, mod) for x in x0], g) for e0, g in by_e0.items()]
+    def ev(prefix, xs):
+        us = [vi + ji for vi, ji in zip(vhead, prefix)]
+        coeffs = [0] * (deg + 1)  # of X^e in P(v + prefix, X)
+        for c, head, e in terms:
+            for u, ei in zip(us, head):
+                c = c * pow(u, ei, mod)
+            coeffs[e] += c
+        qs = [sum(c * (vlast + x) ** e for e, c in enumerate(coeffs))
+              for x in range(deg + 1)]
+        diffs = []  # diffs[i] = i-th forward difference of q at x = 0
+        while qs:
+            diffs.append(qs[0] % mod)
+            qs = [b - a for a, b in zip(qs, qs[1:])]
+        row = repeat(diffs.pop(), xs[-1] + 1)
+        while diffs:
+            row = accumulate(row, initial=diffs.pop())
+        row = list(row)
+        return [row[x] % mod for x in xs]
 
-    def ev2(j0, j1):
-        total = 0
-        for p0, g in pairs:
-            total += p0[j0] * g[j1]
-        return total % mod
-
-    return ev2
+    return ev
 
 
 def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
@@ -735,20 +746,21 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     """
     if work_prec is None:
         work_prec = M + 8
-    ev = _poly_residue_evaluator(h, P, work_prec, M)
+    ev = _poly_residue_evaluator(h, P, work_prec)
     res = integrate_cells(h, None, [ev], M, work_prec)[0]
     return PadicInt(h.p, work_prec, res)
 
 
-def _unit_part(r: int, p: int, message: str) -> tuple[int, int]:
-    """(u, v) with r = p^v * u and u prime to p; PrecisionExhausted(message)
-    when the residue r is 0."""
-    if r == 0:
+def _unit_parts(rs: list[int], p: int,
+                message: str) -> tuple[list[int], int]:
+    """([u], v) with each r = p^v(r) * u, u prime to p, and v the largest
+    v(r); PrecisionExhausted(message) when some residue r is 0."""
+    if all(map(p.__rmod__, rs)):
+        return rs, 0
+    if 0 in rs:
         raise PrecisionExhausted(message)
-    if r % p:
-        return r, 0
-    v = _intval(r, p)
-    return r // p ** v, v
+    vs = [_intval(r, p) for r in rs]
+    return [r // p ** v for r, v in zip(rs, vs)], max(vs)
 
 
 def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
@@ -761,12 +773,11 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     p = h.p
     guard = 2 * work_prec  # strata shift valuations; generous
     mod = p ** guard
-    level = max(M, region.t)
-    nx = _poly_residue_evaluator(h, h.norm_poly, guard, level)
+    nx = _poly_residue_evaluator(h, h.norm_poly, guard)
 
-    def unit(*j):
-        return _unit_part(nx(*j), p,
-                          "norm residue vanished at working precision")[0]
+    def unit(prefix, xs):
+        return _unit_parts(nx(prefix, xs), p,
+                           "norm residue vanished at working precision")[0]
 
     # ks all 0 still takes the unit part at every cell (the extra moment),
     # so a vanishing norm residue raises whatever moments are asked for
@@ -799,11 +810,14 @@ def _log_tables(p: int, work_prec: int):
     return teich_inv
 
 
-def _log_unit_residue(r: int, p: int, work_prec: int, teich_inv) -> int:
-    """Iwasawa log of the unit residue r, mod p^(work - _series_loss)."""
+def _log_unit_residues(rs: list[int], p: int, work_prec: int,
+                       teich_inv) -> list[int]:
+    """Iwasawa logs of the unit residues rs, each mod
+    p^(work - _series_loss)."""
     mod = p ** work_prec
-    y = (r * teich_inv[r % (4 if p == 2 else p)] - 1) % mod
-    return _log_series(y, p, work_prec)[0]
+    q = 4 if p == 2 else p
+    ys = [(r * teich_inv[r % q] - 1) % mod for r in rs]
+    return _log_series(ys, p, work_prec)[0]
 
 
 def _series_loss(p: int, work_prec: int) -> int:
@@ -830,19 +844,19 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     if work_prec is None:
         work_prec = M + 6
     p = h.p
-    level = max(M, region.t)
-    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
+    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec)
     teich_inv = _log_tables(p, work_prec)
     stratum = 0
 
-    def cell_log(*j):
+    def row_log(prefix, xs):
         nonlocal stratum
-        r, v = _unit_part(nx(*j), p,
-                          "norm vanished at working precision; raise work_prec")
+        us, v = _unit_parts(
+            nx(prefix, xs), p,
+            "norm vanished at working precision; raise work_prec")
         stratum = max(stratum, v)
-        return _log_unit_residue(r, p, work_prec, teich_inv)
+        return _log_unit_residues(us, p, work_prec, teich_inv)
 
-    res = integrate_cells(h, region, [cell_log], M, work_prec, powers=ks)
+    res = integrate_cells(h, region, [row_log], M, work_prec, powers=ks)
     loss = _series_loss(p, work_prec)
     return [PadicInt(p, work_prec - k * loss - stratum, r)
             for k, r in zip(ks, res)]
@@ -861,32 +875,26 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
         work_prec = M + 6
     p = h.p
     mod = p ** work_prec
-    if isinstance(s, int):
-        s_res = s % mod
-    else:
-        s_res = s.res % mod
-    level = max(M, region.t)
-    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec, level)
+    s_res = (s if isinstance(s, int) else s.res) % mod
+    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec)
     teich_inv = _log_tables(p, work_prec)
 
-    def char(r: int) -> int:
+    def chars(rs: list[int]) -> list[int]:
         # <r>^(-s) = exp(-s log <r>)
-        lg = _log_unit_residue(r, p, work_prec, teich_inv)
-        z = (-s_res * lg) % mod
-        x = PadicInt(p, work_prec, z)
-        return padic_exp(x).res % mod
+        return [padic_exp(PadicInt(p, work_prec, -s_res * lg % mod)).res % mod
+                for lg in _log_unit_residues(rs, p, work_prec, teich_inv)]
 
-    def ev(*j):
-        r = nx(*j)
-        if r == 0 or r % p == 0:
+    def ev(prefix, xs):
+        rs = nx(prefix, xs)
+        if not all(map(p.__rmod__, rs)):  # some r is 0 or divisible by p
             raise PrecisionExhausted("weight character needs unit norms")
-        return char(r)
+        return chars(rs)
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
     nac_res = h.nac.numerator * pow(h.nac.denominator, -1, mod) % mod
     if nac_res % p == 0:
         raise PrecisionExhausted("N(ac) is not a p-unit")
-    scale = char(nac_res)
+    (scale,) = chars([nac_res])
     loss = _series_loss(p, work_prec)
     return PadicInt(p, work_prec - loss - 1, res * scale)
 

@@ -32,14 +32,17 @@ class CrossCheckFailure(ArithmeticError):
 
 class EmbeddedForms:
     """Tuple of linear forms tau_i(c_1) X_1 + ... + tau_i(c_n) X_n with
-    exact field-element coefficients and a certified sign oracle."""
+    exact field-element coefficients and a certified sign oracle.  Sign
+    matrices are memoized per sigma: each one costs certified root
+    refinements, and a chain asks for the same few many times."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "rows", "_signs")
 
     def __init__(self, field: NumberField,
                  rows: Sequence[tuple[int, Sequence[FieldElement]]]):
         self.field = field
         self.rows = tuple((i, tuple(cs)) for i, cs in rows)
+        self._signs: dict = {}
 
     @property
     def m(self) -> int:
@@ -60,6 +63,9 @@ class EmbeddedForms:
         return EmbeddedForms(self.field, out)
 
     def sign_matrix(self, sigma: Matrix | None = None):
+        key = None if sigma is None else tuple(map(tuple, sigma))
+        if key in self._signs:
+            return self._signs[key]
         q = self if sigma is None else self.transform(mat_inv(sigma))
         out = []
         for i, cs in q.rows:
@@ -70,7 +76,8 @@ class EmbeddedForms:
                     raise ValueError("form vanishes on a lattice direction")
                 srow.append(s)
             out.append(tuple(srow))
-        return tuple(out)
+        self._signs[key] = out = tuple(out)
+        return out
 
 
 class ZetaData:

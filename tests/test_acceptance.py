@@ -256,7 +256,7 @@ def test_criterion_5_measure_integral_consistency():
     deficits = []
     for M in range(3, 8):
         work = M + 4
-        evs = [_poly_residue_evaluator(h, P, work, M) for P in polys]
+        evs = [_poly_residue_evaluator(h, P, work) for P in polys]
         residues = integrate_cells(h, None, evs, M, work)
         for res, ex in zip(residues, exact):
             got = PadicInt(3, work, res)

@@ -224,9 +224,8 @@ def test_sublattice_integral_matches_transformed_cocycle():
         mask = frozenset((x % p, y % p) for x in range(a[0] % p, p, p)
                          for y in range(p))
         region = Region(p, 1, mask, "box")
-        ev = lambda *j: 1
         from eisenzeta.padic import integrate_cells, _poly_residue_evaluator
-        evP = _poly_residue_evaluator(h, z.P, level + 6, level)
+        evP = _poly_residue_evaluator(h, z.P, level + 6)
         res = integrate_cells(h, region, [evP], level, level + 6)[0]
         got = PadicInt(p, level + 6, res)
         target = PadicInt.from_fraction(exact, p, level + 6)
@@ -335,12 +334,14 @@ def _padic_zeta_one_sweep(h, region, k, M):
     work_prec = M + 8
     p, guard = h.p, 2 * work_prec
     mod = p ** guard
-    nx = _poly_residue_evaluator(h, h.norm_poly, guard, max(M, region.t))
+    nx = _poly_residue_evaluator(h, h.norm_poly, guard)
 
-    def ev(*j):
-        r = nx(*j)
-        assert r != 0
-        return pow(r // p ** _intval(r, p), k, mod)
+    def ev(prefix, xs):
+        out = []
+        for r in nx(prefix, xs):
+            assert r != 0
+            out.append(pow(r // p ** _intval(r, p), k, mod))
+        return out
 
     res = integrate_cells(h, region, [ev], M, guard)[0]
     scale = Fraction(h.nac) ** k
@@ -495,11 +496,11 @@ def test_L_derivative_taylor_tie():
 
 
 def test_log_unit_residue_p2():
-    from eisenzeta.padic import _log_tables, _log_unit_residue
+    from eisenzeta.padic import _log_tables, _log_unit_residues
     table = _log_tables(2, 10)
-    for r in (5, 7, 9, 11):  # both Teichmuller branches mod 4
+    rs = [5, 7, 9, 11]  # both Teichmuller branches mod 4
+    for r, fast in zip(rs, _log_unit_residues(rs, 2, 10, table)):
         direct = iwasawa_log(PadicInt(2, 10, r))
-        fast = _log_unit_residue(r, 2, 10, table)
         assert (PadicInt(2, direct.prec, fast) - direct).valuation() \
             >= direct.prec
 
@@ -608,22 +609,80 @@ def test_row_equals_cell_numerator(case):
     assert defects >= 1
 
 
+def _evaluator_handle(case):
+    """(handle, f, level) for the row-evaluator comparisons."""
+    if case == "sqrt5-f4":  # v = (1/2, -3/4)
+        F, f, z, h = sqrt5_setup(f=4)
+        return h, f, 2
+    if case == "sqrt5-a11":  # a coefficient of N(x) has denominator 11
+        F, f, z, h = sqrt5_setup(a=11)
+        return h, f, 2
+    h = _row_kernel_handle("cubic-p5")[0]
+    return h, Ideal.unit_ideal(h.z.field), 1
+
+
+@pytest.mark.parametrize("case", ["sqrt5-f4", "sqrt5-a11", "cubic-p5"])
+def test_poly_residue_evaluator_rows(case):
+    # the row evaluator is P(v + j) in exact fractions, mod p^work, at every
+    # cell of every row, also on the non-consecutive cells a region keeps
+    from itertools import product
+    h, f, level = _evaluator_handle(case)
+    n, p = h.n, h.p
+    pl = p ** level
+    region = region_units(h, f)
+    pt = p ** region.t
+    X = [MultiPoly.variable(n, i) for i in range(n)]
+    polys = [h.norm_poly, h.z.P, h.z.P * h.z.P, MultiPoly.constant(n, 3),
+             MultiPoly(n, {}),
+             X[0] * Fraction(2, 7) + X[-1] * X[-1] * X[0]
+             - MultiPoly.constant(n, Fraction(1, 4)),
+             X[0] ** 3 * X[-1] ** 4 + X[-2] * X[-2] * 5]
+    if case == "sqrt5-f4":
+        assert any(Fraction(vi).denominator > 1 for vi in h.z.v)
+    gaps = 0
+    for P, work in product(polys, (3, 9)):
+        mod = p ** work
+        ev = _poly_residue_evaluator(h, P, work)
+        for prefix in product(range(pl), repeat=n - 1):
+            kept = [x for x in range(pl) if region.contains(prefix + (x,))]
+            gaps += kept != list(range(len(kept)))
+            for xs in (list(range(pl)), kept, [pl - 1]):
+                if not xs:
+                    continue
+                got = ev(prefix, xs)
+                assert len(got) == len(xs)
+                for x, r in zip(xs, got):
+                    q = P.evaluate([Fraction(vi) + ji for vi, ji
+                                    in zip(h.z.v, prefix + (x,))])
+                    assert 0 <= r < mod
+                    assert r == q.numerator * pow(q.denominator, -1, mod) % mod
+    assert gaps
+
+
+def _per_cell(f, k, mod):
+    """The row integrand of pow(f(cell), k, mod)."""
+    return lambda prefix, xs: [pow(y, k, mod) for y in f(prefix, xs)]
+
+
 def test_integrate_cells_powers_are_moments():
-    # powers=ks returns sum g^k dmu for each g and k, calling each g once
-    # per region cell of nonzero measure, and never when every power is 0
+    # powers=ks returns sum g^k dmu for each g and k, giving each g every
+    # region cell of nonzero measure once, one call per row in increasing
+    # order, and never calling g when every power is 0
     F, one, z, h = sqrt5_setup()
     region = region_units(h, one)
     M, work = 3, 9
     mod = 3 ** work
-    ev = _poly_residue_evaluator(h, z.P, work, M)
-    calls = []
+    ev = _poly_residue_evaluator(h, z.P, work)
+    calls, rows = [], []
 
-    def g(*j):
-        calls.append(j)
-        return ev(*j)
+    def g(prefix, xs):
+        rows.append(prefix)
+        assert xs == sorted(set(xs)) and xs
+        calls.extend(prefix + (x,) for x in xs)
+        return ev(prefix, xs)
 
-    def minus(*j):
-        return -ev(*j)
+    def minus(prefix, xs):
+        return [-y for y in ev(prefix, xs)]
 
     ks = [2, 0, 1, 4]
     fused = integrate_cells(h, region, [g, minus], M, work, powers=ks)
@@ -632,23 +691,24 @@ def test_integrate_cells_powers_are_moments():
              for a in range(9) for b in range(9)]  # region level 1, M = 3
     live = [j for j in cells if kernel.numerator(j) != 0]
     assert sorted(calls) == sorted(live) and len(set(calls)) == len(calls)
+    assert len(set(rows)) == len(rows)
     for gi, f in enumerate((g, minus)):
         for ki, k in enumerate(ks):
-            single = integrate_cells(
-                h, region, [lambda *j, f=f, k=k: pow(f(*j), k, mod)], M, work)
+            single = integrate_cells(h, region, [_per_cell(f, k, mod)], M,
+                                     work)
             assert fused[gi * len(ks) + ki] == single[0]
     calls.clear()
     zeroth = integrate_cells(h, region, [g], M, work, powers=[0, 0])
     assert calls == []
-    mass = integrate_cells(h, region, [lambda *j: 1], M, work)[0]
+    mass = integrate_cells(h, region, [_per_cell(ev, 0, mod)], M, work)[0]
     assert zeroth == [mass, mass]
     # a large power takes the running products, a negative one the
     # modular-power path
     for ks in ([9], [-1, 2]):
         for k, val in zip(ks, integrate_cells(h, region, [ev], M, work,
                                               powers=ks)):
-            single = integrate_cells(
-                h, region, [lambda *j, k=k: pow(ev(*j), k, mod)], M, work)
+            single = integrate_cells(h, region, [_per_cell(ev, k, mod)], M,
+                                     work)
             assert val == single[0]
 
 
@@ -663,10 +723,22 @@ def test_oov_zeroth_moment_skips_log(monkeypatch):
     M, work_prec = 1, 7
     expected = oov_integrals(h11, ro, [0, 1], M, work_prec)[0]
 
+    logs = []
+    log_series = eisenzeta.padic._log_series
+
+    def counting(*args):
+        logs.append(args)
+        return log_series(*args)
+
+    monkeypatch.setattr(eisenzeta.padic, "_log_series", counting)
+    again = oov_integrals(h11, ro, [0, 1], M, work_prec)[0]
+    assert (again.res, again.prec) == (expected.res, expected.prec)
+    assert logs  # the patch sees the row log of every k >= 1
+
     def no_log(*args):
         raise AssertionError("log evaluated for k = 0")
 
-    monkeypatch.setattr(eisenzeta.padic, "_log_unit_residue", no_log)
+    monkeypatch.setattr(eisenzeta.padic, "_log_series", no_log)
     v0 = oov_integrals(h11, ro, [0], M, work_prec)[0]
     assert v0.prec == work_prec > expected.prec
     assert v0.res == expected.res
@@ -679,10 +751,11 @@ def test_padic_zetas_zeroth_moment_checks_norm(monkeypatch):
     F, one, z, h = sqrt5_setup()
     region = region_units(h, one)
     M = 2
-    mass = integrate_cells(h, region, [lambda *j: 1], M, 2 * (M + 8))[0]
+    mass = integrate_cells(h, region, [lambda prefix, xs: [1] * len(xs)],
+                           M, 2 * (M + 8))[0]
     assert padic_zetas(h, region, [0], M)[0].res == mass % 3 ** (M + 8)
     monkeypatch.setattr(eisenzeta.padic, "_poly_residue_evaluator",
-                        lambda *args: lambda *j: 0)
+                        lambda *args: lambda prefix, xs: [0] * len(xs))
     for ks in ([0], [0, 0], [0, 2], [-1]):
         with pytest.raises(PrecisionExhausted, match="norm residue vanished"):
             padic_zetas(h, region, ks, M)
@@ -714,22 +787,34 @@ def _log_series_formula(y, p, prec, vy=1):
 
 @pytest.mark.parametrize("p,prec", [(2, 12), (3, 10), (11, 14)])
 def test_log_series_inverse_table(p, prec):
-    # prec >= p + 1, so terms with p | k are summed and divided
-    from eisenzeta.padic import _log_series, _log_tables, _log_unit_residue
+    # prec >= p + 1, so terms with p | k are summed and divided; the row
+    # log gives every element the value of the one-element formula
+    from eisenzeta.padic import _log_series, _log_tables, _log_unit_residues
     mod = p ** prec
     table = _log_tables(p, prec)
+    rs = [r for r in range(1, 400) if r % p][:120]
+    ys = [(r * pow(teichmuller(r, p, prec), -1, mod) - 1) % mod for r in rs]
+    want = [_log_series_formula(y, p, prec) for y in ys]
+    assert _log_unit_residues(rs, p, prec, table) == [w for w, _ in want]
+    assert _log_series(ys, p, prec) == ([w for w, _ in want], want[0][1])
+    assert len({wl for _, wl in want}) == 1
+    assert _log_series([], p, prec)[0] == []
     divided = 0
-    for r in [r for r in range(1, 400) if r % p][:120]:
-        om = teichmuller(r, p, prec)
-        y = (r * pow(om, -1, mod) - 1) % mod
-        want, _ = _log_series_formula(y, p, prec)
-        assert _log_unit_residue(r, p, prec, table) == want
+    for r, y in zip(rs, ys):
         if y:
             vy = _intval(y, p)
             w, wl = _log_series_formula(y, p, prec, vy)
-            assert _log_series(y, p, prec, vy) == (w, wl)
+            assert _log_series([y], p, prec, vy) == ([w], wl)
             direct = iwasawa_log(PadicInt(p, prec, r))
             assert (direct.res, direct.prec) == \
                 (w % p ** (prec - wl), prec - wl)
             divided = max(divided, wl)
+    # rows that share a valuation bound vy share one series
+    for vy in range(1, 4):
+        row = [y for y in ys if y and _intval(y, p) >= vy]
+        if row:
+            got, loss = _log_series(row, p, prec, vy)
+            formula = [_log_series_formula(y, p, prec, vy) for y in row]
+            assert got == [w for w, _ in formula]
+            assert {loss} == {wl for _, wl in formula}
     assert divided >= 1

@@ -246,3 +246,22 @@ def test_reduce_adapted_matches_rebuilding(poly, units, ell):
     got = _reduce_adapted(F, ws, eps, ell)
     assert got == _reduce_by_rebuilding(F, ws, eps, ell)
     assert got != ws  # the search moves the basis at both primes
+
+
+def test_sign_matrix_memo_per_sigma():
+    # the memo keys on sigma: every sigma gets its own sign matrix, the one
+    # a fresh instance computes, also when it is asked for a second time
+    # or given as lists of Fractions
+    from eisenzeta.cocycle import first_column_matrix
+    from eisenzeta.zeta import EmbeddedForms
+    F, one, z = sqrt5_data()
+    sigmas = [None, ((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)),
+              ((2, 1), (1, -1))]
+    sigmas += [first_column_matrix(tup) for _, tup in z.chain.terms]
+    for q in (z.Qfull, *z.Qsingle):
+        fresh = [EmbeddedForms(q.field, q.rows).sign_matrix(s) for s in sigmas]
+        assert len(set(fresh)) > 1
+        assert [q.sign_matrix(s) for s in sigmas] == fresh
+        assert [q.sign_matrix(s) for s in reversed(sigmas)] == fresh[::-1]
+        listed = [[Fraction(e) for e in row] for row in sigmas[2]]
+        assert q.sign_matrix(listed) == fresh[2]
