@@ -161,7 +161,7 @@ def load_config(path: str) -> dict:
     return _obj(cfg, "config")
 
 
-def build_common(cfg, cache, override=None):
+def build_common(cfg, override=None):
     field = parse_field(cfg.get("field"))
     f = parse_ideal(field, cfg.get("f", "unit"))
     a = parse_ideal(field, cfg.get("a", "unit"))
@@ -185,7 +185,7 @@ def build_common(cfg, cache, override=None):
 
 
 def cmd_zeta(cfg, args, cache) -> dict:
-    field, f, a, c, ell, z = build_common(cfg, cache)
+    field, f, a, c, ell, z = build_common(cfg)
     kmax = _k_max(cfg, "2")
     crosscheck = not args.no_crosscheck
 
@@ -203,7 +203,7 @@ def cmd_zeta(cfg, args, cache) -> dict:
 
 def cmd_padic_zeta(cfg, args, cache) -> dict:
     pcfg = _obj(cfg.get("padic", {}), "padic")
-    field, f, a, c, ell, z = build_common(cfg, cache, override=pcfg)
+    field, f, a, c, ell, z = build_common(cfg, override=pcfg)
     p = _int(pcfg.get("p", "3"), "p")
     M = _int_min(args.precision if args.precision is not None
                  else pcfg.get("precision", "4"), "precision", 1)
@@ -249,7 +249,7 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
 
 def cmd_oov(cfg, args, cache) -> dict:
     ocfg = _obj(cfg.get("oov", {}), "oov")
-    field, f, a, c, ell, z = build_common(cfg, cache, override=ocfg)
+    field, f, a, c, ell, z = build_common(cfg, override=ocfg)
     if "p" not in ocfg or "pi" not in ocfg:
         raise ConfigError("oov needs 'p' and 'pi' (list of generators)")
     p = _int(ocfg["p"], "p")

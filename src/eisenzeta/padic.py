@@ -8,14 +8,17 @@ precision; every reported precision is a worst-case lower bound, and
 claims derived from truncation are certified by two-level agreement rather
 than by an a-priori epsilon.
 
-Each concept has one implementation: `_log_series` sums the logarithm of
-a list of arguments, one for `iwasawa_log`, a row for the sweeps;
-`_series_loss` is the worst-case digit loss of a per-cell log; `_intval`
-takes every valuation; `integrate_cells` is the one Riemann loop,
-`_poly_residue_evaluator` the one polynomial evaluator; and `_region`
-builds every region, with `_in_completion` its one membership test.  That
-test works in the completion at p, since for a class representative
-a != O the points x = w . (v + j) carry denominators prime to p.
+Each concept has one implementation: `MeasureHandle.measure_box` is the
+one exact box value, the cocycle at P = 1, and the fast `CellKernel.row`
+is tested against it; `_log_series` sums the logarithm of a list of
+arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
+the worst-case digit loss of a per-cell log; `_intval` takes every
+valuation and `_residue` every rational residue; `integrate_cells` is the
+one Riemann loop, `_poly_residue_evaluator` the one polynomial evaluator;
+and `_region` builds every region, with `_in_completion` its one
+membership test.  That test works in the completion at p, since for a
+class representative a != O the points x = w . (v + j) carry denominators
+prime to p.
 
 The loop runs row by row: on a row every kernel map is affine in the last
 coordinate, so `CellKernel.row` reads the trace table once per step, and
@@ -35,8 +38,7 @@ from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .cyclotomic import _is_prime
-from .dedekind import (LinearFormModL, _beta_for, _trace_shift_int,
-                       b1_L_z_fast, sigma_ell)
+from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
 from .exact import (Matrix, MultiPoly, coset_reps, lattice_hnf, mat_det,
                     mat_inv, mat_vec)
 from .numberfield import FieldElement, Ideal
@@ -70,11 +72,9 @@ class PadicInt:
     @classmethod
     def from_fraction(cls, q, p: int, prec: int) -> "PadicInt":
         q = Fraction(q)
-        den = q.denominator
-        if den % p == 0:
+        if q.denominator % p == 0:
             raise ValueError("not a p-adic integer")
-        mod = p ** prec
-        return cls(p, prec, q.numerator * pow(den, -1, mod) % mod)
+        return cls(p, prec, _residue(q, p ** prec))
 
     def _check(self, other: "PadicInt") -> None:
         if self.p != other.p:
@@ -158,6 +158,13 @@ def _intval(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _residue(q, mod: int) -> int:
+    """The rational q modulo mod; pow's ValueError when its denominator is
+    not a unit."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
 def frac_valuation(q: Fraction, p: int) -> int:
@@ -292,7 +299,7 @@ class MeasureHandle:
     value is carried as an integer numerator over that fixed denominator.
     """
 
-    def __init__(self, z: ZetaData, p: int, *, form_index: int = 0):
+    def __init__(self, z: ZetaData, p: int):
         if not _is_prime(p):
             raise ValueError("p must be prime")
         if p == z.ell:
@@ -301,7 +308,7 @@ class MeasureHandle:
         self.p = p
         self.n = z.field.n
         self.ell = z.ell
-        self.Q = z.Qsingle[form_index]
+        self.Q = z.Qsingle[0]
         self.mu_den = self.ell ** self.n  # m = 1 single form
         self.nac = Fraction(z.a.norm() * z.c.norm())
         self.norm_poly = z.P * (1 / self.nac)  # N(w.(v + X))
@@ -315,35 +322,16 @@ class MeasureHandle:
             sign = coeff * (-1) ** self.n * (1 if det > 0 else -1)
             signs = self.Q.sign_matrix(sigma)
             L = LinearFormModL(self.ell, [int(t) for t in sigma[0]])
-            cosets = coset_reps(sl)
-            adj = _adjugate(sl)
-            dsl = int(mat_det(sl))
             self.terms.append({
-                "sign": sign, "sigma": sigma, "sl": sl, "L": L,
-                "signs": signs, "cosets": cosets, "adj": adj, "det": dsl,
+                "sign": sign, "L": L, "signs": signs,
+                "cosets": coset_reps(sl), "adj": _adjugate(sl),
+                "det": int(mat_det(sl)),
                 "table": _trace_table(L, signs, self.mu_den),
             })
 
-    # -- exact single boxes --------------------------------------------------
-
     def measure_box(self, a: Sequence[int], r: int) -> Fraction:
-        """Exact measure of the box (v + a + p^r X), via the level-set
-        decomposition with the cyclotomic fast path."""
-        w = tuple((Fraction(vi) + ai) / self.p ** r
-                  for vi, ai in zip(self.z.v, a))
-        total = Fraction(0)
-        for t in self.terms:
-            inv = mat_inv(t["sl"])
-            pw = (w[0] * self.ell,) + tuple(w[1:])
-            sub = Fraction(0)
-            for x in t["cosets"]:
-                y = mat_vec(inv, [xi + wi for xi, wi in zip(x, pw)])
-                sub += b1_L_z_fast(t["L"], (-x[0]) % self.ell, y, t["signs"])
-            total += t["sign"] * sub
-        return total
-
-    def measure_box_oracle(self, a: Sequence[int], r: int) -> Fraction:
-        """Same box through the generic cocycle evaluator (slow path)."""
+        """Exact measure of the box (v + a + p^r X): the cocycle at P = 1
+        and (v + a) / p^r, the value `CellKernel.row` is tested against."""
         w = tuple((Fraction(vi) + ai) / self.p ** r
                   for vi, ai in zip(self.z.v, a))
         args = CocycleArgs(MultiPoly.constant(self.n, 1), self.Q, w)
@@ -351,8 +339,6 @@ class MeasureHandle:
 
     def total_mass(self) -> Fraction:
         return self.measure_box((0,) * self.n, 0)
-
-    # -- bulk cells ------------------------------------------------------------
 
     def cell_numerators(self, M: int) -> "CellKernel":
         return CellKernel(self, M)
@@ -365,13 +351,12 @@ def _adjugate(m: Matrix) -> Matrix:
 
 def _trace_table(L: LinearFormModL, signs, mu_den: int) -> list[int]:
     """T[t] = mu_den * value of the restricted distribution at shift t for
-    nonintegral arguments (empty defect set)."""
-    ell = L.ell
-    beta = _beta_for(ell, L.a, (), None)
-    scale = ell ** len(L.a)
+    nonintegral arguments (empty defect set): at x = (1/2, ..., 1/2) every
+    floor is 0, so z = -t gives shift t."""
+    half = (Fraction(1, 2),) * len(L.a)
     out = []
-    for t in range(ell):
-        val = Fraction(-_trace_shift_int(beta, t, ell) * mu_den, scale)
+    for t in range(L.ell):
+        val = b1_L_z_fast(L, -t, half, signs) * mu_den
         if val.denominator != 1:
             raise AssertionError("measure denominator bound violated")
         out.append(int(val))
@@ -411,28 +396,10 @@ class CellKernel:
                     "signs": t["signs"],
                 })
 
-    def numerator(self, j: Sequence[int]) -> int:
-        """mu_den * measure of box (v + j + p^M X)."""
-        ell = self.h.ell
-        total = 0
-        for mp in self.maps:
-            den = mp["den"]
-            ys = [b + sum(c * jk for c, jk in zip(row, j))
-                  for b, row in zip(mp["base"], mp["mat"])]
-            t = mp["t0"]  # accumulates x_1 - sum a_i floor(y_i)
-            for ai, y in zip(mp["a"], ys):
-                q, r = divmod(y, den)
-                if r == 0:
-                    total += self.defect_numerator(mp, ys)
-                    break
-                t -= ai * q
-            else:
-                total += mp["sign"] * mp["table"][t % ell]
-        return total
-
     def row(self, prefix: Sequence[int],
             keep: Sequence[bool] | None = None) -> list[int]:
-        """[numerator(prefix + (x,)) for x in range(p^M)].
+        """[mu_den * measure of box (v + prefix + (x,) + p^M X), for x in
+        range(p^M)].
 
         Each y_i = c_i + s_i x, so a map's table value changes only where
         some floor(y_i / den) steps; those steps go into a difference
@@ -533,10 +500,10 @@ def _sum_lattice(I: Ideal, c: int):
     return lattice_hnf(cols)
 
 
-def _stabilized_lattice(I: Ideal, p: int, tmin: int = 1):
-    """Smallest t with I + p^t O = I + p^(t+1) O, and that ideal; from
+def _stabilized_lattice(I: Ideal, p: int):
+    """Smallest t >= 1 with I + p^t O = I + p^(t+1) O, and that ideal; from
     level t on, membership mod p^t decides membership in I O_p."""
-    t = tmin
+    t = 1
     prev = _sum_lattice(I, p ** t)
     for _ in range(200):
         nxt = _sum_lattice(I, p ** (t + 1))
@@ -705,13 +672,9 @@ def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int):
     differences at 0, and d running sums of those give q along the row.
     """
     mod = h.p ** work_prec
-
-    def res(q):
-        q = Fraction(q)
-        return q.numerator * pow(q.denominator, -1, mod) % mod
-
-    *vhead, vlast = [res(vi) for vi in h.z.v]
-    terms = [(res(c), mono[:-1], mono[-1]) for mono, c in P.coeffs.items()]
+    *vhead, vlast = [_residue(vi, mod) for vi in h.z.v]
+    terms = [(_residue(c, mod), mono[:-1], mono[-1])
+             for mono, c in P.coeffs.items()]
     deg = max((e for _, _, e in terms), default=0)
 
     def ev(prefix, xs):
@@ -783,13 +746,8 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     # so a vanishing norm residue raises whatever moments are asked for
     check = [1] if ks and not any(ks) else []
     res = integrate_cells(h, region, [unit], M, guard, powers=[*ks, *check])
-    nac = h.nac
-    out = []
-    for k, r in zip(ks, res):
-        scale = pow(nac.numerator, k, mod) \
-            * pow(pow(nac.denominator, k, mod), -1, mod) % mod
-        out.append(PadicInt(p, work_prec, r * scale))
-    return out
+    return [PadicInt(p, work_prec, r * _residue(h.nac ** k, mod))
+            for k, r in zip(ks, res)]
 
 
 def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,
@@ -802,12 +760,8 @@ def _log_tables(p: int, work_prec: int):
     """Inverse Teichmuller lifts indexed by the residue that determines the
     torsion part: mod p for odd p, mod 4 for p = 2."""
     mod = p ** work_prec
-    if p == 2:
-        return [0, 1, 0, mod - 1]  # omega(1 mod 4) = 1, omega(3 mod 4) = -1
-    teich_inv = [0] * p
-    for a in range(1, p):
-        teich_inv[a] = pow(teichmuller(a, p, work_prec), -1, mod)
-    return teich_inv
+    return [pow(teichmuller(a, p, work_prec), -1, mod) if a % p else 0
+            for a in range(4 if p == 2 else p)]
 
 
 def _log_unit_residues(rs: list[int], p: int, work_prec: int,
@@ -815,8 +769,7 @@ def _log_unit_residues(rs: list[int], p: int, work_prec: int,
     """Iwasawa logs of the unit residues rs, each mod
     p^(work - _series_loss)."""
     mod = p ** work_prec
-    q = 4 if p == 2 else p
-    ys = [(r * teich_inv[r % q] - 1) % mod for r in rs]
+    ys = [(r * teich_inv[r % len(teich_inv)] - 1) % mod for r in rs]
     return _log_series(ys, p, work_prec)[0]
 
 
@@ -891,7 +844,7 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
         return chars(rs)
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
-    nac_res = h.nac.numerator * pow(h.nac.denominator, -1, mod) % mod
+    nac_res = _residue(h.nac, mod)
     if nac_res % p == 0:
         raise PrecisionExhausted("N(ac) is not a p-unit")
     (scale,) = chars([nac_res])

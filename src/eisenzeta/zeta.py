@@ -149,10 +149,10 @@ def _chain_coset_cost(mats, ell: int) -> int:
     return total
 
 
-def _reduce_adapted(field: NumberField, ws, eps, ell: int, radius: int = 8):
+def _reduce_adapted(field: NumberField, ws, eps, ell: int):
     """Shrink the cocycle coset count over the transforms
-    w_1 -> w_1 + ell * (integer combination of w_2..w_n), which preserve
-    the adapted property.
+    w_1 -> w_1 + ell * (m_2 w_2 + ... + m_n w_n) with every |m_i| <= 8,
+    which preserve the adapted property.
 
     Such a transform is the integer change of basis T = I + ell (0, m)^t
     e_1^t, so a candidate's unit matrices are T^-1 U T for the unit
@@ -165,7 +165,7 @@ def _reduce_adapted(field: NumberField, ws, eps, ell: int, radius: int = 8):
     if mats is None:
         return list(ws)
     best_m, best_cost = (0,) * (n - 1), _chain_coset_cost(mats, ell)
-    for m in product(range(-radius, radius + 1), repeat=n - 1):
+    for m in product(range(-8, 9), repeat=n - 1):
         if not any(m):
             continue
         t, tinv = [list(r) for r in identity(n)], [list(r) for r in identity(n)]

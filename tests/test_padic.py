@@ -139,14 +139,33 @@ def test_unit_power_character():
 
 # --- measure ---------------------------------------------------------------------
 
+def _box_by_two_sums(h, a, r):
+    """The box value from the two-sum smoothing d_ell_direct, which shares
+    no code with the coset decomposition behind measure_box."""
+    from eisenzeta.cocycle import first_column_matrix
+    from eisenzeta.dedekind import d_ell_direct
+    from eisenzeta.exact import mat_det
+    w = [(Fraction(vi) + ai) / h.p ** r for vi, ai in zip(h.z.v, a)]
+    total = Fraction(0)
+    for coeff, tup in h.z.chain.terms:
+        sigma = first_column_matrix(tup)
+        det = mat_det(sigma)
+        if det:
+            sign = (-1) ** h.n * (1 if det > 0 else -1)
+            total += coeff * sign * d_ell_direct(sigma, (1,) * h.n, h.Q, w,
+                                                 h.ell)
+    return total
+
+
 def test_measure_box_matches_oracle_and_kernel():
     F, one, z, h = sqrt5_setup()
     k1 = h.cell_numerators(1)
     for j0 in range(3):
+        row = k1.row((j0,))
         for j1 in range(3):
             exact = h.measure_box((j0, j1), 1)
-            assert exact == h.measure_box_oracle((j0, j1), 1)
-            assert exact == Fraction(k1.numerator((j0, j1)), h.mu_den)
+            assert exact == _box_by_two_sums(h, (j0, j1), 1)
+            assert exact == Fraction(row[j1], h.mu_den)
 
 
 def test_measure_additivity_and_total_mass():
@@ -523,9 +542,11 @@ def test_multi_coset_kernel_agrees():
         # to the Riemann level (the box measures themselves are basis
         # dependent, the integrals are not beyond truncation)
         assert agreement_precision(a, b) >= M
-    # and single boxes agree with the generic oracle on the raw handle too
+    # and on the raw handle the row kernel gives the exact single boxes
+    kernel = h_raw.cell_numerators(1)
     for cell in ((0, 0), (1, 2)):
-        assert h_raw.measure_box(cell, 1) == h_raw.measure_box_oracle(cell, 1)
+        assert kernel.row(cell[:1])[cell[1]] \
+            == h_raw.mu_den * h_raw.measure_box(cell, 1)
 
 
 def test_precision_soundness_recomputation():
@@ -583,8 +604,9 @@ def _row_kernel_handle(case):
 @pytest.mark.parametrize("case", ["sqrt5-p3", "unreduced", "oov", "a19",
                                   "cubic-p5"])
 def test_row_equals_cell_numerator(case):
-    # the step-function row is the per-cell oracle at every cell, sign-defect
-    # cells included; with keep, the kept cells still are
+    # the step-function row is mu_den times the exact box value (the
+    # cocycle) at every cell, sign-defect cells included; with keep, the
+    # kept cells still are
     from itertools import product
     h, level, maps = _row_kernel_handle(case)
     kernel = h.cell_numerators(level)
@@ -598,7 +620,7 @@ def test_row_equals_cell_numerator(case):
         assert len(row) == pl
         for x in range(pl):
             j = prefix + (x,)
-            num = kernel.numerator(j)
+            num = h.mu_den * h.measure_box(j, level)
             assert row[x] == num
             if keep[x]:
                 assert kept[x] == num
@@ -686,10 +708,9 @@ def test_integrate_cells_powers_are_moments():
 
     ks = [2, 0, 1, 4]
     fused = integrate_cells(h, region, [g, minus], M, work, powers=ks)
-    kernel = h.cell_numerators(M)
     cells = [(r0 + 3 * a, r1 + 3 * b) for r0, r1 in region.mask
              for a in range(9) for b in range(9)]  # region level 1, M = 3
-    live = [j for j in cells if kernel.numerator(j) != 0]
+    live = [j for j in cells if h.measure_box(j, M) != 0]
     assert sorted(calls) == sorted(live) and len(set(calls)) == len(calls)
     assert len(set(rows)) == len(rows)
     for gi, f in enumerate((g, minus)):

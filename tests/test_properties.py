@@ -1,6 +1,8 @@
 """Property tests: exact linear algebra, lattice membership, mod-p division,
-logarithm bounds, the Bernoulli distribution relation, and the integer
-Bernoulli rows and convolution behind the restricted distribution.
+logarithm bounds, the Bernoulli distribution relation, the integer
+Bernoulli rows and convolution behind the restricted distribution, and the
+box values of the p-adic measure against its distribution relation and its
+row kernel.
 
 Every test runs a fixed, derandomized example sequence and keeps no example
 database, so the suite stays deterministic and writes nothing to the
@@ -10,6 +12,7 @@ working tree.
 import math
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from hypothesis import assume, given, settings
@@ -24,7 +27,9 @@ from eisenzeta.exact import (SingularMatrix, identity, lattice_hnf, mat_det,
                              mat_inv, mat_mul, mat_solve, mat_vec,
                              reduce_mod_lattice)
 from eisenzeta.numberfield import (Ideal, NumberField, _pmod_divmod,
-                                   ln_interval)
+                                   ln_interval, prime_over)
+from eisenzeta.padic import MeasureHandle
+from eisenzeta.zeta import build_zeta_data
 
 PROPS = settings(database=None, derandomize=True, deadline=None,
                  max_examples=60)
@@ -219,3 +224,52 @@ def test_b_L_z_conv_equals_direct(args):
     expected = b_L_z_direct(*args)
     assert b_L_z_conv(*args) == expected
     assert b_L_z(*args) == expected
+
+
+@lru_cache(maxsize=None)
+def _measure_handle(case):
+    """Q(sqrt 5) at ell = 11 with p = 3, or with a above 19 and p = 2; the
+    cubic field t^3 - 3t - 1 at ell = 17 with p = 5."""
+    if case == "cubic-p5":
+        C = FIELDS[1]
+        o = Ideal.unit_ideal(C)
+        z = build_zeta_data(C, o, o, prime_over(C, 17), 17,
+                            units=[C.element([0, 0, 1]), C.element([1, 2, 1])])
+        return MeasureHandle(z, 5)
+    F = FIELDS[0]
+    one = Ideal.unit_ideal(F)
+    a = one if case == "sqrt5-p3" else prime_over(F, 19)
+    z = build_zeta_data(F, one, a, prime_over(F, 11), 11)
+    return MeasureHandle(z, 3 if case == "sqrt5-p3" else 2)
+
+
+@lru_cache(maxsize=None)
+def _kernel(case, level):
+    return _measure_handle(case).cell_numerators(level)
+
+
+@PROPS
+@given(st.sampled_from(["sqrt5-p3", "a19-p2", "cubic-p5"]), st.data())
+def test_measure_box_relations(case, data):
+    # a box value does not depend on the representative a, is the sum of
+    # its p^n children (checked for n = 2), and the row kernel one level
+    # down gives mu_den times each child's value
+    h = _measure_handle(case)
+    n, p = h.n, h.p
+    r = data.draw(st.integers(0, 2 if n == 2 else 1))
+    pr = p ** r
+    a = data.draw(st.tuples(*[st.integers(0, pr - 1)] * n))
+    m = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+    value = h.measure_box(a, r)
+    assert h.measure_box([ai + pr * mi for ai, mi in zip(a, m)], r) == value
+    if n == 2:
+        digits = list(product(range(p), repeat=n))
+    else:
+        digits = [data.draw(st.tuples(*[st.integers(0, p - 1)] * n))]
+    children = [tuple(ai + pr * di for ai, di in zip(a, d)) for d in digits]
+    values = [h.measure_box(c, r + 1) for c in children]
+    if n == 2:
+        assert sum(values) == value
+    kernel = _kernel(case, r + 1)
+    for c, v in zip(children, values):
+        assert kernel.row(c[:-1])[c[-1]] == h.mu_den * v
