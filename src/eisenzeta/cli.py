@@ -21,7 +21,8 @@ from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
     module_action, psi_ell
 from .dedekind import DedekindCache, RationalForms
 from .exact import MultiPoly, mat_det
-from .numberfield import Ideal, NumberField, prime_over
+from .numberfield import (DependentUnits, Ideal, NumberField, prime_over,
+                          regulator_det_sign)
 from .padic import (MeasureHandle, PadicInt, TooManyCells,
                     agreement_precision, oov_integrals, padic_zetas,
                     region_oov, region_units)
@@ -403,11 +404,23 @@ def cmd_selftest(cfg, args, cache) -> dict:
                    for d0 in range(3) for d1 in range(3))
         assert parent == kids
 
+    def units_regulator():
+        F = NumberField([-1, -3, 0, 1])
+        e1, e2 = F.element([0, 0, 1]), F.element([1, 2, 1])
+        assert regulator_det_sign(F, [e2, e1]) == \
+            -regulator_det_sign(F, [e1, e2])
+        try:
+            regulator_det_sign(F, [e1, e1 * e1])
+        except DependentUnits:
+            return
+        raise AssertionError("dependent units were not rejected")
+
     check("exact-core", exact_core)
     check("bernoulli-distribution", bernoulli_dist)
     check("cyclotomic-fast-path", fast_path)
     check("zeta-sqrt5-minus1", zeta_value)
     check("measure-additivity", measure_additivity)
+    check("units-regulator", units_regulator)
     ok = all(r["status"] == "pass" for r in results)
     return {"ok": ok, "checks": results}
 

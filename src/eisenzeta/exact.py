@@ -6,14 +6,17 @@ are small (n <= 8), so dense quadratic/cubic algorithms are used throughout.
 
 Each concept has one implementation: `mat_solve` is the only Gauss-Jordan
 elimination (`mat_inv` and the field-element inverses solve through it),
-and `reduce_mod_lattice` is the only reduction modulo a lattice in HNF
-(membership, as in `Ideal.contains`, is a zero reduction).
+`_bareiss` the only determinant (`mat_det` over the integers, `poly_det`
+over the polynomial ring), and `reduce_mod_lattice` the only reduction
+modulo a lattice in HNF (membership, as in `Ideal.contains`, is a zero
+reduction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import floordiv
 from typing import Sequence
 
 
@@ -49,26 +52,38 @@ def mat_vec(a: Matrix, v: Sequence) -> tuple:
     return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
 
 
-def mat_det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free forward elimination."""
+def _bareiss(a: list[list], zero, one, div):
+    """Determinant over an integral domain by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968); the rows of a are consumed, and
+    div(x, y) divides exactly, which every division made here is."""
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+    sign, prev = 1, one
+    for c in range(n - 1):
+        piv = next((r for r in range(c, n) if a[r][c] != zero), None)
         if piv is None:
-            return Fraction(0)
+            return zero
         if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        p, top = a[c][c], a[c]
         for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-    return det
+            row, f = a[r], a[r][c]
+            a[r] = row[:c + 1] + [div(row[j] * p - f * top[j], prev)
+                                  for j in range(c + 1, n)]
+        prev = p
+    return sign * a[-1][-1] if a else one
+
+
+def mat_det(a: Matrix) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions: the
+    integer `_bareiss` determinant of the rows scaled by the lcm of their
+    denominators, divided by those scales."""
+    den, rows = 1, []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        den *= d
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return Fraction(_bareiss(rows, 0, 1, floordiv), den)
 
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix:
@@ -442,28 +457,11 @@ class MultiPoly:
 
 
 def poly_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant over the polynomial ring by fraction-free (Bareiss)
-    elimination; exactness of the interior divisions is a theorem."""
-    m = len(mat)
+    """Determinant over the polynomial ring by `_bareiss`; exactness of
+    the interior divisions is a theorem."""
     nvars = mat[0][0].nvars
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = MultiPoly.constant(nvars, 1)
-    for k in range(m - 1):
-        piv = next((r for r in range(k, m) if not a[r][k].is_zero()), None)
-        if piv is None:
-            return MultiPoly(nvars)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.divexact(prev)
-            a[i][k] = MultiPoly(nvars)
-        prev = a[k][k]
-    det = a[m - 1][m - 1]
-    return det if sign == 1 else -det
+    return _bareiss([list(row) for row in mat], MultiPoly(nvars),
+                    MultiPoly.constant(nvars, 1), MultiPoly.divexact)
 
 
 def resultant_norm(f: Sequence[int], g: Sequence[MultiPoly]) -> MultiPoly:

@@ -277,21 +277,14 @@ def ln_interval(x: Fraction, terms: int = 24) -> Interval:
     """Rational lower/upper bounds for ln(x), x > 0, via the atanh series."""
     if x <= 0:
         raise ValueError("ln of nonpositive value")
-    if x == 1:
-        return (Fraction(0), Fraction(0))
     if x < 1:
         lo, hi = ln_interval(1 / x, terms)
         return (-hi, -lo)
-    # scale into [1, 2) by halving; ln 2 bounds folded in afterwards
-    k = 0
-    while x >= 2:
-        x /= 2
-        k += 1
+    # scale into [1, 2) by 2^-k; k ln 2 bounds folded in afterwards
+    k = (x.numerator // x.denominator).bit_length() - 1
+    x /= 2 ** k
     lo, hi = _atanh_bounds((x - 1) / (x + 1), terms)
-    if k:
-        l2lo, l2hi = _LN2
-        lo, hi = lo + k * l2lo, hi + k * l2hi
-    return (lo, hi)
+    return (lo + k * _LN2[0], hi + k * _LN2[1])
 
 
 def _atanh_bounds(y: Fraction, terms: int) -> Interval:
@@ -452,16 +445,18 @@ class NumberField:
         raise RefinementBudgetExceeded("sign refinement did not separate from 0")
 
     def log_embed_interval(self, x: "FieldElement", i: int, *,
-                           width: Fraction = Fraction(1, 10 ** 8),
-                           budget: int = 400) -> Interval:
-        """Certified rational bounds on log tau_i(x) for totally positive x."""
+                           width: Fraction = Fraction(1, 10 ** 8)) -> Interval:
+        """Certified rational bounds on log tau_i(x) > 0, narrower than
+        width.  As ln hi - ln lo <= (hi - lo) / lo, the embedding interval
+        [lo, hi] is refined to 2 (hi - lo) < width * lo before any series
+        is summed, leaving half of width to the series tails: one pair of
+        `ln_interval` series is then enough (else refinement goes on)."""
         if self.sign_at(x, i) <= 0:
             raise ValueError("log of a nonpositive embedding")
-        for _ in range(budget):
+        for _ in range(400):
             lo, hi = self.embed_interval(x, i)
-            if lo > 0:
-                llo = ln_interval(lo)[0]
-                lhi = ln_interval(hi)[1]
+            if lo > 0 and 2 * (hi - lo) < width * lo:
+                llo, lhi = ln_interval(lo)[0], ln_interval(hi)[1]
                 if lhi - llo < width:
                     return (llo, lhi)
             self.refine_root(i)
@@ -470,20 +465,12 @@ class NumberField:
 
 def embedding_matrix_det_sign(field: NumberField,
                               elements: Sequence["FieldElement"]) -> int:
-    """Sign of det(tau_i(x_j)) for the full square matrix of embeddings,
-    certified by root-interval refinement."""
-    n = field.n
-    for _ in range(200):
-        entries = [[field.embed_interval(elements[j], i) for j in range(n)]
-                   for i in range(n)]
-        det = _interval_det(entries)
-        if det[0] > 0:
-            return 1
-        if det[1] < 0:
-            return -1
-        for i in range(n):
-            field.refine_root(i)
-    raise RefinementBudgetExceeded("embedding determinant sign undecided")
+    """Sign of det(tau_i(x_j)), exactly: that matrix is the Vandermonde
+    matrix (theta_i^k) times the coordinate matrix of the x_j, and the
+    Vandermonde determinant prod_(i<j) (theta_j - theta_i) is positive for
+    ascending roots."""
+    det = mat_det(tuple(zip(*(x.coords for x in elements))))
+    return (det > 0) - (det < 0)
 
 
 def _interval_det(entries: Sequence[Sequence[Interval]]) -> Interval:
@@ -712,13 +699,8 @@ def dual_basis(ws: Sequence[FieldElement]) -> list[FieldElement]:
         ginv = mat_inv(gram)
     except SingularMatrix:
         raise SingularGram("elements are linearly dependent")
-    out = []
-    for j in range(n):
-        acc = ws[0].field.zero()
-        for k in range(n):
-            acc = acc + ginv[k][j] * ws[k]
-        out.append(acc)
-    return out
+    return [sum((ginv[k][j] * ws[k] for k in range(n)), ws[0].field.zero())
+            for j in range(n)]
 
 
 def prime_over(field: NumberField, ell: int) -> Ideal:
@@ -814,17 +796,8 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     # normalize to be > 1 in the larger embedding
     if field.sign_at(unit, field.n - 1) < 0:
         unit = -unit
-    while field.embed_interval(unit, field.n - 1)[1] < 1:
+    if field.sign_at(unit - field.one(), field.n - 1) < 0:
         unit = unit.inverse()
-    if field.embed_interval(unit, field.n - 1)[0] <= 1:
-        # interval still straddles 1: refine until it decides
-        for _ in range(200):
-            lo, hi = field.embed_interval(unit, field.n - 1)
-            if lo > 1:
-                break
-            if hi < 1:
-                unit = unit.inverse()
-            field.refine_root(field.n - 1)
     return unit
 
 
@@ -853,8 +826,9 @@ def totally_positive_unit(field: NumberField, f: Ideal, *,
 
 
 def validate_units(field: NumberField, f: Ideal,
-                   units: Sequence[FieldElement]) -> None:
-    """Check the supplied units: totally positive, = 1 mod f, independent."""
+                   units: Sequence[FieldElement]) -> int:
+    """Check the supplied units: totally positive, = 1 mod f, independent;
+    return the regulator sign that certified independence."""
     one = field.one()
     for eps in units:
         if abs(eps.norm()) != 1:
@@ -865,20 +839,20 @@ def validate_units(field: NumberField, f: Ideal,
             raise NotCongruentOne("unit is not congruent to 1 mod f")
     if len(units) != field.n - 1:
         raise DependentUnits("need exactly n - 1 units")
-    regulator_det_sign(field, units)  # raises DependentUnits if undecidable
+    return regulator_det_sign(field, units)  # DependentUnits if undecided
 
 
 def regulator_det_sign(field: NumberField, units: Sequence[FieldElement]) -> int:
     """Sign of det(log tau_i(eps_j)) over the first n-1 embeddings,
     certified by interval refinement.
 
-    Independence is certified exactly (the determinant interval separates
-    from zero); when certification fails at the finest width the units are
-    reported dependent.
-    """
+    The log entries (one pair of series each, see `log_embed_interval`)
+    are taken at widths 10^-6, 10^-10, 10^-14, 10^-18 until the interval
+    determinant separates from zero, which certifies independence; if it
+    never does, or refinement runs out of budget, the units are reported
+    dependent."""
     n1 = len(units)
-    width = Fraction(1, 10 ** 6)
-    for _ in range(4):
+    for width in (Fraction(1, 10 ** e) for e in (6, 10, 14, 18)):
         try:
             entries = [[field.log_embed_interval(units[j], i, width=width)
                         for j in range(n1)] for i in range(n1)]
@@ -889,7 +863,6 @@ def regulator_det_sign(field: NumberField, units: Sequence[FieldElement]) -> int
             return 1
         if det[1] < 0:
             return -1
-        width /= 10 ** 4
     raise DependentUnits("regulator sign undecided (units may be dependent)")
 
 

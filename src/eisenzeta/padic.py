@@ -304,6 +304,10 @@ class MeasureHandle:
             raise ValueError("p must be prime")
         if p == z.ell:
             raise ValueError("p must differ from the smoothing prime")
+        if any(x.denominator % p == 0 for x in z.v):
+            raise ValueError(
+                f"p must be prime to f: p = {p} divides a denominator of the "
+                f"shift v = ({', '.join(map(str, z.v))})")
         self.z = z
         self.p = p
         self.n = z.field.n

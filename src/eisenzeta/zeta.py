@@ -12,14 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cocycle import (CocycleArgs, GammaEllMatrix, first_column_matrix,
-                      psi_ell_chain, symmetrized_chain)
+from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
+                      symmetrized_chain)
 from .dedekind import DedekindCache
 from .exact import (Matrix, MultiPoly, identity, mat_det, mat_inv, mat_mul,
-                    mat_vec, resultant_norm)
+                    mat_solve, mat_vec, resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
-                          regulator_det_sign, unit_basis)
+                          unit_basis, validate_units)
 
 
 class ChainDegenerate(ValueError):
@@ -118,61 +118,73 @@ def _unit_matrices(field: NumberField, ws: Sequence[FieldElement],
                    eps: Sequence[FieldElement]):
     """Integer matrices of multiplication by the units on the basis ws,
     or None if some coordinate fails to be integral."""
-    n = field.n
-    wmat = tuple(tuple(ws[j].coords[i] for j in range(n)) for i in range(n))
-    winv = mat_inv(wmat)
+    wmat = tuple(zip(*(w.coords for w in ws)))
     mats = []
     for e in eps:
-        cols = [mat_vec(winv, (e * wj).coords) for wj in ws]
-        mat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        mat = mat_solve(wmat, tuple(zip(*((e * w).coords for w in ws))))
         if any(x.denominator != 1 for row in mat for x in row):
             return None
         mats.append(tuple(tuple(int(x) for x in row) for row in mat))
     return mats
 
 
+def _chain_tuples(mats):
+    """The chain tuples (I, U_p1, U_p1 U_p2, ...), one per permutation p
+    of the unit matrices mats."""
+    from itertools import permutations
+    out = []
+    for perm in permutations(range(len(mats))):
+        tup = [identity(len(mats[0]))]
+        for i in perm:
+            tup.append(mat_mul(tup[-1], mats[i]))
+        out.append(tup)
+    return out
+
+
+def _coset_cost(chains, ell: int, x) -> int:
+    """Sum over the chain tuples of |det sigma| / ell^(n-1), where sigma
+    holds the vectors P x for P in the tuple (for x = e_1, the first
+    columns); 2^60 when some sigma is singular."""
+    total = 0
+    for tup in chains:
+        det = int(mat_det(tuple(mat_vec(p, x) for p in tup)))
+        if det == 0:
+            return 1 << 60
+        total += abs(det) // ell ** (len(x) - 1)
+    return total
+
+
 def _chain_coset_cost(mats, ell: int) -> int:
     """Total number of residue classes the measure kernel must walk for
     a basis with integer unit matrices mats: sum of |det sigma| /
     ell^(n-1) over the chain tuples."""
-    n = len(mats[0])
-    from itertools import permutations
-    total = 0
-    for perm in permutations(range(n - 1)):
-        tup = [identity(n)]
-        for i in perm:
-            tup.append(mat_mul(tup[-1], mats[i]))
-        det = int(mat_det(first_column_matrix(tup)))
-        if det == 0:
-            return 1 << 60
-        total += abs(det) // ell ** (n - 1)
-    return total
+    return _coset_cost(_chain_tuples(mats), ell, identity(len(mats[0]))[0])
 
 
 def _reduce_adapted(field: NumberField, ws, eps, ell: int):
     """Shrink the cocycle coset count over the transforms
     w_1 -> w_1 + ell * (m_2 w_2 + ... + m_n w_n) with every |m_i| <= 8,
-    which preserve the adapted property.
+    which preserve the adapted property.  The least `_chain_coset_cost`
+    wins; a tie keeps ws (m = 0), or else the first m in `product` order.
 
-    Such a transform is the integer change of basis T = I + ell (0, m)^t
-    e_1^t, so a candidate's unit matrices are T^-1 U T for the unit
-    matrices U of ws, with T^-1 = I - ell (0, m)^t e_1^t; a non-integral
-    U stays non-integral for every candidate.
+    Such a transform is the change of basis T = I + ell (0, m)^t e_1^t,
+    so a candidate's unit matrices are T^-1 U T for the unit matrices U
+    of ws.  A chain tuple P_j of ws becomes T^-1 P_j T, whose first
+    columns T^-1 P_j T e_1 have the determinant of the P_j x, x = T e_1,
+    as det T = 1: the tuples are formed once, and a candidate costs one
+    integer determinant per tuple.
     """
     from itertools import product
-    n = field.n
     mats = _unit_matrices(field, ws, eps)
-    if mats is None:
+    if mats is None:  # then no candidate's unit matrices are integral
         return list(ws)
-    best_m, best_cost = (0,) * (n - 1), _chain_coset_cost(mats, ell)
-    for m in product(range(-8, 9), repeat=n - 1):
+    chains = _chain_tuples(mats)
+    best_m = (0,) * (field.n - 1)
+    best_cost = _coset_cost(chains, ell, (1,) + best_m)
+    for m in product(range(-8, 9), repeat=field.n - 1):
         if not any(m):
             continue
-        t, tinv = [list(r) for r in identity(n)], [list(r) for r in identity(n)]
-        for i, mi in enumerate(m, 1):
-            t[i][0], tinv[i][0] = ell * mi, -ell * mi
-        cost = _chain_coset_cost([mat_mul(mat_mul(tinv, u), t) for u in mats],
-                                 ell)
+        cost = _coset_cost(chains, ell, (1,) + tuple(ell * mi for mi in m))
         if cost < best_cost:
             best_m, best_cost = m, cost
     w1 = ws[0]
@@ -200,7 +212,8 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         raise ValueError("a and f must be coprime")
     if not c.is_coprime(f):
         raise ValueError("c and f must be coprime")
-    eps = unit_basis(field, f, supplied=units)
+    eps = unit_basis(field, f) if units is None else list(units)
+    reg_sign = validate_units(field, f, eps)  # certifies the regulator sign
     if ws is None:
         ws = adapted_basis(a, f, c, ell)
         if reduce_basis:
@@ -244,8 +257,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         if mat_det(g.mat) != 1:
             raise ChainDegenerate("unit matrix must have determinant +1")
         amats.append(g)
-    rho = (-1) ** (n - 1) * embedding_matrix_det_sign(field, ws) \
-        * regulator_det_sign(field, eps)
+    rho = (-1) ** (n - 1) * embedding_matrix_det_sign(field, ws) * reg_sign
     chain = symmetrized_chain(amats).scale(rho)
     Qfull = EmbeddedForms(field, [(i, list(wstar)) for i in range(n)])
     Qsingle = [EmbeddedForms(field, [(i, list(wstar))]) for i in range(n)]

@@ -273,7 +273,15 @@ def test_selftest_command(capsys):
     code = main(["selftest"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") >= 5 and "FAIL" not in out
+    assert out.count("PASS") >= 6 and "FAIL" not in out
+    assert "PASS units-regulator" in out
+
+
+def test_selftest_units_regulator_can_fail(capsys, monkeypatch):
+    # a regulator sign that ignores the unit order fails the check
+    monkeypatch.setattr(eisenzeta.cli, "regulator_det_sign", lambda *a: 1)
+    assert main(["selftest"]) == EXIT_CROSSCHECK
+    assert "FAIL units-regulator" in capsys.readouterr().out
 
 
 def test_selftest_failure_is_crosscheck_failure(capsys, monkeypatch):
@@ -298,6 +306,18 @@ def test_precondition_error_exit(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg, "nop.json")
     assert main(["zeta", "--config", path]) == EXIT_PRECONDITION
     capsys.readouterr()
+
+
+def test_p_dividing_f_is_precondition_error(tmp_path, capsys):
+    # f = (4), p = 2: the shift v = (1/2, -3/4) has denominators divisible
+    # by p, so there is no measure on the p-adic completion
+    cfg = _with(f={"gens": ["4"]}, padic__p="2")
+    path = write_cfg(tmp_path, cfg, "pf.json")
+    assert main(["padic-zeta", "--config", path, "--no-crosscheck"]) == \
+        EXIT_PRECONDITION
+    assert capsys.readouterr().err.strip() == (
+        "precondition error: p must be prime to f: p = 2 divides a "
+        "denominator of the shift v = (1/2, -3/4)")
 
 
 def _with(**changes):

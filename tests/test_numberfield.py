@@ -317,6 +317,40 @@ def test_log_embed_interval():
     assert hi - lo < Fraction(1, 10 ** 6)
 
 
+def test_log_embed_interval_sums_one_series_pair(monkeypatch):
+    # the root is refined until the log interval can be narrow enough
+    # before any series is summed: every call that returns took exactly
+    # one ln_interval series for each end, also at the finest width the
+    # regulator tries on a dependent pair
+    import eisenzeta.numberfield as nf
+    from eisenzeta.zeta import build_zeta_data
+    series, per_call = [0], []
+    atanh, log_embed = nf._atanh_bounds, NumberField.log_embed_interval
+
+    def counted(*args):
+        series[0] += 1
+        return atanh(*args)
+
+    def recorded(self, *args, **kwargs):
+        before = series[0]
+        out = log_embed(self, *args, **kwargs)
+        per_call.append(series[0] - before)
+        return out
+
+    monkeypatch.setattr(nf, "_atanh_bounds", counted)
+    monkeypatch.setattr(NumberField, "log_embed_interval", recorded)
+    C = NumberField([-1, -3, 0, 1])
+    one = Ideal.unit_ideal(C)
+    e1, e2 = C.element([0, 0, 1]), C.element([1, 2, 1])
+    build_zeta_data(C, one, one, prime_over(C, 17), 17, units=[e1, e2])
+    with pytest.raises(DependentUnits):
+        unit_basis(C, one, [e1, e1 * e1])
+    F = sqrt5()
+    one = Ideal.unit_ideal(F)
+    build_zeta_data(F, one, one, prime_over(F, 11), 11)
+    assert len(per_call) == 4 + 4 * 4 + 1 and set(per_call) == {2}
+
+
 def test_dual_basis_singular_gram():
     from eisenzeta.numberfield import SingularGram
     F = sqrt5()

@@ -33,6 +33,17 @@ def sqrt5_setup(ell=11, p=3, a=None, f=1):
     return F, fi, z, MeasureHandle(z, p)
 
 
+def test_measure_handle_needs_p_prime_to_f():
+    # f = (4) gives the shift v = (1/2, -3/4): p = 2 is rejected by name,
+    # before any residue mod 2^M is attempted; p = 3 is fine
+    with pytest.raises(ValueError, match=r"^p must be prime to f: p = 2 "
+                       r"divides a denominator of the shift v = "
+                       r"\(1/2, -3/4\)$"):
+        sqrt5_setup(f=4, p=2)
+    F, f, z, h = sqrt5_setup(f=4)
+    assert z.v == (Fraction(1, 2), Fraction(-3, 4)) and h.p == 3
+
+
 # --- PadicInt -------------------------------------------------------------------
 
 def test_padic_int_ring_ops():

@@ -1,8 +1,9 @@
-"""Property tests: exact linear algebra, lattice membership, mod-p division,
-logarithm bounds, the Bernoulli distribution relation, the integer
-Bernoulli rows and convolution behind the restricted distribution, and the
-box values of the p-adic measure against its distribution relation and its
-row kernel.
+"""Property tests: exact linear algebra (determinants against cofactor
+expansion), lattice membership, mod-p division, logarithm bounds, the
+regulator sign under a change of units, the Bernoulli distribution
+relation, the integer Bernoulli rows and convolution behind the restricted
+distribution, and the box values of the p-adic measure against its
+distribution relation and its row kernel.
 
 Every test runs a fixed, derandomized example sequence and keeps no example
 database, so the suite stays deterministic and writes nothing to the
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -26,8 +28,9 @@ from eisenzeta.dedekind import (LinearFormModL, b_L_z, b_L_z_conv,
 from eisenzeta.exact import (SingularMatrix, identity, lattice_hnf, mat_det,
                              mat_inv, mat_mul, mat_solve, mat_vec,
                              reduce_mod_lattice)
-from eisenzeta.numberfield import (Ideal, NumberField, _pmod_divmod,
-                                   ln_interval, prime_over)
+from eisenzeta.numberfield import (DependentUnits, Ideal, NumberField,
+                                   _pmod_divmod, ln_interval, prime_over,
+                                   regulator_det_sign)
 from eisenzeta.padic import MeasureHandle
 from eisenzeta.zeta import build_zeta_data
 
@@ -62,6 +65,37 @@ def test_mat_solve_and_inverse(system):
     a, b = system
     assert mat_mul(a, mat_solve(a, b)) == b
     assert mat_mul(mat_inv(a), a) == identity(len(a))
+
+
+def _cofactor_det(a):
+    """Determinant by cofactor expansion along the first row."""
+    if not a:
+        return Fraction(1)
+    return sum((-1) ** j * a[0][j]
+               * _cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational n x n matrices, n <= 4; about half are made singular by
+    setting the last row to a rational combination of the others."""
+    n = draw(st.integers(1, 4))
+    rows = [list(r) for r in draw(matrices(n, n))]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                    for j in range(n)]
+    return tuple(tuple(r) for r in rows)
+
+
+@PROPS
+@given(square_matrices())
+def test_mat_det_matches_cofactor_expansion(a):
+    det = mat_det(a)
+    assert isinstance(det, Fraction) and det == _cofactor_det(a)
+    ints = tuple(tuple(int(x * 60) for x in row) for row in a)
+    assert mat_det(ints) == _cofactor_det(ints)
 
 
 def _integral_solution(h, x):
@@ -158,6 +192,37 @@ def test_ln_interval_brackets_log(x):
     ref = math.log(x.numerator) - math.log(x.denominator)
     slack = 1e-12 * max(1.0, abs(ref))
     assert float(lo) - slack <= ref <= float(hi) + slack
+
+
+_CUBIC_UNITS = (FIELDS[1].element([0, 0, 1]), FIELDS[1].element([1, 2, 1]))
+
+
+@PROPS
+@given(st.tuples(*[st.integers(-2, 2)] * 4),
+       st.sampled_from([Fraction(1, 10 ** 6), Fraction(1, 10 ** 12),
+                        Fraction(1, 10 ** 18)]))
+def test_regulator_sign_transforms_by_exponent_det(exps, width):
+    # eps1 = theta^2, eps2 = (theta + 1)^2: the log matrix of
+    # [eps1^a eps2^b, eps1^c eps2^d] is the units' one times [[a, c], [b, d]]
+    F = FIELDS[1]
+    a, b, c, d = exps
+    e1, e2 = _CUBIC_UNITS
+    units = [e1 ** a * e2 ** b, e1 ** c * e2 ** d]
+    if a * d == b * c:
+        with pytest.raises(DependentUnits):
+            regulator_det_sign(F, units)
+    else:
+        assert regulator_det_sign(F, units) == \
+            (1 if a * d > b * c else -1) * regulator_det_sign(F, _CUBIC_UNITS)
+    for i in range(F.n):
+        llo, lhi = F.log_embed_interval(units[0], i, width=width)
+        assert lhi - llo < width
+        while F.root_interval(i)[1] - F.root_interval(i)[0] > 1e-15:
+            F.refine_root(i)
+        t = float(F.root_interval(i)[0])
+        ref = 2 * a * math.log(abs(t)) + 2 * b * math.log(abs(t + 1))
+        slack = 1e-12 * max(1.0, abs(ref))
+        assert float(llo) - slack <= ref <= float(lhi) + slack
 
 
 @st.composite

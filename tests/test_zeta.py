@@ -161,6 +161,34 @@ def test_embedding_order_neutrality_of_rho():
     assert rho_swapped == z.rho
 
 
+@pytest.mark.parametrize("poly, units", [
+    ([-1, -3, 0, 1], [[0, 0, 1], [1, 2, 1]]), ([-5, 0, 1], None),
+    ([-5, 0, 1], [[Fraction(7, 2), Fraction(3, 2)]]),
+], ids=["cubic-supplied", "sqrt5-computed", "sqrt5-supplied"])
+def test_regulator_sign_certified_once(poly, units, monkeypatch):
+    # validating supplied units certifies the regulator sign that rho uses;
+    # build_zeta_data does not certify it a second time
+    import eisenzeta.numberfield as nf
+    import eisenzeta.zeta
+    calls, sign = [], nf.regulator_det_sign
+
+    def counted(field, eps):
+        calls.append(sign(field, eps))
+        return calls[-1]
+
+    monkeypatch.setattr(nf, "regulator_det_sign", counted)
+    monkeypatch.setattr(eisenzeta.zeta, "regulator_det_sign", counted,
+                        raising=False)
+    F = NumberField(poly)
+    one = Ideal.unit_ideal(F)
+    eps = units and [F.element(u) for u in units]
+    z = build_zeta_data(F, one, one, prime_over(F, 11 if F.n == 2 else 17),
+                        11 if F.n == 2 else 17, units=eps)
+    assert len(calls) == 1
+    assert z.rho == (-1) ** (F.n - 1) * calls[0] * (
+        1 if mat_det(tuple(zip(*(w.coords for w in z.w)))) > 0 else -1)
+
+
 def test_norm_form_matches_element_norms():
     F = NumberField([-5, 0, 1])
     one = Ideal.unit_ideal(F)
@@ -233,19 +261,43 @@ def _reduce_by_rebuilding(field, ws, eps, ell, radius=8):
     return best
 
 
-@pytest.mark.parametrize("poly, units, ell", [
-    ([-1, -3, 0, 1], [[0, 0, 1], [1, 2, 1]], 17),
-    ([-5, 0, 1], None, 11),
-], ids=["cubic-17", "sqrt5-11"])
-def test_reduce_adapted_matches_rebuilding(poly, units, ell):
+def _degree_one_primes(F, ell):
+    """Every prime (ell, theta - r) of norm ell, by ascending r; the first
+    is the one `prime_over` picks."""
+    return [Ideal.from_generators(F, [F.from_rational(ell),
+                                      F.element([-r, 1] + [0] * (F.n - 2))])
+            for r in range(ell)
+            if sum(c * r ** i for i, c in enumerate(F.f)) % ell == 0]
+
+
+CUBIC = ([-1, -3, 0, 1], [[0, 0, 1], [1, 2, 1]])
+REDUCE_CASES = [(CUBIC, ell, i, None, None) for ell in (17, 19)
+                for i in range(3)]
+REDUCE_CASES += [(([-5, 0, 1], None), ell, i, None, None)
+                 for ell in (11, 19, 29) for i in range(2)]
+REDUCE_CASES += [(([-5, 0, 1], None), 19, i, 11, 3) for i in range(2)]
+
+
+@pytest.mark.parametrize(
+    "field, ell, index, a_over, f", REDUCE_CASES,
+    ids=[f"{'cubic' if fld is CUBIC else 'sqrt5'}-{ell}"
+         + (f"-{i}" if i else "") + (f"-a{a_over}-f{f}" if f else "")
+         for fld, ell, i, a_over, f in REDUCE_CASES])
+def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
+    # the integer-determinant search picks exactly the oracle's basis at
+    # every degree-one prime, also for a != O and f != O
+    poly, units = field
     F = NumberField(poly)
     one = Ideal.unit_ideal(F)
-    c = prime_over(F, ell)
-    eps = unit_basis(F, one, supplied=units and [F.element(u) for u in units])
-    ws = adapted_basis(one, one, c, ell)
+    fi = one if f is None else Ideal.from_generators(F, [F.from_rational(f)])
+    a = one if a_over is None else prime_over(F, a_over)
+    c = _degree_one_primes(F, ell)[index]
+    eps = unit_basis(F, fi, supplied=units and [F.element(u) for u in units])
+    ws = adapted_basis(a, fi, c, ell)
     got = _reduce_adapted(F, ws, eps, ell)
     assert got == _reduce_by_rebuilding(F, ws, eps, ell)
-    assert got != ws  # the search moves the basis at both primes
+    if (poly, ell, index) in ((CUBIC[0], 17, 0), ([-5, 0, 1], 11, 0)):
+        assert got != ws  # the search moves the basis at these primes
 
 
 def test_sign_matrix_memo_per_sigma():
