@@ -7,32 +7,27 @@ not the forms themselves; extracting exact signs is the caller's job.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, floor, lcm
 from typing import Sequence
 
 from .exact import MultiPoly
 
-_BERN_COEFFS: list[list[Fraction]] = [[Fraction(1)]]  # b_0 = 1
-_BERN_LOCK = threading.Lock()
+_BERN_NUMS: list[Fraction] = [Fraction(1)]  # B_0 = 1
+_BERN_COEFFS: list[list[Fraction]] = []
 
 
 def _bern_coeffs(k: int) -> list[Fraction]:
-    """Ascending coefficients of b_k, from the generating-function
-    recurrence sum_{j<=k} C(k+1, j) b_j(x) = (k+1) x^k."""
-    if len(_BERN_COEFFS) > k:
-        return _BERN_COEFFS[k]
-    with _BERN_LOCK:
-        while len(_BERN_COEFFS) <= k:
-            d = len(_BERN_COEFFS)
-            coeffs = [Fraction(0)] * (d + 1)
-            coeffs[d] = Fraction(1)
-            for j in range(d):
-                cj = Fraction(comb(d + 1, j), d + 1)
-                for i, a in enumerate(_BERN_COEFFS[j]):
-                    coeffs[i] -= cj * a
-            _BERN_COEFFS.append(coeffs)
+    """Ascending coefficients of b_k, the C(k, i) B_(k-i), with the
+    Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0."""
+    while len(_BERN_COEFFS) <= k:
+        d = len(_BERN_COEFFS)
+        if d == len(_BERN_NUMS):
+            _BERN_NUMS.append(-sum(comb(d + 1, j) * b for j, b
+                                   in enumerate(_BERN_NUMS)) / (d + 1))
+        _BERN_COEFFS.append([comb(d, i) * _BERN_NUMS[d - i]
+                             for i in range(d + 1)])
     return _BERN_COEFFS[k]
 
 
@@ -50,6 +45,9 @@ def _bern_eval(k: int, x: Fraction) -> Fraction:
     return total
 
 
+# The Dedekind sums of one run ask for the same few (weight, value) pairs at
+# every weight, form tuple and k, so both evaluators keep a bounded memo.
+@lru_cache(maxsize=256)
 def periodic_B(k: int, x) -> Fraction:
     """B_k(x) = b_k({x}) for k != 1; B_1 vanishes on the integers."""
     x = Fraction(x)
@@ -59,7 +57,8 @@ def periodic_B(k: int, x) -> Fraction:
     return _bern_eval(k, frac)
 
 
-def periodic_B_row(k: int, x, ell: int) -> tuple[int, list[int]]:
+@lru_cache(maxsize=256)
+def periodic_B_row(k: int, x, ell: int) -> tuple[int, tuple[int, ...]]:
     """A common denominator d and the integers N_y with
     N_y / d = B_k((x + y) / ell) for y = 0, ..., ell - 1."""
     x = Fraction(x)
@@ -78,7 +77,7 @@ def periodic_B_row(k: int, x, ell: int) -> tuple[int, list[int]]:
         for a in reversed(scaled):
             acc = acc * u + a
         row.append(acc)
-    return c * den ** k, row
+    return c * den ** k, tuple(row)
 
 
 def B_e(e: Sequence[int], x: Sequence) -> Fraction:

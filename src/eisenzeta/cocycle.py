@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
 from .dedekind import d_ell
@@ -138,14 +138,8 @@ def pr_coefficients(P: MultiPoly, sigma: Matrix) -> dict[tuple[int, ...], Fracti
     """
     if not P.is_homogeneous():
         raise NotHomogeneous("P must be homogeneous")
-    composed = P.compose_matrix(sigma)
-    out = {}
-    for mono, c in composed.coeffs.items():
-        rfact = 1
-        for e in mono:
-            rfact *= factorial(e)
-        out[mono] = c * rfact
-    return out
+    return {mono: c * prod(map(factorial, mono))
+            for mono, c in P.compose_matrix(sigma).coeffs.items()}
 
 
 def first_column_matrix(tup: Sequence) -> Matrix:
@@ -173,13 +167,9 @@ def psi_ell(tup: Sequence, args: CocycleArgs, ell: int, *,
         for r, pr in pr_coefficients(part, sigma).items():
             if pr == 0:
                 continue
-            denom = Fraction(1)
-            for rj in r:
-                denom *= factorial(rj + 1)
-            denom *= Fraction(ell) ** sum(r)
             e = tuple(rj + 1 for rj in r)
             dval = d_ell(sigma, e, args.Q, args.v, ell, plus=plus, cache=cache)
-            total += pr / denom * dval
+            total += pr / (prod(map(factorial, e)) * ell ** sum(r)) * dval
     return sign * total
 
 

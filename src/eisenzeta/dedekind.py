@@ -13,9 +13,9 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd
 from operator import mul
 from typing import Sequence
@@ -127,7 +127,6 @@ def b1_exp_sum(x, r: int, ell: int) -> CycloElement:
 
 _INV_TABLES: dict[int, list[tuple[int, ...] | None]] = {}
 _BETA_CACHE: dict[tuple, tuple[int, ...]] = {}
-_lock = threading.Lock()
 
 
 def _inv_int_table(ell: int) -> list:
@@ -136,18 +135,14 @@ def _inv_int_table(ell: int) -> list:
     (ell - 1) x^ell - sum_{k=1}^{ell-1} x^k = ell."""
     table = _INV_TABLES.get(ell)
     if table is None:
-        with _lock:
-            table = _INV_TABLES.get(ell)
-            if table is None:
-                table = [None] * ell
-                for a in range(1, ell):
-                    raw = [0] * ell
-                    for k in range(1, ell):
-                        raw[a * k % ell] = k
-                    # fold zeta^(ell-1) = -(1 + zeta + ... + zeta^(ell-2))
-                    top = raw[ell - 1]
-                    table[a] = tuple(c - top for c in raw[:ell - 1])
-                _INV_TABLES[ell] = table
+        table = _INV_TABLES[ell] = [None] * ell
+        for a in range(1, ell):
+            raw = [0] * ell
+            for k in range(1, ell):
+                raw[a * k % ell] = k
+            # fold zeta^(ell-1) = -(1 + zeta + ... + zeta^(ell-2))
+            top = raw[ell - 1]
+            table[a] = tuple(c - top for c in raw[:ell - 1])
     return table
 
 
@@ -314,9 +309,7 @@ def b_L_z_conv(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
         last = vecs[-1]
         total += count * (last[z] if acc is None else
                           sum(acc[t] * last[(z - t) % ell] for t in range(ell)))
-    ebar = sum(e)
-    return lead - Fraction(ell) ** (1 - n + ebar) \
-        * Fraction(total, den * len(signs))
+    return lead - Fraction(ell ** (1 - n + sum(e)) * total, den * len(signs))
 
 
 def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
@@ -375,6 +368,18 @@ def _pi_ell_vec(v: Sequence, ell: int) -> tuple:
     return (Fraction(v[0]) * ell, *[Fraction(t) for t in v[1:]])
 
 
+@lru_cache(maxsize=64)
+def _sigma_walk(sl: Matrix, ell: int, pv: tuple) -> tuple:
+    """What the smoothed sum needs of sigma and v at every weight and for
+    every form tuple: the level-set form L of the first row (row 1 of
+    sigma_ell is row 1 of sigma) and, per coset x of sigma_ell, the level
+    z = -x_1 mod ell with the argument sigma_ell^-1 (x + pi v)."""
+    inv = mat_inv(sl)
+    return LinearFormModL(ell, [int(t) for t in sl[0]]), tuple(
+        ((-x[0]) % ell, mat_vec(inv, [xi + vi for xi, vi in zip(x, pv)]))
+        for x in coset_reps(sl))
+
+
 def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
           plus: bool = False, cache: "DedekindCache | None" = None) -> Fraction:
     """ell-smoothed Dedekind sum.
@@ -382,9 +387,8 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     Equals D(sigma_ell, e, pi Q, pi v) - ell^(1-n+ebar) D(sigma, e, Q, v);
     evaluated through the level-set decomposition, one b_L_z per coset of
     sigma_ell (cyclotomic trace at e = (1,...,1), cyclic convolution
-    otherwise).
+    otherwise) over the shared `_sigma_walk`.
     """
-    n = len(sigma)
     sl = sigma_ell(sigma, ell)  # validates the shape even for det 0
     if mat_det(sigma) == 0:
         return Fraction(0)
@@ -395,13 +399,12 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
         got = cache.get(key)
         if got is not None:
             return got
-    if plus:
-        val = (_smoothed_decomposed(sigma, sl, e, v, signs, ell)
-               + _smoothed_decomposed(sigma, sl, e, v,
-                                      tuple(tuple(-s for s in row) for row in signs),
-                                      ell)) / 2
-    else:
-        val = _smoothed_decomposed(sigma, sl, e, v, signs, ell)
+    L, cosets = _sigma_walk(sl, ell, _pi_ell_vec(v, ell))
+    # b_L_z averages over the sign rows, so the mean of the two halves of
+    # the plus value is one call on the rows of both
+    rows = signs + tuple(tuple(-s for s in row) for row in signs) \
+        if plus else signs
+    val = sum((b_L_z(e, L, z, x, rows) for z, x in cosets), Fraction(0))
     if cache is not None:
         cache.put(key, val)
     return val
@@ -410,18 +413,6 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
 def d_ell_plus(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int,
                **kw) -> Fraction:
     return d_ell(sigma, e, Q, v, ell, plus=True, **kw)
-
-
-def _smoothed_decomposed(sigma: Matrix, sl: Matrix, e: Sequence[int],
-                         v: Sequence, signs, ell: int) -> Fraction:
-    L = LinearFormModL(ell, [int(t) for t in sigma[0]])
-    inv = mat_inv(sl)
-    pv = _pi_ell_vec(v, ell)
-    total = Fraction(0)
-    for x in coset_reps(sl):
-        arg = mat_vec(inv, [xi + vi for xi, vi in zip(x, pv)])
-        total += b_L_z(e, L, (-x[0]) % ell, arg, signs)
-    return total
 
 
 def d_ell_direct(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
@@ -448,7 +439,6 @@ class DedekindCache:
     def __init__(self, path: str | None = None):
         self.path = path
         self.data: dict[str, Fraction] = {}
-        self._lock = threading.Lock()
         if path and os.path.exists(path):
             self.load(path)
 
@@ -462,8 +452,7 @@ class DedekindCache:
         return self.data.get(key)
 
     def put(self, key: str, val: Fraction) -> None:
-        with self._lock:
-            self.data[key] = val
+        self.data[key] = val
 
     def load(self, path: str) -> None:
         with open(path, "r", encoding="ascii") as fh:
@@ -484,17 +473,16 @@ class DedekindCache:
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
-        with self._lock:
-            # write a sibling file, then rename it over the cache, so that a
-            # reader never sees a partly written cache
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="ascii") as fh:
-                    fh.write(self.FORMAT + "\n")
-                    for k, val in sorted(self.data.items()):
-                        fh.write(f"{k}\t{val.numerator}/{val.denominator}\n")
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+        # write a sibling file, then rename it over the cache, so that a
+        # reader never sees a partly written cache
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(self.FORMAT + "\n")
+                for k, val in sorted(self.data.items()):
+                    fh.write(f"{k}\t{val.numerator}/{val.denominator}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

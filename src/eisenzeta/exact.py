@@ -409,19 +409,31 @@ class MultiPoly:
         return total
 
     def compose_matrix(self, rows: Matrix) -> "MultiPoly":
-        """Substitute X_i -> sum_j rows[i][j] * X_j."""
-        n = self.nvars
-        forms = [MultiPoly(n, {tuple(int(k == j) for k in range(n)): Fraction(rows[i][j])
-                               for j in range(n) if rows[i][j] != 0})
-                 for i in range(n)]
-        out = MultiPoly(n)
+        """Substitute X_i -> sum_j rows[i][j] * X_j, in integers: with d
+        and D the common denominators of the rows and of self, the result
+        times D d^deg is an integer polynomial.  Each form's powers are
+        built once, and the exponents e_j of a monomial are packed into the
+        integer sum e_j b^j, b > deg, so multiplying monomials adds them."""
+        n, b = self.nvars, self.degree() + 1
+        rows = [[Fraction(x) for x in row] for row in rows]
+        d = lcm(*(x.denominator for row in rows for x in row))
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
+        powers = []
+        for row in rows:
+            form = {b ** j: int(x * d) for j, x in enumerate(row) if x}
+            powers.append([{0: 1}])
+            while len(powers[-1]) < b:
+                powers[-1].append(_packed_mul(powers[-1][-1], form, {}))
+        acc: dict[int, int] = {}
         for mono, c in self.coeffs.items():
-            term = MultiPoly.constant(n, c)
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    term = term * forms[i]
-            out = out + term
-        return out
+            scale = (den // c.denominator) * d ** (b - 1 - sum(mono))
+            term = {0: c.numerator * scale}
+            for pw, e in zip(powers[:-1], mono):
+                term = _packed_mul(term, pw[e], {})
+            _packed_mul(term, powers[-1][mono[-1]], acc)
+        den *= d ** (b - 1)
+        return MultiPoly(n, {tuple(m // b ** j % b for j in range(n)):
+                             Fraction(c, den) for m, c in acc.items()})
 
     def leading(self) -> tuple[tuple, Fraction]:
         mono = max(self.coeffs)  # lex order on exponent tuples
@@ -454,6 +466,14 @@ class MultiPoly:
                              for i, e in enumerate(mono) if e)
             parts.append(f"{c}" + (f"*{vars_}" if vars_ else ""))
         return " + ".join(parts)
+
+
+def _packed_mul(a: dict, b: dict, out: dict) -> dict:
+    """Add the product of two polynomials on packed monomials into out."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return out
 
 
 def poly_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

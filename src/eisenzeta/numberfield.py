@@ -17,7 +17,6 @@ and `_unit_search_bound` the only bound on unit-power searches.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -342,7 +341,6 @@ class NumberField:
         self.n = n
         self._sturm = sturm_sequence(f)
         self._roots = self._isolate_roots()
-        self._lock = threading.Lock()
         # reduction table: theta^(n+k) in the power basis, k = 0..n-2
         red = []
         cur = [Fraction(-c) for c in f[:-1]]
@@ -393,23 +391,21 @@ class NumberField:
         return found
 
     def refine_root(self, i: int) -> Interval:
-        """Halve the i-th isolating interval (thread-safe)."""
-        with self._lock:
-            lo, hi = self._roots[i]
-            mid = (lo + hi) / 2
-            flo = poly_eval(self.f, lo)
-            fmid = poly_eval(self.f, mid)
-            if flo == 0 or fmid == 0:  # endpoints are never roots for deg >= 2
-                raise RuntimeError("rational root encountered")
-            if (flo > 0) != (fmid > 0):
-                self._roots[i] = (lo, mid)
-            else:
-                self._roots[i] = (mid, hi)
-            return self._roots[i]
+        """Halve the i-th isolating interval."""
+        lo, hi = self._roots[i]
+        mid = (lo + hi) / 2
+        flo = poly_eval(self.f, lo)
+        fmid = poly_eval(self.f, mid)
+        if flo == 0 or fmid == 0:  # endpoints are never roots for deg >= 2
+            raise RuntimeError("rational root encountered")
+        if (flo > 0) != (fmid > 0):
+            self._roots[i] = (lo, mid)
+        else:
+            self._roots[i] = (mid, hi)
+        return self._roots[i]
 
     def root_interval(self, i: int) -> Interval:
-        with self._lock:
-            return self._roots[i]
+        return self._roots[i]
 
     # -- elements --------------------------------------------------------------
 

@@ -1,14 +1,20 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import eisenzeta.dedekind
 from eisenzeta.bernoulli import B_e_Q
+from eisenzeta.cli import main
 from eisenzeta.cyclotomic import CycloElement, _is_prime
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
-                                ShapeError, _inv_int_table, b1_exp,
-                                b1_exp_sum, b1_L_z_fast, b_L_z_direct, d_ell,
-                                d_ell_direct, d_ell_plus, d_plus, sigma_ell)
+                                ShapeError, _inv_int_table, _sigma_walk,
+                                b1_exp, b1_exp_sum, b1_L_z_fast, b_L_z_direct,
+                                d_ell, d_ell_direct, d_ell_plus, d_plus,
+                                sigma_ell)
 from eisenzeta.exact import mat_det
 
 rng = random.Random(1234)
@@ -268,6 +274,57 @@ def test_decomposition_identity():
             assert d_ell(sigma, e, q, v, ell) == d_ell_direct(sigma, e, q, v, ell)
             assert d_ell_plus(sigma, e, q, v, ell) == \
                 d_ell_direct(sigma, e, q, v, ell, plus=True)
+
+
+@pytest.mark.parametrize("ell,n", [(5, 2), (7, 2), (5, 3), (7, 3)])
+def test_shared_walk_every_weight_equals_direct(ell, n):
+    # every weight with |e| <= n + 6, both plus settings and two form
+    # tuples on one sigma are served by one walk per v, and each value is
+    # still the two-sum oracle's; v = 0 puts defect points at e_j = 1.
+    # |det sigma| <= 50 keeps the oracle's coset sums small
+    while True:
+        sigma = rand_gamma_sigma(n, ell, entry=4)
+        if abs(mat_det(sigma)) <= 50:
+            break
+    forms = [rand_forms(1, n, sigma), rand_forms(2, n, sigma)]
+    vs = [(0,) * n]
+    if n == 2:  # a second, rational v; at n = 3 the oracle would take seconds
+        vs.append(tuple(Fraction(rng.randint(-4, 4), rng.choice([2, 3]))
+                        for _ in range(n)))
+    weights = [e for e in product(range(1, 8), repeat=n) if sum(e) <= n + 6]
+    assert len(weights) == {2: 28, 3: 84}[n]
+    _sigma_walk.cache_clear()
+    for e in weights:
+        for q, v, plus in product(forms, vs, (False, True)):
+            assert d_ell(sigma, e, q, v, ell, plus=plus) == \
+                d_ell_direct(sigma, e, q, v, ell, plus=plus)
+    assert _sigma_walk.cache_info().misses == len(vs)
+
+
+# sha256 of dedekind.tsv after `zeta --cache` on tests/data/golden_config.json;
+# keys and values must not depend on how the sums share their coset walks
+GOLDEN_CACHE_SHA256 = \
+    "3350c8c2c0150d4ee644a22c01092d8bc2fcaefebbbc0133b2bfafb20468202a"
+
+
+def test_golden_cache_records_and_warm_rerun(tmp_path, capsys, monkeypatch):
+    cfg = str(Path(__file__).parent / "data" / "golden_config.json")
+    argv = ["zeta", "--config", cfg, "--cache", str(tmp_path / "cache")]
+    walked = []
+    real = eisenzeta.dedekind.coset_reps
+    monkeypatch.setattr(eisenzeta.dedekind, "coset_reps",
+                        lambda m: walked.append(m) or real(m))
+    _sigma_walk.cache_clear()
+    assert main(argv) == 0
+    data = (tmp_path / "cache" / "dedekind.tsv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CACHE_SHA256
+    assert walked  # the patched name is the one d_ell walks through
+    # on the warm cache every d_ell returns its record before any walk
+    walked.clear()
+    _sigma_walk.cache_clear()
+    assert main(argv) == 0
+    assert walked == []
+    capsys.readouterr()
 
 
 def test_d_ell_plus_cubic_mixed_weights():

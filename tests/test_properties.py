@@ -1,9 +1,11 @@
 """Property tests: exact linear algebra (determinants against cofactor
-expansion), lattice membership, mod-p division, logarithm bounds, the
-regulator sign under a change of units, the Bernoulli distribution
-relation, the integer Bernoulli rows and convolution behind the restricted
-distribution, and the box values of the p-adic measure against its
-distribution relation and its row kernel.
+expansion), integer polynomial substitution against a naive expansion,
+lattice membership, mod-p division, logarithm bounds, the regulator sign
+under a change of units, the Bernoulli distribution relation, the integer
+Bernoulli rows and convolution behind the restricted distribution, the
+cocycle relation and equivariance at polynomials of degree 2 to 6, and the
+box values of the p-adic measure against its distribution relation and its
+row kernel.
 
 Every test runs a fixed, derandomized example sequence and keeps no example
 database, so the suite stays deterministic and writes nothing to the
@@ -23,10 +25,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
                                  periodic_B_row)
-from eisenzeta.dedekind import (LinearFormModL, b_L_z, b_L_z_conv,
-                                b_L_z_direct)
-from eisenzeta.exact import (SingularMatrix, identity, lattice_hnf, mat_det,
-                             mat_inv, mat_mul, mat_solve, mat_vec,
+from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
+                               first_column_matrix, module_action, psi_ell,
+                               psi_ell_plus)
+from eisenzeta.dedekind import (LinearFormModL, RationalForms, b_L_z,
+                                b_L_z_conv, b_L_z_direct)
+from eisenzeta.exact import (MultiPoly, SingularMatrix, identity, lattice_hnf,
+                             mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
                              reduce_mod_lattice)
 from eisenzeta.numberfield import (DependentUnits, Ideal, NumberField,
                                    _pmod_divmod, ln_interval, prime_over,
@@ -96,6 +101,65 @@ def test_mat_det_matches_cofactor_expansion(a):
     assert isinstance(det, Fraction) and det == _cofactor_det(a)
     ints = tuple(tuple(int(x * 60) for x in row) for row in a)
     assert mat_det(ints) == _cofactor_det(ints)
+
+
+@st.composite
+def monomials(draw, n, top):
+    """An exponent tuple of total degree at most top."""
+    left, exps = draw(st.integers(0, top)), []
+    for _ in range(n - 1):
+        exps.append(draw(st.integers(0, left)))
+        left -= exps[-1]
+    return (*exps, left)
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial of degree <= 8 in 2 or 3 variables, homogeneous or
+    not, and an integer or rational matrix with zero entries, about a
+    third of them singular."""
+    n = draw(st.integers(2, 3))
+    P = MultiPoly(n, draw(st.dictionaries(monomials(n, 8), rationals,
+                                          max_size=6)))
+    if draw(st.booleans()):
+        entry = st.sampled_from([0, 0, 1, -1, 2, -3, 5])
+    else:
+        entry = st.one_of(st.just(Fraction(0)), rationals)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(0, 2)) == 0:
+        rows[-1] = [2 * x for x in rows[0]]
+    point = draw(st.lists(rationals, min_size=n, max_size=n))
+    return P, tuple(map(tuple, rows)), point
+
+
+def _naive_compose(P, rows):
+    """Expand P(rows * X) one linear factor at a time, in Fractions."""
+    n, out = P.nvars, {}
+    for mono, c in P.coeffs.items():
+        term = {(0,) * n: c}
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                nxt = {}
+                for m, a in term.items():
+                    for j in range(n):
+                        m2 = tuple(t + (k == j) for k, t in enumerate(m))
+                        nxt[m2] = nxt.get(m2, 0) + a * rows[i][j]
+                term = nxt
+        for m, a in term.items():
+            out[m] = out.get(m, 0) + a
+    return {m: Fraction(a) for m, a in out.items() if a != 0}
+
+
+@PROPS
+@given(substitutions())
+def test_compose_matrix_matches_naive_expansion(case):
+    P, rows, point = case
+    composed = P.compose_matrix(rows)
+    assert composed.nvars == P.nvars
+    assert composed.coeffs == _naive_compose(P, rows)
+    assert all(c != 0 and isinstance(c, Fraction)
+               for c in composed.coeffs.values())
+    assert composed.evaluate(point) == P.evaluate(mat_vec(rows, point))
 
 
 def _integral_solution(h, x):
@@ -289,6 +353,78 @@ def test_b_L_z_conv_equals_direct(args):
     expected = b_L_z_direct(*args)
     assert b_L_z_conv(*args) == expected
     assert b_L_z(*args) == expected
+
+
+ELL = 5
+COCYCLE = settings(PROPS, max_examples=25)
+
+
+@st.composite
+def gamma_ell(draw, entry):
+    """((a, b), (ELL c, d)) with a, d nonzero and |a|, |b|, |c|, |d| <=
+    entry < ELL, so that det = ad - ELL bc is prime to ELL."""
+    unit = st.integers(1, entry).map(lambda x: x * draw(
+        st.sampled_from([1, -1])))
+    b, c = draw(st.integers(-entry, entry)), draw(st.integers(-entry, entry))
+    return GammaEllMatrix(((draw(unit), b), (ELL * c, draw(unit))), ELL)
+
+
+@st.composite
+def homogeneous_polys(draw):
+    g = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(rationals, min_size=g + 1, max_size=g + 1))
+    P = MultiPoly(2, {(i, g - i): c for i, c in enumerate(coeffs)})
+    assume(not P.is_zero())
+    return P
+
+
+def _forms_and_v(draw, m, sigmas):
+    """m rational forms whose signs at every sigma are defined, and v."""
+    nonzero = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    q = RationalForms([[draw(nonzero) * draw(st.sampled_from([1, -1]))
+                        for _ in range(2)] for _ in range(m)])
+    try:
+        for s in sigmas:
+            q.sign_matrix(s)
+    except ValueError:
+        assume(False)
+    return q, tuple(draw(st.lists(rationals, min_size=2, max_size=2)))
+
+
+@COCYCLE
+@given(st.lists(gamma_ell(3), min_size=3, max_size=3), homogeneous_polys(),
+       st.data())
+def test_cocycle_relation_degree_2_to_6(g, P, data):
+    # every weight of P shares one walk per pair; the alternating sum over
+    # the three faces vanishes for psi and for its plus variant
+    pairs = [(g[1], g[2]), (g[0], g[2]), (g[0], g[1])]
+    sigmas = [first_column_matrix(t) for t in pairs]
+    assume(all(mat_det(s) != 0 for s in sigmas))
+    q, v = _forms_and_v(data.draw, 2, sigmas)
+    args = CocycleArgs(P, q, v)
+    for psi in (psi_ell, psi_ell_plus):
+        values = [psi(t, args, ELL) for t in pairs]
+        assert values[0] - values[1] + values[2] == 0
+
+
+@COCYCLE
+@given(gamma_ell(2), st.lists(gamma_ell(3), min_size=2, max_size=2),
+       homogeneous_polys(), st.data())
+def test_equivariance_degree_2_to_6(gamma, a, P, data):
+    # psi(gamma a) = gamma acting on psi(a): each coset of gamma evaluates
+    # psi(a) at gamma^t P, gamma^-1 Q and a v of its own
+    a = tuple(a)
+    ga = tuple(gamma @ ai for ai in a)
+    sigma_a, sigma_ga = first_column_matrix(a), first_column_matrix(ga)
+    assume(mat_det(sigma_a) != 0 and mat_det(sigma_ga) != 0)
+    q, v = _forms_and_v(data.draw, 1, [sigma_ga])
+    try:
+        q.transform(mat_inv(gamma.mat)).sign_matrix(sigma_a)
+    except ValueError:
+        assume(False)
+    args = CocycleArgs(P, q, v)
+    assert psi_ell(ga, args, ELL) == module_action(
+        gamma.mat, lambda ar: psi_ell(a, ar, ELL), args)
 
 
 @lru_cache(maxsize=None)
