@@ -33,9 +33,8 @@ from .zeta import (ChainDegenerate, CrossCheckFailure, EmbeddedForms,
                    zeta_star_minus_k)
 from .padic import (L_assemble, MeasureHandle, PadicInt, PrecisionExhausted,
                     Region, agreement_precision, integrate_poly, iwasawa_log,
-                    oov_integral, oov_integrals, padic_exp, padic_zeta,
-                    padic_zeta_weight, padic_zetas, region_b_units, region_box,
-                    region_oov, region_units, teichmuller,
-                    unit_power_character)
+                    oov_integral, oov_integrals, padic_zeta, padic_zeta_weight,
+                    padic_zetas, region_b_units, region_box, region_oov,
+                    region_units, teichmuller)
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, floor, lcm
 from typing import Sequence
 
-from .exact import MultiPoly
+from .exact import MultiPoly, poly_eval
 
 _BERN_NUMS: list[Fraction] = [Fraction(1)]  # B_0 = 1
 _BERN_COEFFS: list[list[Fraction]] = []
@@ -21,6 +21,8 @@ _BERN_COEFFS: list[list[Fraction]] = []
 def _bern_coeffs(k: int) -> list[Fraction]:
     """Ascending coefficients of b_k, the C(k, i) B_(k-i), with the
     Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     while len(_BERN_COEFFS) <= k:
         d = len(_BERN_COEFFS)
         if d == len(_BERN_NUMS):
@@ -33,16 +35,7 @@ def _bern_coeffs(k: int) -> list[Fraction]:
 
 def bernoulli_poly(k: int) -> MultiPoly:
     """The Bernoulli polynomial b_k as a univariate polynomial."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     return MultiPoly(1, {(i,): c for i, c in enumerate(_bern_coeffs(k))})
-
-
-def _bern_eval(k: int, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(_bern_coeffs(k)):
-        total = total * x + c
-    return total
 
 
 # The Dedekind sums of one run ask for the same few (weight, value) pairs at
@@ -54,7 +47,7 @@ def periodic_B(k: int, x) -> Fraction:
     frac = x - floor(x)
     if k == 1:
         return Fraction(0) if frac == 0 else frac - Fraction(1, 2)
-    return _bern_eval(k, frac)
+    return poly_eval(_bern_coeffs(k), frac)
 
 
 @lru_cache(maxsize=256)

@@ -7,9 +7,10 @@ are small (n <= 8), so dense quadratic/cubic algorithms are used throughout.
 Each concept has one implementation: `mat_solve` is the only Gauss-Jordan
 elimination (`mat_inv` and the field-element inverses solve through it),
 `_bareiss` the only determinant (`mat_det` over the integers, `poly_det`
-over the polynomial ring), and `reduce_mod_lattice` the only reduction
+over the polynomial ring), `reduce_mod_lattice` the only reduction
 modulo a lattice in HNF (membership, as in `Ideal.contains`, is a zero
-reduction).
+reduction), and `poly_eval` the only Horner evaluation of a dense
+univariate polynomial.
 """
 
 from __future__ import annotations
@@ -307,6 +308,14 @@ def coset_reps(mat: Matrix) -> list[tuple[int, ...]]:
     for i in range(n):
         reps = [r + (x,) for r in reps for x in range(int(h[i][i]))]
     return reps
+
+
+def poly_eval(coeffs: Sequence, x) -> Fraction:
+    """The dense univariate polynomial with ascending `coeffs` at x."""
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
 
 
 class MultiPoly:

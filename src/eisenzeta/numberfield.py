@@ -22,8 +22,8 @@ from math import isqrt
 from typing import Sequence
 
 from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
-                    mat_inv, mat_mul, mat_solve, mat_vec, reduce_mod_lattice,
-                    snf)
+                    mat_inv, mat_mul, mat_solve, mat_vec, poly_eval,
+                    reduce_mod_lattice, snf)
 
 
 class NotMonic(ValueError):
@@ -83,13 +83,6 @@ class RefinementBudgetExceeded(RuntimeError):
 
 
 # --- dense univariate helpers (ascending coefficient lists) ------------------
-
-def poly_eval(coeffs: Sequence, x) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
 
 def poly_deriv(coeffs: Sequence) -> list[Fraction]:
     return [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
@@ -427,11 +420,12 @@ class NumberField:
     def embed_interval(self, x: "FieldElement", i: int) -> Interval:
         return poly_eval_interval(x.coords, self.root_interval(i))
 
-    def sign_at(self, x: "FieldElement", i: int, *, budget: int = 400) -> int:
-        """Exact sign of the i-th real embedding of x."""
+    def sign_at(self, x: "FieldElement", i: int) -> int:
+        """Exact sign of the i-th real embedding of x, after at most 400
+        refinements of the root."""
         if x.is_zero():
             return 0
-        for _ in range(budget):
+        for _ in range(400):
             lo, hi = self.embed_interval(x, i)
             if lo > 0:
                 return 1
@@ -803,18 +797,15 @@ def _unit_search_bound(f: Ideal) -> int:
     return 4 * int(f.norm()) ** 2 + 8
 
 
-def totally_positive_unit(field: NumberField, f: Ideal, *,
-                          bound: int | None = None) -> FieldElement:
+def totally_positive_unit(field: NumberField, f: Ideal) -> FieldElement:
     """Smallest power of the fundamental unit that is totally positive and
     congruent to 1 modulo f (n = 2 only)."""
     if field.n != 2:
         raise UnitsRequired("units must be supplied for degree >= 3")
     u = fundamental_unit_quadratic(field)
     one = field.one()
-    if bound is None:
-        bound = _unit_search_bound(f)
     cur = u
-    for _ in range(1, bound + 1):
+    for _ in range(_unit_search_bound(f)):
         if cur.is_totally_positive() and congruent_mod_ideal(cur, one, f):
             return cur
         cur = cur * u

@@ -12,13 +12,14 @@ Each concept has one implementation: `MeasureHandle.measure_box` is the
 one exact box value, the cocycle at P = 1, and the fast `CellKernel.row`
 is tested against it; `_log_series` sums the logarithm of a list of
 arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
-the worst-case digit loss of a per-cell log; `_intval` takes every
-valuation and `_residue` every rational residue; `integrate_cells` is the
-one Riemann loop, `_poly_residue_evaluator` the one polynomial evaluator;
-and `_region` builds every region, with `_in_completion` its one
-membership test.  That test works in the completion at p, since for a
-class representative a != O the points x = w . (v + j) carry denominators
-prime to p.
+the worst-case digit loss of a per-cell log; the weight character
+<N(ac) Nx>^(-s) of `padic_zeta_weight` is one modular power per cell, and
+there is no p-adic exp; `_intval` takes every valuation and `_residue`
+every rational residue; `integrate_cells` is the one Riemann loop,
+`_poly_residue_evaluator` the one polynomial evaluator; and `_region`
+builds every region, with `_in_completion` its one membership test.  That
+test works in the completion at p, since for a class representative
+a != O the points x = w . (v + j) carry denominators prime to p.
 
 The loop runs row by row: on a row every kernel map is affine in the last
 coordinate, so `CellKernel.row` reads the trace table once per step, and
@@ -253,40 +254,6 @@ def _series_inverses(p: int, prec: int) -> list[tuple[int, int]]:
         vk = _intval(k, p)
         out.append((vk, pow(k // p ** vk, -1, mod)))
     return out
-
-
-def padic_exp(x: PadicInt) -> PadicInt:
-    """exp on the convergent disc (val >= 1 for odd p, >= 2 for p = 2)."""
-    p, prec = x.p, x.prec
-    if x.res == 0:
-        return PadicInt(p, prec, 1)
-    vx = x.valuation()
-    if vx < (2 if p == 2 else 1):
-        raise PrecisionExhausted("argument not in the exp-convergent disc")
-    mod = p ** (prec + 8)
-    total = 1
-    term = 1
-    k = 1
-    # term = x^k / k!, built incrementally, until the valuation bound
-    # k*vx - (k-1)/(p-1) clears prec
-    while k * vx - (k - 1) // (p - 1) <= prec:
-        term = term * x.res
-        vk = _intval(k, p)
-        tv = _intval(term, p) if term % mod else prec + 8
-        if tv < vk:
-            raise PrecisionExhausted("exp series underflow")
-        term = term // p ** vk * pow(k // p ** vk, -1, mod) % mod
-        total = (total + term) % mod
-        k += 1
-    return PadicInt(p, prec, total)
-
-
-def unit_power_character(x: PadicInt, s: PadicInt | int) -> PadicInt:
-    """<x>^s = exp(s log <x>) for the principal-unit part of x."""
-    lg = iwasawa_log(x)
-    if isinstance(s, int):
-        s = PadicInt(x.p, lg.prec + 8, s)
-    return padic_exp(s * lg)
 
 
 # --- the measure ----------------------------------------------------------------
@@ -826,34 +793,37 @@ def oov_integral(h: MeasureHandle, region: Region, k: int, M: int,
 
 def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
                       work_prec: int | None = None) -> PadicInt:
-    """Zeta value at the weight-space character <.>^(-s):
-    <N(ac)>^(-s)-twisted integral of <Nx>^(-s) over the region."""
+    """Zeta value at the weight-space character <.>^(-s): the integral of
+    <N(ac) Nx>^(-s) = <N(ac)>^(-s) <Nx>^(-s) over the region.
+
+    The principal part <u> = u omega(u)^-1 of a unit u lies in 1 + pZ_p
+    (1 + 4Z_2 for p = 2), which is cyclic of order dividing p^(work - 1)
+    modulo p^work; so <u>^(-s) is one modular power with the exponent
+    -s mod p^(work - 1), exact, at every cell."""
     if work_prec is None:
         work_prec = M + 6
     p = h.p
     mod = p ** work_prec
-    s_res = (s if isinstance(s, int) else s.res) % mod
+    e = -(s if isinstance(s, int) else s.res) % p ** (work_prec - 1)
     nx = _poly_residue_evaluator(h, h.norm_poly, work_prec)
     teich_inv = _log_tables(p, work_prec)
-
-    def chars(rs: list[int]) -> list[int]:
-        # <r>^(-s) = exp(-s log <r>)
-        return [padic_exp(PadicInt(p, work_prec, -s_res * lg % mod)).res % mod
-                for lg in _log_unit_residues(rs, p, work_prec, teich_inv)]
+    nac_res = _residue(h.nac, mod)
 
     def ev(prefix, xs):
         rs = nx(prefix, xs)
         if not all(map(p.__rmod__, rs)):  # some r is 0 or divisible by p
             raise PrecisionExhausted("weight character needs unit norms")
-        return chars(rs)
+        us = [nac_res * r % mod for r in rs]
+        return [pow(u * teich_inv[u % len(teich_inv)], e, mod) for u in us]
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
-    nac_res = _residue(h.nac, mod)
     if nac_res % p == 0:
         raise PrecisionExhausted("N(ac) is not a p-unit")
-    (scale,) = chars([nac_res])
-    loss = _series_loss(p, work_prec)
-    return PadicInt(p, work_prec - loss - 1, res * scale)
+    # The sum is exact mod p^work, but the reported precision is the
+    # per-cell log bound of `oov_integrals`: the order-2 Taylor expansion in
+    # s from its log moments (test_L_derivative_taylor_tie) agrees to that
+    # bound and not to p^work, so raising it is a change of its own.
+    return PadicInt(p, work_prec - _series_loss(p, work_prec) - 1, res)
 
 
 class ResidueFieldMismatch(ValueError):

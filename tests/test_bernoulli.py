@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from eisenzeta import bernoulli
 from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, bernoulli_poly,
-                                 defect_set, periodic_B)
+                                 defect_set, periodic_B, periodic_B_row)
 from eisenzeta.exact import MultiPoly
 
 rng = random.Random(99)
@@ -82,6 +85,22 @@ def test_periodic_B_periodicity():
         k = rng.randint(0, 5)
         x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         assert periodic_B(k, x + 1) == periodic_B(k, x)
+
+
+def test_negative_weight_rejected(monkeypatch):
+    # every entry point reaches the k >= 0 check of the coefficient table,
+    # whether the table is empty or already holds b_0, ..., b_6
+    monkeypatch.setattr(bernoulli, "_BERN_NUMS", [Fraction(1)])
+    monkeypatch.setattr(bernoulli, "_BERN_COEFFS", [])
+    for fill in (None, 6):
+        if fill is not None:
+            bernoulli_poly(fill)
+        for call in (lambda: periodic_B(-1, Fraction(1, 3)),
+                     lambda: periodic_B_row(-1, 0, 5),
+                     lambda: bernoulli_poly(-1)):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                call()
+    assert len(bernoulli._BERN_COEFFS) == 7
 
 
 def test_B_e_products():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,10 +13,10 @@ from eisenzeta.padic import (L_assemble, MeasureHandle, PadicInt,
                              _poly_residue_evaluator, _series_loss,
                              agreement_precision, frac_valuation,
                              integrate_cells, integrate_poly, iwasawa_log,
-                             oov_integral, oov_integrals, padic_exp,
-                             padic_zeta, padic_zeta_weight, padic_zetas,
-                             region_b_units, region_box, region_oov,
-                             region_units, teichmuller, unit_power_character)
+                             oov_integral, oov_integrals, padic_zeta,
+                             padic_zeta_weight, padic_zetas, region_b_units,
+                             region_box, region_oov, region_units,
+                             teichmuller)
 from eisenzeta.zeta import build_zeta_data, zeta_minus_k, zeta_star_minus_k
 
 rng = random.Random(31415)
@@ -128,24 +129,6 @@ def test_iwasawa_log_p2():
 def test_log_exhausted():
     with pytest.raises(PrecisionExhausted):
         iwasawa_log(PadicInt(5, 4, 0))
-
-
-def test_exp_log_inverse():
-    p = 7
-    x = PadicInt(p, 9, 1 + 2 * p)
-    lg = iwasawa_log(x)
-    back = padic_exp(lg)
-    assert (back - x).valuation() >= 8
-
-
-def test_unit_power_character():
-    p = 5
-    x = PadicInt(p, 8, 1 + p)
-    sq = unit_power_character(x, 2)
-    assert (sq - x * x).valuation() >= 7
-    # negative exponents through p-adic s
-    inv = unit_power_character(x, -1)
-    assert (inv * x - PadicInt(p, 8, 1)).valuation() >= 7
 
 
 # --- measure ---------------------------------------------------------------------
@@ -420,6 +403,76 @@ def test_L_assemble_trivial_character():
     assert agreement_precision(left, single) >= single.prec - 1
     both = L_assemble([(1, h, ru), (1, h, ru)], 0, 3)
     assert agreement_precision(both, single + single) >= single.prec - 1
+
+
+def _live_cells(h, region, M):
+    """[(exact box measure, N(ac) N(v + j))] over the region's level-M
+    cells of nonzero measure, the norm from the norm polynomial in
+    Fractions; no cell kernel, no Riemann loop."""
+    level = max(M, region.t)
+    cells = []
+    for j in product(range(h.p ** level), repeat=h.n):
+        mu = h.measure_box(j, level) if region.contains(j) else 0
+        if mu != 0:
+            cells.append((mu, h.nac * h.norm_poly.evaluate(
+                [Fraction(vi) + ji for vi, ji in zip(h.z.v, j)])))
+    return cells
+
+
+def _weight_cell_sum(cells, p, s, work_prec):
+    """Oracle: the sum of mu * <N(ac) Nx>^(-s) mod p^work over the cells,
+    with the Teichmuller lift of u taken as u^(p^(work-1)) (or +-1 for
+    p = 2) and the integer exponent -s unreduced."""
+    mod = p ** work_prec
+    e = -(s if isinstance(s, int) else s.res)
+    total = 0
+    for mu, norm in cells:
+        u = norm.numerator * pow(norm.denominator, -1, mod) % mod
+        if u % p == 0:
+            raise PrecisionExhausted("weight character needs unit norms")
+        omega = pow(u, p ** (work_prec - 1), mod) if p > 2 \
+            else (1 if u % 4 == 1 else -1)
+        principal = u * pow(omega, -1, mod) % mod
+        total += mu.numerator * pow(mu.denominator, -1, mod) \
+            * pow(principal, e, mod)
+    return total % mod
+
+
+def test_padic_zeta_weight_matches_cell_sum():
+    # the weight character, one modular power per cell, against the cell
+    # sum with exact box measures, over units and order-of-vanishing
+    # regions, class representatives a = O and a above 19
+    cases = []
+    for p, a, M in [(2, None, 2), (3, 19, 2), (7, None, 1)]:
+        F, one, z, h = sqrt5_setup(11, p, a)
+        cases.append((h, region_units(h, one), M))
+    F, one, z, h11 = sqrt5_setup(19, 11, 19)
+    pi1, pi2 = F.element((4, -1)), F.element((4, 1))
+    oov = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
+    cases.append((h11, oov, 1))
+    for h, region, M in cases:
+        p = h.p
+        cells = _live_cells(h, region, M)
+        for work_prec in (M + 6, M + 4):
+            for s in (0, 1, -2, p, PadicInt(p, work_prec, 2 * p + 3)):
+                got = padic_zeta_weight(h, region, s, M, work_prec)
+                assert got.prec == work_prec - _series_loss(p, work_prec) - 1
+                want = _weight_cell_sum(cells, p, s, work_prec)
+                assert got.res == want % p ** got.prec
+    # L assembly is linear in the character values
+    chi = PadicInt(11, 7, 5)
+    single = padic_zeta_weight(h11, oov, 3, 1)
+    twisted = L_assemble([(chi, h11, oov)], 3, 1)
+    assert (twisted.res, twisted.prec) == ((chi * single).res, single.prec)
+    # an order-of-vanishing region that keeps the cells divisible by pi2
+    # has non-unit norms at live cells
+    partial = region_oov(h11, one, [(pi1, 1)])
+    with pytest.raises(PrecisionExhausted,
+                       match="weight character needs unit norms"):
+        padic_zeta_weight(h11, partial, 1, 1)
+    with pytest.raises(PrecisionExhausted,
+                       match="weight character needs unit norms"):
+        _weight_cell_sum(_live_cells(h11, partial, 1), 11, 1, 7)
 
 
 # --- order of vanishing ------------------------------------------------------------
