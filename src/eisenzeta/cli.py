@@ -38,7 +38,7 @@ EXIT_CROSSCHECK = 4
 
 # Most cells a command may visit, each checked before the work starts: the
 # sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
-# about a minute on the 19-map oov kernel), and the (p^t)^n cells of its
+# about 35 s on the 19-coset oov kernel), and the (p^t)^n cells of its
 # region at level t (a membership test costs about 150 us, so 10^6 take
 # about 2.5 minutes).
 MAX_SWEEP_CELLS = 10 ** 7

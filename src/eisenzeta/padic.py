@@ -21,11 +21,12 @@ builds every region, with `_in_completion` its one membership test.  That
 test works in the completion at p, since for a class representative
 a != O the points x = w . (v + j) carry denominators prime to p.
 
-The loop runs row by row: on a row every kernel map is affine in the last
-coordinate, so `CellKernel.row` reads the trace table once per step, and
-each integrand takes a row's cells in one call.  The values at s = -k are
-moments of one measure, so `padic_zetas` and `oov_integrals` take every k
-from one sweep (`powers`).
+The loop runs row by row.  `CellKernel.row` walks each chain term's
+cosets that differ only in the last coordinate as one long affine row,
+folded onto the row's cells, and reads integer tables, one per set of
+integral coordinates; each integrand takes a row's cells in one call.
+The values at s = -k are moments of one measure, so `padic_zetas` and
+`oov_integrals` take every k from one sweep (`powers`).
 """
 
 from __future__ import annotations
@@ -275,13 +276,17 @@ class MeasureHandle:
             raise ValueError(
                 f"p must be prime to f: p = {p} divides a denominator of the "
                 f"shift v = ({', '.join(map(str, z.v))})")
+        nac = z.a.norm() * z.c.norm()
+        if nac % p == 0:
+            raise ValueError(f"p must be prime to N(a c): p = {p} divides "
+                             f"N(a c) = {nac}")
         self.z = z
         self.p = p
         self.n = z.field.n
         self.ell = z.ell
         self.Q = z.Qsingle[0]
         self.mu_den = self.ell ** self.n  # m = 1 single form
-        self.nac = Fraction(z.a.norm() * z.c.norm())
+        self.nac = Fraction(nac)
         self.norm_poly = z.P * (1 / self.nac)  # N(w.(v + X))
         self.terms = []
         for coeff, tup in z.chain.terms:
@@ -290,15 +295,25 @@ class MeasureHandle:
             if det == 0:
                 continue
             sl = sigma_ell(sigma, self.ell)
-            sign = coeff * (-1) ** self.n * (1 if det > 0 else -1)
-            signs = self.Q.sign_matrix(sigma)
-            L = LinearFormModL(self.ell, [int(t) for t in sigma[0]])
             self.terms.append({
-                "sign": sign, "L": L, "signs": signs,
-                "cosets": coset_reps(sl), "adj": _adjugate(sl),
-                "det": int(mat_det(sl)),
-                "table": _trace_table(L, signs, self.mu_den),
-            })
+                "sign": coeff * (-1) ** self.n * (1 if det > 0 else -1),
+                "L": LinearFormModL(self.ell, [int(t) for t in sigma[0]]),
+                "signs": self.Q.sign_matrix(sigma), "cosets": coset_reps(sl),
+                "adj": _adjugate(sl), "det": int(mat_det(sl)), "tables": {}})
+
+    def table(self, term: dict, J: int) -> list[int]:
+        """T[t] = sign * mu_den * the term's value at level t where the bit
+        set J of coordinates is integral: b1_L_z_fast at x_J = 0 on J and
+        1/2 off J (all floors 0, so z = -t), memoized on the term."""
+        if J not in term["tables"]:
+            x = [0 if J >> i & 1 else Fraction(1, 2) for i in range(self.n)]
+            vals = [term["sign"] * self.mu_den
+                    * b1_L_z_fast(term["L"], -t, x, term["signs"])
+                    for t in range(self.ell)]
+            if any(val.denominator != 1 for val in vals):
+                raise AssertionError("measure denominator bound violated")
+            term["tables"][J] = [int(val) for val in vals]
+        return term["tables"][J]
 
     def measure_box(self, a: Sequence[int], r: int) -> Fraction:
         """Exact measure of the box (v + a + p^r X): the cocycle at P = 1
@@ -320,27 +335,16 @@ def _adjugate(m: Matrix) -> Matrix:
     return tuple(tuple(int(e * det) for e in row) for row in mat_inv(m))
 
 
-def _trace_table(L: LinearFormModL, signs, mu_den: int) -> list[int]:
-    """T[t] = mu_den * value of the restricted distribution at shift t for
-    nonintegral arguments (empty defect set): at x = (1/2, ..., 1/2) every
-    floor is 0, so z = -t gives shift t."""
-    half = (Fraction(1, 2),) * len(L.a)
-    out = []
-    for t in range(L.ell):
-        val = b1_L_z_fast(L, -t, half, signs) * mu_den
-        if val.denominator != 1:
-            raise AssertionError("measure denominator bound violated")
-        out.append(int(val))
-    return out
-
-
 class CellKernel:
     """Integer-affine evaluation of all box measures at one level.
 
     For each chain term and each coset x, the argument of the restricted
     distribution is y(j) = sl^-1 (x + pi_ell (v + j)/p^M), an affine map
-    with integer numerators over a fixed positive denominator; a box value
-    needs only the floors of y(j) and a trace-table lookup.
+    with integer numerators over a fixed positive denominator (`maps`); a
+    box value needs only the floors of y(j) and a table lookup.  As pi_ell
+    scales the last coordinate by 1 and the level ignores it, coset
+    (x', x_n) at cell j is (x', 0) at j + p^M x_n e_n: a term's cosets
+    sharing x' are one run, an affine row of p^M cells per coset.
     """
 
     def __init__(self, h: MeasureHandle, M: int):
@@ -350,82 +354,80 @@ class CellKernel:
         dv = lcm(*(Fraction(vi).denominator for vi in h.z.v))
         vd = [int(Fraction(vi) * dv) for vi in h.z.v]
         scale = [h.ell] + [1] * (h.n - 1)  # pi_ell
-        self.maps = []
+        self.maps, self.runs = [], []
         for t in h.terms:
             den = t["det"] * pM * dv
             sg = 1 if den > 0 else -1  # keep the denominator positive
             mat = [[sg * a * sk * dv for a, sk in zip(arow, scale)]
                    for arow in t["adj"]]
+            runs: dict[tuple, list] = {}  # x' -> bases of (x', 0), (x', 1)..
             for x in t["cosets"]:
                 base = [sg * sum(a * (pM * dv * xk + sk * vk) for a, xk, sk, vk
                                  in zip(arow, x, scale, vd))
                         for arow in t["adj"]]
-                self.maps.append({
-                    "base": base, "mat": mat, "den": abs(den),
-                    "a": t["L"].a, "z": (-x[0]) % h.ell, "t0": x[0] % h.ell,
-                    "sign": t["sign"], "table": t["table"], "L": t["L"],
-                    "signs": t["signs"],
-                })
+                self.maps.append({"base": base, "mat": mat, "den": abs(den)})
+                run = runs.setdefault(x[:-1], [])
+                if x[-1] != len(run):  # coset_reps: the box 0 <= x_i < H_ii
+                    raise AssertionError("a run must be x_n = 0, 1, ...")
+                run.append(base)
+            self.runs += [(run[0], mat, abs(den), len(run), head[0] % h.ell, t)
+                          for head, run in runs.items()]
 
     def row(self, prefix: Sequence[int],
             keep: Sequence[bool] | None = None) -> list[int]:
         """[mu_den * measure of box (v + prefix + (x,) + p^M X), for x in
         range(p^M)].
 
-        Each y_i = c_i + s_i x, so a map's table value changes only where
-        some floor(y_i / den) steps; those steps go into a difference
-        array.  Cells with some y_i = 0 mod den take the sign-defect value,
-        except where `keep[x]` is false: those cells are left unspecified.
+        On a run of W cosets y_i = c_i + s_i X for X < W p^M, and its table
+        value changes where some floor(y_i / den) steps: a step at X goes
+        to a difference array at X mod p^M, and each window start w p^M
+        adds the value there to cell 0.  A cell with some y_i = 0 mod den
+        reads the table of its integral coordinates, except where `keep`
+        is false: those cells are left unspecified.
         """
-        ell = self.h.ell
-        pl = self.h.p ** self.M
-        diff = [0] * pl
-        fixes = []
-        for mp in self.maps:
-            den, sign, table = mp["den"], mp["sign"], mp["table"]
-            t = mp["t0"]
+        h, ell = self.h, self.h.ell
+        pl = h.p ** self.M
+        diff = [0] * (pl + 1)
+        for base, mat, den, width, t0, term in self.runs:
+            a = term["L"].a
+            length = width * pl
             cs = [b + sum(m * jk for m, jk in zip(mrow, prefix))
-                  for b, mrow in zip(mp["base"], mp["mat"])]
-            ss = [mrow[-1] for mrow in mp["mat"]]
-            steps, defects = [], set()
-            for ai, c, s in zip(mp["a"], cs, ss):
+                  for b, mrow in zip(base, mat)]
+            ss = [mrow[-1] for mrow in mat]
+            t, steps, defects = t0, [], set()
+            for ai, c, s in zip(a, cs, ss):
                 t -= ai * (c // den)
                 # with c2 = -c - 1 for s < 0, floor(y / den) is -1 minus
-                # floor((c2 + |s| x) / den)
+                # floor((c2 + |s| X) / den)
                 dt, c2, s2 = (-ai, c, s) if s >= 0 else (ai, -c - 1, -s)
-                steps += _floor_steps(c2, s2, den, pl, dt)
-                g = gcd(s, den)  # s x = -c mod den
+                steps += _floor_steps(c2, s2, den, length, dt)
+                g = gcd(s, den)  # s X = -c mod den
                 if c % g == 0:
                     step = den // g
                     x0 = -c // g * pow(s // g, -1, step) % step
-                    defects.update(range(x0, pl, step))
-            val = sign * table[t % ell]
-            diff[0] += val
-            for x, dt in sorted(steps):
+                    defects.update(range(x0, length, step))
+            table = h.table(term, 0)
+            val = table[t % ell]
+            start = 0  # the next window start to add; every step has X > 0
+            for X, dt in sorted(steps):
+                while start < X:
+                    diff[0] += val
+                    start += pl
                 t += dt
-                new = sign * table[t % ell]
-                diff[x] += new - val
+                new = table[t % ell]
+                if X != start:
+                    diff[X % pl] += new - val
                 val = new
-            fixes += [(x, mp, cs, ss) for x in defects
-                      if keep is None or keep[x]]
-        out = list(accumulate(diff))
-        for x, mp, cs, ss in fixes:
-            ys = [c + s * x for c, s in zip(cs, ss)]
-            t = mp["t0"] - sum(ai * (y // mp["den"])
-                               for ai, y in zip(mp["a"], ys))
-            out[x] += self.defect_numerator(mp, ys) \
-                - mp["sign"] * mp["table"][t % ell]
-        return out
-
-    def defect_numerator(self, mp: dict, ys: Sequence[int]) -> int:
-        """Signed mu_den * box value of map mp at the argument ys / den
-        when a coordinate is integral: the sign-defect path, exact
-        fractions."""
-        den = mp["den"]
-        val = b1_L_z_fast(mp["L"], mp["z"], [Fraction(y, den) for y in ys],
-                          mp["signs"]) * self.h.mu_den
-        assert val.denominator == 1
-        return mp["sign"] * int(val)
+            diff[0] += val * ((length - start) // pl)
+            for X in defects:
+                if keep is None or keep[X % pl]:
+                    qr = [divmod(c + s * X, den) for c, s in zip(cs, ss)]
+                    J = sum(1 << i for i, (_, r) in enumerate(qr) if r == 0)
+                    t = (t0 - sum(ai * q for ai, (q, _) in zip(a, qr))) % ell
+                    fix = h.table(term, J)[t] - table[t]
+                    diff[X % pl] += fix
+                    diff[X % pl + 1] -= fix
+        return list(accumulate(diff))[:pl]
 
 
 def _floor_steps(c: int, s: int, den: int, n: int,
@@ -817,8 +819,6 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
         return [pow(u * teich_inv[u % len(teich_inv)], e, mod) for u in us]
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
-    if nac_res % p == 0:
-        raise PrecisionExhausted("N(ac) is not a p-unit")
     # The sum is exact mod p^work, but the reported precision is the
     # per-cell log bound of `oov_integrals`: the order-2 Taylor expansion in
     # s from its log moments (test_L_derivative_taylor_tie) agrees to that

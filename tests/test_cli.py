@@ -320,6 +320,22 @@ def test_p_dividing_f_is_precondition_error(tmp_path, capsys):
         "denominator of the shift v = (1/2, -3/4)")
 
 
+@pytest.mark.parametrize("command, changes, message", [
+    ("oov", {"a": {"gens": [["4", "-1"]]}}, "p = 11 divides N(a c) = 209"),
+    ("padic-zeta", {"a": {"gens": [["0", "1"]]}, "padic__p": "5"},
+     "p = 5 divides N(a c) = 55"),
+])
+def test_p_dividing_nac_is_precondition_error(tmp_path, capsys, command,
+                                              changes, message):
+    # a above p (4 - sqrt5 above 11, sqrt5 above 5): N(a c) is not a
+    # p-unit, named before any residue mod p^M is attempted
+    path = write_cfg(tmp_path, _with(**changes), "pa.json")
+    assert main([command, "--config", path, "--no-crosscheck"]) == \
+        EXIT_PRECONDITION
+    assert capsys.readouterr().err.strip() == (
+        f"precondition error: p must be prime to N(a c): {message}")
+
+
 def _with(**changes):
     cfg = json.loads(json.dumps(SQRT5))
     for key, value in changes.items():

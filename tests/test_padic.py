@@ -45,6 +45,15 @@ def test_measure_handle_needs_p_prime_to_f():
     assert z.v == (Fraction(1, 2), Fraction(-3, 4)) and h.p == 3
 
 
+@pytest.mark.parametrize("ell, p, nac", [(19, 11, 209), (11, 5, 55)])
+def test_measure_handle_needs_p_prime_to_nac(ell, p, nac):
+    # a above p: the norm N(x) = N(ac)^-1 P has p in its denominators, so
+    # the handle is rejected by name, not by pow's "base is not invertible"
+    with pytest.raises(ValueError, match=rf"^p must be prime to N\(a c\): "
+                       rf"p = {p} divides N\(a c\) = {nac}$"):
+        sqrt5_setup(ell=ell, p=p, a=p)
+
+
 # --- PadicInt -------------------------------------------------------------------
 
 def test_padic_int_ring_ops():
@@ -589,8 +598,8 @@ def test_log_unit_residue_p2():
 
 
 def test_multi_coset_kernel_agrees():
-    # an unreduced basis gives many coset maps; the fused multi-map branch
-    # must produce the same Riemann sums as the single-map reduced kernel
+    # an unreduced basis gives many coset maps, walked as one run; the row
+    # kernel must produce the same Riemann sums as the single-map kernel
     F = NumberField([-5, 0, 1])
     one = Ideal.unit_ideal(F)
     c = prime_over(F, 11)
@@ -693,6 +702,89 @@ def test_row_equals_cell_numerator(case):
                 for mp in kernel.maps
                 for b, mrow in zip(mp["base"], mp["mat"]))
     assert defects >= 1
+
+
+@pytest.mark.parametrize("case, runs", [("oov", 1), ("unreduced", 1),
+                                        ("a19", 1), ("cubic-p5", 8)])
+def test_kernel_runs(case, runs):
+    # a term's cosets that differ only in the last coordinate, which
+    # pi_ell scales by 1, are one run; the cubic's cosets differ in the
+    # first coordinate, scaled by ell, so each is a run of its own
+    h, level, maps = _row_kernel_handle(case)
+    kernel = h.cell_numerators(level)
+    assert len(kernel.maps) == maps and len(kernel.runs) == runs
+    assert sum(run[3] for run in kernel.runs) == maps
+
+
+@pytest.mark.parametrize("last", [None, (0, -1), (0, 0), (3, 0)])
+def test_run_is_the_sum_of_its_cosets(last):
+    # the fold is algebra: a run of W cosets gives the row of W one-coset
+    # runs shifted by w p^M along the last coordinate, for any affine data;
+    # with the last column replaced, steps are sparse or absent, so several
+    # window starts in a row carry the value without a step between them
+    h, level, _ = _row_kernel_handle("oov")
+    kernel = h.cell_numerators(level)
+    pl = h.p ** level
+    (base, mat, den, width, t0, term), = kernel.runs
+    if last is not None:
+        mat = [mrow[:-1] + [s] for mrow, s in zip(mat, last)]
+    ones = [([b + mrow[-1] * pl * w for b, mrow in zip(base, mat)], mat, den,
+             1, t0, term) for w in range(width)]
+    keep = [x % 3 == 0 for x in range(pl)]
+    for prefix in [(0,), (4,), (pl - 1,)]:
+        rows = []
+        for runs in ([(base, mat, den, width, t0, term)], ones):
+            kernel.runs = runs
+            rows.append((kernel.row(prefix), kernel.row(prefix, keep)))
+        (row, kept), (want, want_kept) = rows
+        assert row == want
+        assert [r for r, k in zip(kept, keep) if k] \
+            == [r for r, k in zip(want_kept, keep) if k]
+
+
+@pytest.mark.parametrize("root, maps, defects", [(4, 3759, 0), (7, 2289, 7)])
+def test_row_on_a_long_run(root, maps, defects):
+    # f = (3), a = (11, theta - root), c above 19, p = 7: every coset is in
+    # one run of maps * 7 cells, folded onto a row of 7.  The row is the
+    # exact box at a few cells, with and without keep; only the a of
+    # 2,289 cosets has sign-defect cells, and two of them are checked
+    F = NumberField([-5, 0, 1])
+    a = Ideal.from_generators(F, [F.from_rational(11),
+                                  F.theta() - F.from_rational(root)])
+    f = Ideal.from_generators(F, [F.from_rational(3)])
+    h = MeasureHandle(build_zeta_data(F, f, a, prime_over(F, 19), 19), 7)
+    kernel = h.cell_numerators(1)
+    assert len(kernel.maps) == maps and len(kernel.runs) == 1
+    cells = [j for j in product(range(7), repeat=2) if any(
+        (b + sum(c * jk for c, jk in zip(mrow, j))) % mp["den"] == 0
+        for mp in kernel.maps for b, mrow in zip(mp["base"], mp["mat"]))]
+    assert len(cells) == defects
+    for j in [(0, 0), (3, 6), (6, 1), *cells[:2]]:
+        num = h.mu_den * h.measure_box(j, 1)
+        keep = [x == j[1] for x in range(7)]
+        assert kernel.row(j[:1])[j[1]] == num
+        assert kernel.row(j[:1], keep)[j[1]] == num
+
+
+@pytest.mark.parametrize("case", ["sqrt5-p3", "oov", "cubic-p5"])
+def test_defect_tables(case):
+    # the table of a set J is sign * mu_den * b1_L_z_fast at any argument
+    # whose integral coordinates are J, with z set to give level t; every
+    # J, the empty set and the set of all coordinates included
+    from eisenzeta.dedekind import b1_L_z_fast
+    h = _row_kernel_handle(case)[0]
+    for term in h.terms:
+        for J in range(2 ** h.n):
+            table = h.table(term, J)
+            assert len(table) == h.ell and h.table(term, J) is table
+            for t in range(h.ell):
+                x = [rng.randrange(-9, 9) + (0 if J >> i & 1 else Fraction(
+                    rng.randrange(1, d), d)) for i, d in enumerate(
+                    rng.choice([2, 3, 10]) for _ in range(h.n))]
+                z = -t - sum(ai * (xi // 1) for ai, xi
+                             in zip(term["L"].a, x))
+                assert table[t] == term["sign"] * h.mu_den * b1_L_z_fast(
+                    term["L"], z, x, term["signs"])
 
 
 def _evaluator_handle(case):
