@@ -15,7 +15,7 @@ from .cyclotomic import CycloElement, MismatchedField, cyclo_inv, cyclo_mul, \
     trace_to_Q
 from .bernoulli import B_e, B_e_Q, B_e_Q_plus, bernoulli_poly, periodic_B
 from .dedekind import (DedekindCache, LinearFormModL, RationalForms,
-                       ShapeError, b1_exp, b1_L_z_fast, b_L_z_direct, d_ell,
+                       ShapeError, b1_L_z_fast, b_L_z_direct, d_ell,
                        d_ell_plus, d_plus)
 from .cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix, bar_tuple,
                       module_action, pr_coefficients, psi_ell, psi_ell_chain,

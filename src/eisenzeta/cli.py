@@ -57,7 +57,8 @@ def _check_sweeps(h: MeasureHandle, region, levels: list[int]) -> None:
 
 
 def _num(s, what="number") -> Fraction:
-    if isinstance(s, int):
+    # bool is an int subclass, but a JSON true is no number
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         try:
@@ -108,9 +109,11 @@ def parse_field(cfg) -> NumberField:
         raise ConfigError("field must be an object with a 'poly' list")
     poly = [_int(c, "polynomial coefficient")
             for c in _list(cfg["poly"], "field.poly")]
-    kw = {}
-    if cfg.get("trusted"):
-        kw["trusted"] = True
+    trusted = cfg.get("trusted", False)
+    if not isinstance(trusted, bool):
+        raise ConfigError(f"field.trusted must be true or false, "
+                          f"got {trusted!r}")
+    kw = {"trusted": trusted}
     if "integral_basis" in cfg:
         kw["integral_basis"] = [
             [_num(x) for x in _list(col, "integral_basis column")]
@@ -122,7 +125,7 @@ def parse_field(cfg) -> NumberField:
 
 
 def parse_ideal(field: NumberField, cfg) -> Ideal:
-    if cfg in ("unit", "1", 1):
+    if not isinstance(cfg, bool) and cfg in ("unit", "1", 1):
         return Ideal.unit_ideal(field)
     if not isinstance(cfg, dict):
         raise ConfigError("ideal must be 'unit' or an object")

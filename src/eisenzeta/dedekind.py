@@ -1,7 +1,7 @@
 """Generalized Dedekind sums, their prime smoothings, and the restricted
-Bernoulli distributions: a cyclotomic trace at weight e = (1, ..., 1) and
-a cyclic convolution over F_ell at every other weight, with the direct
-level-set sum kept as the oracle for both.
+Bernoulli distributions: one cyclic convolution over F_ell at every
+weight, e = (1, ..., 1) included, with the direct level-set sum kept as
+its oracle.
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -20,8 +20,7 @@ from math import floor, gcd
 from operator import mul
 from typing import Sequence
 
-from .bernoulli import B_e_Q, B_e_Q_plus, periodic_B, periodic_B_row
-from .cyclotomic import CycloElement
+from .bernoulli import B_e_Q, B_e_Q_plus, periodic_B_row
 from .exact import Matrix, coset_reps, mat_det, mat_inv, mat_vec
 
 
@@ -100,133 +99,13 @@ class RationalForms:
         return hashlib.sha256(repr(self.rows).encode()).hexdigest()[:16]
 
 
-# --- cyclotomic Dedekind sum -------------------------------------------------
-
-def b1_exp(x, r: int, ell: int) -> CycloElement:
-    """Closed form of the cyclotomic Dedekind sum attached to x and the
-    nonzero residue r: e(-r[x]/ell)/(e(r/ell)-1) + (delta_x/2) e(-rx/ell)."""
-    x = Fraction(x)
-    if r % ell == 0:
-        raise ValueError("r must be nonzero mod ell")
-    fx = floor(x)
-    inv = (CycloElement.zeta_pow(ell, r) - CycloElement.one(ell)).inverse()
-    main = CycloElement.zeta_pow(ell, -r * fx) * inv
-    if x.denominator == 1:
-        main = main + Fraction(1, 2) * CycloElement.zeta_pow(ell, -r * int(x))
-    return main
-
-
-def b1_exp_sum(x, r: int, ell: int) -> CycloElement:
-    """The defining ell-term sum, kept as an independent check."""
-    x = Fraction(x)
-    total = CycloElement.zero(ell)
-    for m in range(1, ell + 1):
-        total = total + periodic_B(1, (x + m) / ell) * CycloElement.zeta_pow(ell, r * m)
-    return total
-
-
-_INV_TABLES: dict[int, list[tuple[int, ...] | None]] = {}
-_BETA_CACHE: dict[tuple, tuple[int, ...]] = {}
-
-
-def _inv_int_table(ell: int) -> list:
-    """Integer power-basis coordinates of ell * (zeta^a - 1)^-1, which is
-    sum_{k<ell} k zeta^(ak): at x = zeta^a, (x - 1) sum_k k x^k equals
-    (ell - 1) x^ell - sum_{k=1}^{ell-1} x^k = ell."""
-    table = _INV_TABLES.get(ell)
-    if table is None:
-        table = _INV_TABLES[ell] = [None] * ell
-        for a in range(1, ell):
-            raw = [0] * ell
-            for k in range(1, ell):
-                raw[a * k % ell] = k
-            # fold zeta^(ell-1) = -(1 + zeta + ... + zeta^(ell-2))
-            top = raw[ell - 1]
-            table[a] = tuple(c - top for c in raw[:ell - 1])
-    return table
-
+# --- restricted distributions ----------------------------------------------
 
 def _cyclic_conv(u: Sequence[int], v: Sequence[int], ell: int) -> list[int]:
     """(u * v)(k) = sum over i of u(i) v(k - i), indices mod ell."""
     rr = list(reversed(v)) * 2
     return [sum(map(mul, u, rr[ell - 1 - k:2 * ell - 1 - k]))
             for k in range(ell)]
-
-
-def _conv_int(u: Sequence[int], v: Sequence[int], ell: int) -> tuple[int, ...]:
-    """Product in Z[zeta] on integer coordinate vectors of length ell-1."""
-    raw = _cyclic_conv([*u, 0], [*v, 0], ell)
-    top = raw[ell - 1]
-    return tuple(raw[i] - top for i in range(ell - 1))
-
-
-def _rotate_int(u: Sequence[int], k: int, ell: int) -> tuple[int, ...]:
-    """Coordinates of zeta^k times the element with coordinates u."""
-    raw = [0] * ell
-    k %= ell
-    for i, a in enumerate(u):
-        if a:
-            raw[(i + k) % ell] += a
-    top = raw[ell - 1]
-    return tuple(raw[i] - top for i in range(ell - 1))
-
-
-def _beta_for(ell: int, a: Sequence[int], j0: tuple[int, ...],
-              sign_row: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Integer coordinates of ell^n * prod_j alpha_j (zeta^{a_j} - 1)^-1,
-    with alpha_j = zeta^{a_j} at positive-sign defect positions and 1
-    otherwise."""
-    key = (ell, tuple(sorted(a[j] for j in range(len(a)) if j not in j0)),
-           tuple(sorted((a[j], sign_row[j]) for j in j0)) if j0 else ())
-    got = _BETA_CACHE.get(key)
-    if got is not None:
-        return got
-    inv = _inv_int_table(ell)
-    beta = (1,) + (0,) * (ell - 2)
-    for j, aj in enumerate(a):
-        beta = _conv_int(beta, inv[aj], ell)
-        if j in j0 and sign_row[j] == 1:
-            beta = _rotate_int(beta, aj, ell)
-    _BETA_CACHE[key] = beta
-    return beta
-
-
-def _trace_shift_int(beta: Sequence[int], t: int, ell: int) -> int:
-    """Trace of zeta^t * beta, O(ell) via Tr(zeta^s) = ell*[s=0] - 1."""
-    s = sum(beta)
-    idx = (-t) % ell
-    lead = beta[idx] if idx < ell - 1 else 0
-    return ell * lead - s
-
-
-def b1_L_z_fast(L: LinearFormModL, z: int, x: Sequence,
-                signs: Sequence[Sequence[int]]) -> Fraction:
-    """Cyclotomic-trace evaluation of the restricted distribution at e = 1.
-
-    Agrees exactly with b_L_z_direct for e = (1, ..., 1); cost is
-    O(ell * m * n) instead of O(ell^n), in integer arithmetic on vectors
-    scaled by ell^n.
-    """
-    ell = L.ell
-    n = len(L.a)
-    floors = []
-    j0 = []
-    for j, t in enumerate(x):
-        tq = Fraction(t)
-        floors.append(floor(tq))
-        if tq.denominator == 1:
-            j0.append(j)
-    j0 = tuple(j0)
-    t = (-z - sum(a * f for a, f in zip(L.a, floors))) % ell
-    scale = ell ** n
-    if not j0:
-        beta = _beta_for(ell, L.a, (), None)
-        return Fraction(-_trace_shift_int(beta, t, ell), scale)
-    total = 0
-    for row in signs:
-        beta = _beta_for(ell, L.a, j0, tuple(row))
-        total += _trace_shift_int(beta, t, ell)
-    return Fraction(-total, scale * len(signs))
 
 
 def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
@@ -244,7 +123,8 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     while True:
         y1 = (a1_inv * (z - sum(L.a[j + 1] * free[j] for j in range(n - 1)))) % ell
         y = (y1, *free)
-        total += B_e_Q(e, [(xj + yj) / ell for xj, yj in zip(x, y)], signs)
+        total += B_e_Q(e, [Fraction(xj + yj, ell) for xj, yj in zip(x, y)],
+                       signs)
         # odometer over the free coordinates
         for pos in range(n - 1):
             free[pos] += 1
@@ -256,10 +136,10 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     return lead - Fraction(ell) ** (1 - n + ebar) * total
 
 
-def b_L_z_conv(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
-               signs: Sequence[Sequence[int]]) -> Fraction:
-    """Restricted distribution for any weight as a cyclic convolution
-    over F_ell; agrees exactly with b_L_z_direct.
+def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
+          signs: Sequence[Sequence[int]]) -> Fraction:
+    """Restricted distribution at any weight, e = (1, ..., 1) included, as
+    a cyclic convolution over F_ell; agrees exactly with b_L_z_direct.
 
     B_e_Q at (x + y)/ell is the average over the sign rows of a product of
     one-coordinate factors, so the level-set sum is, row by row, the value
@@ -312,13 +192,12 @@ def b_L_z_conv(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     return lead - Fraction(ell ** (1 - n + sum(e)) * total, den * len(signs))
 
 
-def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
-          signs: Sequence[Sequence[int]]) -> Fraction:
-    """Restricted distribution: the cyclotomic trace at e = (1, ..., 1),
-    the cyclic convolution at every other weight."""
-    if all(ej == 1 for ej in e):
-        return b1_L_z_fast(L, z, x, signs)
-    return b_L_z_conv(e, L, z, x, signs)
+def b1_L_z_fast(L: LinearFormModL, z: int, x: Sequence,
+                signs: Sequence[Sequence[int]]) -> Fraction:
+    """b_L_z at e = (1, ..., 1).  It adds no arithmetic: it is the entry
+    `MeasureHandle.table` calls for the sign-defect tables, and the name
+    `perfbench/tracer.py` wraps to count them."""
+    return b_L_z((1,) * len(L.a), L, z, x, signs)
 
 
 # --- Dedekind sums -----------------------------------------------------------
@@ -385,9 +264,9 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     """ell-smoothed Dedekind sum.
 
     Equals D(sigma_ell, e, pi Q, pi v) - ell^(1-n+ebar) D(sigma, e, Q, v);
-    evaluated through the level-set decomposition, one b_L_z per coset of
-    sigma_ell (cyclotomic trace at e = (1,...,1), cyclic convolution
-    otherwise) over the shared `_sigma_walk`.
+    evaluated through the level-set decomposition, one b_L_z (a cyclic
+    convolution at every weight) per coset of sigma_ell over the shared
+    `_sigma_walk`.
     """
     sl = sigma_ell(sigma, ell)  # validates the shape even for det 0
     if mat_det(sigma) == 0:

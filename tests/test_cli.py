@@ -361,17 +361,39 @@ def _with(**changes):
     ("padic-zeta --precision 0", SQRT5),
     ("padic-zeta --precision -2", SQRT5),
     ("oov --precision 3", SQRT5),  # the flag sets padic-zeta's level only
+    # a JSON boolean is an int to Python, but no number and no ideal
+    ("zeta", _with(k_max=True)),
+    ("zeta", _with(field={"poly": ["-5", False, True]})),
+    ("zeta", _with(a=True)),
+    ("zeta", _with(field={"poly": ["-5", "0", "1"], "trusted": "false"})),
+    ("zeta", _with(field={"poly": ["-5", "0", "1"], "trusted": 1})),
 ], ids=["top-level-list", "poly-not-list", "divisor-not-object",
         "divisor-without-factors", "config-is-directory", "negative-k_max",
         "integral-basis-column-length", "negative-level", "zero-level",
         "negative-precision", "zero-precision-flag",
-        "negative-precision-flag", "precision-flag-outside-padic-zeta"])
+        "negative-precision-flag", "precision-flag-outside-padic-zeta",
+        "boolean-k_max", "boolean-poly-coefficient", "boolean-ideal",
+        "string-trusted", "integer-trusted"])
 def test_config_shape_errors(command, cfg, tmp_path, capsys):
     # command is the subcommand, followed by any flags
     path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)
     assert main([*command.split(), "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trusted, code, message", [
+    (False, EXIT_PRECONDITION, "precondition error: could not certify "
+     "irreducibility"),
+    ("false", EXIT_CONFIG, "config error: field.trusted must be true or "
+     "false, got 'false'"),
+], ids=["json-false", "string-false"])
+def test_trusted_is_a_json_boolean(trusted, code, message, tmp_path, capsys):
+    # x^2 - 4 is reducible: with the certificate on it is named as such,
+    # and the string "false" must not switch the certificate off
+    cfg = _with(field={"poly": ["-4", "0", "1"], "trusted": trusted})
+    assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_json_out_missing_directory(tmp_path, capsys):

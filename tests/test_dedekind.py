@@ -9,12 +9,10 @@ import pytest
 import eisenzeta.dedekind
 from eisenzeta.bernoulli import B_e_Q
 from eisenzeta.cli import main
-from eisenzeta.cyclotomic import CycloElement, _is_prime
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
-                                ShapeError, _inv_int_table, _sigma_walk,
-                                b1_exp, b1_exp_sum, b1_L_z_fast, b_L_z_direct,
-                                d_ell, d_ell_direct, d_ell_plus, d_plus,
-                                sigma_ell)
+                                ShapeError, _sigma_walk, b1_L_z_fast,
+                                b_L_z_direct, d_ell, d_ell_direct, d_ell_plus,
+                                d_plus, sigma_ell)
 from eisenzeta.exact import mat_det
 
 rng = random.Random(1234)
@@ -51,40 +49,7 @@ def rand_gamma_sigma(n, ell, entry=9):
             return sigma
 
 
-# --- cyclotomic Dedekind sum ---------------------------------------------------
-
-def test_b1_exp_at_integers_and_half():
-    for ell in (3, 5, 7):
-        for r in range(1, ell):
-            inv = (CycloElement.zeta_pow(ell, r) - CycloElement.one(ell)).inverse()
-            assert b1_exp(0, r, ell) == inv + Fraction(1, 2) * CycloElement.one(ell)
-            assert b1_exp(Fraction(1, 2), r, ell) == inv
-
-
-def test_b1_exp_closed_form_equals_defining_sum():
-    for ell in (3, 5, 7):
-        for r in range(1, ell):
-            for x in (Fraction(0), Fraction(1, 2), Fraction(5, 3),
-                      Fraction(-7, 5), Fraction(4), Fraction(1, ell)):
-                assert b1_exp(x, r, ell) == b1_exp_sum(x, r, ell)
-
-
-def test_b1_exp_rejects_zero_residue():
-    with pytest.raises(ValueError):
-        b1_exp(Fraction(1, 2), 5, 5)
-
-
 # --- restricted distributions ---------------------------------------------------
-
-@pytest.mark.parametrize("ell", [q for q in range(2, 32) if _is_prime(q)])
-def test_inv_int_table_equals_cyclotomic_inverse(ell):
-    # the closed form sum_k k zeta^(ak) against an exact linear solve
-    table = _inv_int_table(ell)
-    assert len(table) == ell and table[0] is None
-    for a in range(1, ell):
-        inv = (CycloElement.zeta_pow(ell, a) - CycloElement.one(ell)).inverse()
-        assert CycloElement(ell, table[a]) == ell * inv
-
 
 def test_b1_fast_hand_values():
     # n = 2, ell = 3, L = (1,1): worked out by hand from the definitions
@@ -96,6 +61,8 @@ def test_b1_fast_hand_values():
     assert b_L_z_direct((1, 1), L, 0, (Fraction(0), Fraction(1, 2)), s) \
         == Fraction(2, 3)
     assert b1_L_z_fast(L, 0, (Fraction(0), Fraction(1, 2)), s) == Fraction(2, 3)
+    # an int coordinate is exact too, not divided in floating point
+    assert b_L_z_direct((1, 1), L, 0, (0, Fraction(1, 2)), s) == Fraction(2, 3)
 
 
 def test_fast_equals_direct_sweep():

@@ -770,21 +770,27 @@ def test_row_on_a_long_run(root, maps, defects):
 def test_defect_tables(case):
     # the table of a set J is sign * mu_den * b1_L_z_fast at any argument
     # whose integral coordinates are J, with z set to give level t; every
-    # J, the empty set and the set of all coordinates included
-    from eisenzeta.dedekind import b1_L_z_fast
+    # J, the empty set and the set of all coordinates included.  The
+    # direct level-set sum is the independent oracle: at every t for
+    # n = 2, at one t per (term, J) for n = 3, where it walks ell^2 points
+    from eisenzeta.dedekind import b1_L_z_fast, b_L_z_direct
     h = _row_kernel_handle(case)[0]
     for term in h.terms:
         for J in range(2 ** h.n):
             table = h.table(term, J)
             assert len(table) == h.ell and h.table(term, J) is table
+            direct = range(h.ell) if h.n == 2 else [rng.randrange(h.ell)]
             for t in range(h.ell):
                 x = [rng.randrange(-9, 9) + (0 if J >> i & 1 else Fraction(
                     rng.randrange(1, d), d)) for i, d in enumerate(
                     rng.choice([2, 3, 10]) for _ in range(h.n))]
                 z = -t - sum(ai * (xi // 1) for ai, xi
                              in zip(term["L"].a, x))
-                assert table[t] == term["sign"] * h.mu_den * b1_L_z_fast(
-                    term["L"], z, x, term["signs"])
+                args = (term["L"], z, x, term["signs"])
+                val = Fraction(table[t], term["sign"] * h.mu_den)
+                assert b1_L_z_fast(*args) == val
+                if t in direct:
+                    assert b_L_z_direct((1,) * h.n, *args) == val
 
 
 def _evaluator_handle(case):
