@@ -259,7 +259,11 @@ def cmd_oov(cfg, args, cache) -> dict:
     p = _int(ocfg["p"], "p")
     pis = [field.element([_num(x) for x in _list(coords, "pi generator")])
            for coords in _list(ocfg["pi"], "pi")]
-    es = [_int(e, "e") for e in _list(ocfg.get("e", ["1"] * len(pis)), "e")]
+    es = [_int_min(e, "e", 1)
+          for e in _list(ocfg.get("e", ["1"] * len(pis)), "e")]
+    if len(es) != len(pis):
+        raise ConfigError(f"oov needs one 'e' per 'pi' generator, got "
+                          f"{len(es)} for {len(pis)}")
     other = [parse_ideal(field, q)
              for q in _list(ocfg.get("other_primes", []), "other_primes")]
     levels = [_int_min(m, "level", 1)

@@ -41,9 +41,6 @@ class LinearFormModL:
         self.ell = ell
         self.a = a
 
-    def __call__(self, y: Sequence[int]) -> int:
-        return sum(ai * yi for ai, yi in zip(self.a, y)) % self.ell
-
 
 class RationalForms:
     """m x n tuple of linear forms with rational coefficients.
@@ -94,9 +91,6 @@ class RationalForms:
                 srow.append(1 if x > 0 else -1)
             out.append(tuple(srow))
         return tuple(out)
-
-    def digest(self) -> str:
-        return hashlib.sha256(repr(self.rows).encode()).hexdigest()[:16]
 
 
 # --- restricted distributions ----------------------------------------------

@@ -328,6 +328,11 @@ class NumberField:
             raise NotIrreducible(
                 "could not certify irreducibility mod the fixed prime list; "
                 "pass trusted=True if the polynomial is known irreducible")
+        if n == 2:  # reducible iff the discriminant is a square, trusted or not
+            disc = f[1] * f[1] - 4 * f[0]
+            if disc >= 0 and isqrt(disc) ** 2 == disc:
+                raise NotIrreducible(f"quadratic is not irreducible: its "
+                                     f"discriminant {disc} is a square")
         if real_root_count(f) != n:
             raise NotTotallyReal("polynomial does not have n real roots")
         self.f = tuple(f)

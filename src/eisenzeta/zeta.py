@@ -4,19 +4,22 @@ integers, evaluated through the smoothed cocycle.
 The construction follows the adapted-basis route: a basis w of a^-1 f whose
 first element divided by ell completes a basis of a^-1 c^-1 f, the norm
 polynomial scaled by N(a c), the dual-basis forms at the real embeddings,
-and the symmetrized unit chain carrying an orientation sign.
+and the symmetrized unit chain carrying an orientation sign.  The basis has
+the least |N(w_1)| in the box of `_reduce_adapted`: the cocycle walks
+|N(w_1)| cosets times a factor fixed by the units.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)
 from .dedekind import DedekindCache
-from .exact import (Matrix, MultiPoly, identity, mat_det, mat_inv, mat_mul,
-                    mat_solve, mat_vec, resultant_norm)
+from .exact import (Matrix, MultiPoly, mat_det, mat_inv, mat_solve,
+                    resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
@@ -128,65 +131,28 @@ def _unit_matrices(field: NumberField, ws: Sequence[FieldElement],
     return mats
 
 
-def _chain_tuples(mats):
-    """The chain tuples (I, U_p1, U_p1 U_p2, ...), one per permutation p
-    of the unit matrices mats."""
-    from itertools import permutations
-    out = []
-    for perm in permutations(range(len(mats))):
-        tup = [identity(len(mats[0]))]
-        for i in perm:
-            tup.append(mat_mul(tup[-1], mats[i]))
-        out.append(tup)
-    return out
-
-
-def _coset_cost(chains, ell: int, x) -> int:
-    """Sum over the chain tuples of |det sigma| / ell^(n-1), where sigma
-    holds the vectors P x for P in the tuple (for x = e_1, the first
-    columns); 2^60 when some sigma is singular."""
-    total = 0
-    for tup in chains:
-        det = int(mat_det(tuple(mat_vec(p, x) for p in tup)))
-        if det == 0:
-            return 1 << 60
-        total += abs(det) // ell ** (len(x) - 1)
-    return total
-
-
-def _chain_coset_cost(mats, ell: int) -> int:
-    """Total number of residue classes the measure kernel must walk for
-    a basis with integer unit matrices mats: sum of |det sigma| /
-    ell^(n-1) over the chain tuples."""
-    return _coset_cost(_chain_tuples(mats), ell, identity(len(mats[0]))[0])
-
-
-def _reduce_adapted(field: NumberField, ws, eps, ell: int):
+def _reduce_adapted(field: NumberField, ws, ell: int):
     """Shrink the cocycle coset count over the transforms
     w_1 -> w_1 + ell * (m_2 w_2 + ... + m_n w_n) with every |m_i| <= 8,
-    which preserve the adapted property.  The least `_chain_coset_cost`
-    wins; a tie keeps ws (m = 0), or else the first m in `product` order.
+    which preserve the adapted property.  The least |N(w_1)| wins; a tie
+    keeps ws (m = 0), or else the first m in `product` order.
 
-    Such a transform is the change of basis T = I + ell (0, m)^t e_1^t,
-    so a candidate's unit matrices are T^-1 U T for the unit matrices U
-    of ws.  A chain tuple P_j of ws becomes T^-1 P_j T, whose first
-    columns T^-1 P_j T e_1 have the determinant of the P_j x, x = T e_1,
-    as det T = 1: the tuples are formed once, and a candidate costs one
-    integer determinant per tuple.
+    The norm is the count up to a factor fixed by the units: the first
+    columns of a chain term are the coordinates of eps w_1, so their
+    determinant is N(w_1) det(tau_i(eps_j)) / det(tau_i(w_j)), and every
+    candidate spans a^-1 f.  A candidate's N(w_1) is the norm form N_0 of
+    ws at (1, ell m), evaluated in integers over N_0's common denominator.
     """
     from itertools import product
-    mats = _unit_matrices(field, ws, eps)
-    if mats is None:  # then no candidate's unit matrices are integral
-        return list(ws)
-    chains = _chain_tuples(mats)
-    best_m = (0,) * (field.n - 1)
-    best_cost = _coset_cost(chains, ell, (1,) + best_m)
-    for m in product(range(-8, 9), repeat=field.n - 1):
-        if not any(m):
-            continue
-        cost = _coset_cost(chains, ell, (1,) + tuple(ell * mi for mi in m))
-        if cost < best_cost:
-            best_m, best_cost = m, cost
+    n0 = norm_form(field, ws).coeffs
+    den = lcm(*(c.denominator for c in n0.values()))
+    terms = [(int(c * den), mono[1:]) for mono, c in n0.items()]
+
+    def score(m):
+        x = [ell * mj for mj in m]
+        return abs(sum(c * prod(map(pow, x, es)) for c, es in terms)), any(m)
+
+    best_m = min(product(range(-8, 9), repeat=field.n - 1), key=score)
     w1 = ws[0]
     for mj, wj in zip(best_m, ws[1:]):
         w1 = w1 + (ell * mj) * wj
@@ -195,13 +161,13 @@ def _reduce_adapted(field: NumberField, ws, eps, ell: int):
 
 def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
                     ell: int, units: Sequence[FieldElement] | None = None,
-                    ws: Sequence[FieldElement] | None = None,
-                    reduce_basis: bool = True) -> ZetaData:
+                    ws: Sequence[FieldElement] | None = None) -> ZetaData:
     """Assemble and fail-fast-verify the specialization data.
 
     A pre-adapted basis ws may be supplied (it is verified); by default one
-    is derived from the Smith form of the index-ell inclusion and then
-    reduced to shrink the coset systems the evaluator walks.
+    is derived from the Smith form of the index-ell inclusion, and its
+    first element is moved to the least |N(w_1)| in the box of
+    `_reduce_adapted`, which shrinks the coset systems the evaluator walks.
     """
     n = field.n
     if c.norm() != ell:
@@ -215,9 +181,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     eps = unit_basis(field, f) if units is None else list(units)
     reg_sign = validate_units(field, f, eps)  # certifies the regulator sign
     if ws is None:
-        ws = adapted_basis(a, f, c, ell)
-        if reduce_basis:
-            ws = _reduce_adapted(field, ws, eps, ell)
+        ws = _reduce_adapted(field, adapted_basis(a, f, c, ell), ell)
     else:
         ws = list(ws)
         _check_adapted(ws, a.inverse() * f, a.inverse() * c.inverse() * f, ell)

@@ -367,13 +367,17 @@ def _with(**changes):
     ("zeta", _with(a=True)),
     ("zeta", _with(field={"poly": ["-5", "0", "1"], "trusted": "false"})),
     ("zeta", _with(field={"poly": ["-5", "0", "1"], "trusted": 1})),
+    # one e >= 1 per pi: a short list used to drop a prime silently
+    ("oov", _with(oov__e=["1"])),
+    ("oov", _with(oov__e=["1", "0"])),
 ], ids=["top-level-list", "poly-not-list", "divisor-not-object",
         "divisor-without-factors", "config-is-directory", "negative-k_max",
         "integral-basis-column-length", "negative-level", "zero-level",
         "negative-precision", "zero-precision-flag",
         "negative-precision-flag", "precision-flag-outside-padic-zeta",
         "boolean-k_max", "boolean-poly-coefficient", "boolean-ideal",
-        "string-trusted", "integer-trusted"])
+        "string-trusted", "integer-trusted", "oov-e-shorter-than-pi",
+        "oov-zero-e"])
 def test_config_shape_errors(command, cfg, tmp_path, capsys):
     # command is the subcommand, followed by any flags
     path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)
@@ -387,10 +391,13 @@ def test_config_shape_errors(command, cfg, tmp_path, capsys):
      "irreducibility"),
     ("false", EXIT_CONFIG, "config error: field.trusted must be true or "
      "false, got 'false'"),
-], ids=["json-false", "string-false"])
+    (True, EXIT_PRECONDITION, "precondition error: quadratic is not "
+     "irreducible: its discriminant 16 is a square"),
+], ids=["json-false", "string-false", "json-true"])
 def test_trusted_is_a_json_boolean(trusted, code, message, tmp_path, capsys):
     # x^2 - 4 is reducible: with the certificate on it is named as such,
-    # and the string "false" must not switch the certificate off
+    # the string "false" must not switch the certificate off, and a trusted
+    # quadratic still has its discriminant checked
     cfg = _with(field={"poly": ["-4", "0", "1"], "trusted": trusted})
     assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) == code
     assert capsys.readouterr().err.startswith(message)

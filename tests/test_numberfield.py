@@ -40,10 +40,12 @@ def test_field_new_rejections():
         NumberField([1, 0, 1])  # t^2 + 1
     with pytest.raises(NotMonic):
         NumberField([1, 0, 2])
-    with pytest.raises(NotIrreducible):
-        NumberField([-4, 0, 1])  # t^2 - 4 = (t-2)(t+2)
-    with pytest.raises(NotIrreducible):
-        NumberField([1, 2, 1])  # (t+1)^2
+    # a square discriminant decides a quadratic exactly, trusted or not
+    for trusted in (False, True):
+        with pytest.raises(NotIrreducible):
+            NumberField([-4, 0, 1], trusted=trusted)  # t^2 - 4 = (t-2)(t+2)
+        with pytest.raises(NotIrreducible):
+            NumberField([1, 2, 1], trusted=trusted)  # (t+1)^2
 
 
 def test_field_new_cubic():

@@ -7,7 +7,7 @@ import pytest
 import eisenzeta
 from eisenzeta.cocycle import CocycleArgs, GammaEllMatrix, psi_ell
 from eisenzeta.exact import MultiPoly, mat_inv
-from eisenzeta.numberfield import Ideal, NumberField, prime_over
+from eisenzeta.numberfield import Ideal, NumberField, adapted_basis, prime_over
 from eisenzeta.padic import (L_assemble, MeasureHandle, PadicInt,
                              PrecisionExhausted, Region, _intval,
                              _poly_residue_evaluator, _series_loss,
@@ -604,7 +604,8 @@ def test_multi_coset_kernel_agrees():
     one = Ideal.unit_ideal(F)
     c = prime_over(F, 11)
     z_red = build_zeta_data(F, one, one, c, 11)
-    z_raw = build_zeta_data(F, one, one, c, 11, reduce_basis=False)
+    z_raw = build_zeta_data(F, one, one, c, 11,
+                            ws=adapted_basis(one, one, c, 11))
     h_red = MeasureHandle(z_red, 3)
     h_raw = MeasureHandle(z_raw, 3)
     assert len(h_raw.cell_numerators(1).maps) > 1
@@ -620,6 +621,38 @@ def test_multi_coset_kernel_agrees():
     for cell in ((0, 0), (1, 2)):
         assert kernel.row(cell[:1])[cell[1]] \
             == h_raw.mu_den * h_raw.measure_box(cell, 1)
+
+
+@pytest.mark.parametrize("case, ms, counts", [
+    ("sqrt5", [(0,), (-1,), (1,)], [41, 191, 1]),
+    ("sqrt5-a19", [(0,), (-1,), (1,)], [179, 2089, 359]),
+    ("cubic-p5", [(0, 0), (2, 0), (-5, -1), (1, 0)], [3736, 136, 8, 888]),
+], ids=["sqrt5", "sqrt5-a19", "cubic-p5"])
+def test_coset_count_is_norm(case, ms, counts):
+    # the kernel walks K |N(w_1)| / (ell N(a^-1 f)) cosets with K fixed by
+    # the units, so on the bases w_1 + ell sum m_j w_j of the start basis
+    # (m = 0, listed first) the map count is proportional to |N(w_1)|
+    if case == "cubic-p5":
+        F = NumberField([-1, -3, 0, 1])  # t^3 - 3t - 1
+        units, ell, p = [F.element([0, 0, 1]), F.element([1, 2, 1])], 17, 5
+    else:
+        F = NumberField([-5, 0, 1])
+        units, ell, p = None, 11, 3
+    one = Ideal.unit_ideal(F)
+    a = prime_over(F, 19) if case == "sqrt5-a19" else one
+    c = prime_over(F, ell)
+    start = adapted_basis(a, one, c, ell)
+    got, norms = [], []
+    for m in ms:
+        w1 = start[0]
+        for mj, wj in zip(m, start[1:]):
+            w1 = w1 + (ell * mj) * wj
+        z = build_zeta_data(F, one, a, c, ell, units, ws=[w1] + start[1:])
+        got.append(len(MeasureHandle(z, p).cell_numerators(1).maps))
+        norms.append(abs(w1.norm()))
+    assert got == counts
+    for count, norm in zip(got, norms):
+        assert count * norms[0] == got[0] * norm
 
 
 def test_precision_soundness_recomputation():
@@ -659,8 +692,9 @@ def _row_kernel_handle(case):
     if case == "sqrt5-p3":
         return sqrt5_setup()[3], 2, 1
     if case == "unreduced":  # the handle of test_multi_coset_kernel_agrees
-        z = build_zeta_data(F, one, one, prime_over(F, 11), 11,
-                            reduce_basis=False)
+        c = prime_over(F, 11)
+        z = build_zeta_data(F, one, one, c, 11,
+                            ws=adapted_basis(one, one, c, 11))
         return MeasureHandle(z, 3), 2, 41
     if case == "oov":
         z = build_zeta_data(F, one, one, prime_over(F, 19), 19)

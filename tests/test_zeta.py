@@ -3,13 +3,12 @@ from math import isqrt
 
 import pytest
 
-from eisenzeta.exact import Matrix, mat_det
+from eisenzeta.exact import Matrix, identity, mat_det, mat_mul
 from eisenzeta.numberfield import (Ideal, NumberField, adapted_basis,
                                    prime_over, totally_positive_unit,
                                    unit_basis)
 from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
-                            _chain_coset_cost, _reduce_adapted,
-                            _unit_matrices, build_zeta_data,
+                            _reduce_adapted, _unit_matrices, build_zeta_data,
                             combine_smoothing, norm_form, zeta_minus_k,
                             zeta_star_minus_k)
 
@@ -242,12 +241,28 @@ def test_cross_check_failure_detectable():
         zeta_minus_k(bad, 1, crosscheck=True)
 
 
+def _chain_coset_cost(field, ws, eps, ell):
+    """The cosets the kernel walks for the basis ws: the sum over the chain
+    tuples (I, U_p1, U_p1 U_p2, ...), one per permutation p of the unit
+    matrices U, of |det| of the tuple's first columns / ell^(n-1)."""
+    from itertools import permutations
+    n = field.n
+    total = 0
+    for perm in permutations(_unit_matrices(field, ws, eps)):
+        p = identity(n)
+        cols = [[row[0] for row in p]]
+        for u in perm:
+            p = mat_mul(p, u)
+            cols.append([row[0] for row in p])
+        total += abs(int(mat_det(cols))) // ell ** (n - 1)
+    return total
+
+
 def _reduce_by_rebuilding(field, ws, eps, ell, radius=8):
     """Oracle for _reduce_adapted: rebuild every candidate basis and its
-    unit matrices from field arithmetic."""
+    unit matrices from field arithmetic, and take the least coset count."""
     from itertools import product
-    best, best_cost = list(ws), _chain_coset_cost(
-        _unit_matrices(field, ws, eps), ell)
+    best, best_cost = list(ws), _chain_coset_cost(field, ws, eps, ell)
     for m in product(range(-radius, radius + 1), repeat=field.n - 1):
         if not any(m):
             continue
@@ -255,7 +270,7 @@ def _reduce_by_rebuilding(field, ws, eps, ell, radius=8):
         for mj, wj in zip(m, ws[1:]):
             w1 = w1 + (ell * mj) * wj
         cand = [w1] + list(ws[1:])
-        cost = _chain_coset_cost(_unit_matrices(field, cand, eps), ell)
+        cost = _chain_coset_cost(field, cand, eps, ell)
         if cost < best_cost:
             best, best_cost = cand, cost
     return best
@@ -284,7 +299,7 @@ REDUCE_CASES += [(([-5, 0, 1], None), 19, i, 11, 3) for i in range(2)]
          + (f"-{i}" if i else "") + (f"-a{a_over}-f{f}" if f else "")
          for fld, ell, i, a_over, f in REDUCE_CASES])
 def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
-    # the integer-determinant search picks exactly the oracle's basis at
+    # the norm search picks exactly the basis of least coset count at
     # every degree-one prime, also for a != O and f != O
     poly, units = field
     F = NumberField(poly)
@@ -294,7 +309,7 @@ def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
     c = _degree_one_primes(F, ell)[index]
     eps = unit_basis(F, fi, supplied=units and [F.element(u) for u in units])
     ws = adapted_basis(a, fi, c, ell)
-    got = _reduce_adapted(F, ws, eps, ell)
+    got = _reduce_adapted(F, ws, ell)
     assert got == _reduce_by_rebuilding(F, ws, eps, ell)
     if (poly, ell, index) in ((CUBIC[0], 17, 0), ([-5, 0, 1], 11, 0)):
         assert got != ws  # the search moves the basis at these primes
