@@ -39,8 +39,9 @@ EXIT_CROSSCHECK = 4
 # Most cells a command may visit, each checked before the work starts: the
 # sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
 # about 35 s on the 19-coset oov kernel), and the (p^t)^n cells of its
-# region at level t (a membership test costs about 150 us, so 10^6 take
-# about 2.5 minutes).
+# region at level t (a cell costs about 5 us in the integer congruences,
+# and up to about 150 us where `region_units` evaluates its norm in
+# Fractions, so 10^6 take up to about 2.5 minutes).
 MAX_SWEEP_CELLS = 10 ** 7
 MAX_REGION_CELLS = 10 ** 6
 

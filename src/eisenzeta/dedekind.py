@@ -10,7 +10,6 @@ the tuple of forms); v is a rational column vector.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from collections import Counter
@@ -305,21 +304,25 @@ def d_ell_direct(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
 
 class DedekindCache:
     """Memo for smoothed Dedekind sums, persistable as versioned
-    line-delimited records "digest<TAB>num/den"."""
+    line-delimited records "digest<TAB>num/den".
+
+    Only the cache loads `hashlib`, and OpenSSL's libcrypto with it, when it
+    is constructed: a run without a cache never imports it."""
 
     FORMAT = "eisenzeta-dedekind-cache-v1"
 
     def __init__(self, path: str | None = None):
+        from hashlib import sha256
+        self._sha256 = sha256
         self.path = path
         self.data: dict[str, Fraction] = {}
         if path and os.path.exists(path):
             self.load(path)
 
-    @staticmethod
-    def key(sigma, e, v, signs, ell: int, plus: bool) -> str:
+    def key(self, sigma, e, v, signs, ell: int, plus: bool) -> str:
         vred = tuple(Fraction(t) - floor(t) for t in v)
         raw = repr((tuple(map(tuple, sigma)), tuple(e), vred, signs, ell, plus))
-        return hashlib.sha256(raw.encode()).hexdigest()
+        return self._sha256(raw.encode()).hexdigest()
 
     def get(self, key: str) -> Fraction | None:
         return self.data.get(key)

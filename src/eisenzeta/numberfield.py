@@ -18,7 +18,7 @@ and `_unit_search_bound` the only bound on unit-power searches.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Sequence
 
 from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
@@ -324,6 +324,19 @@ class NumberField:
         if f[-1] != 1:
             raise NotMonic("defining polynomial must be monic")
         n = len(f) - 1
+        self.f = tuple(f)
+        self.n = n
+        self._sturm = sturm_sequence(f)
+        self._roots = self._isolate_roots()
+        # a rational root of the monic f is an integer, and an isolating
+        # interval of width < 1 holds at most one: so this check is exact,
+        # trusted or not, and complete for n = 3; the discriminant below
+        # decides a quadratic
+        for lo, hi in self._roots:
+            r = ceil(lo)
+            if n > 2 and r < hi and poly_eval(f, r) == 0:
+                raise NotIrreducible(f"polynomial is not irreducible: it has "
+                                     f"the integer root {r}")
         if not trusted and not certify_irreducible(f):
             raise NotIrreducible(
                 "could not certify irreducibility mod the fixed prime list; "
@@ -333,12 +346,8 @@ class NumberField:
             if disc >= 0 and isqrt(disc) ** 2 == disc:
                 raise NotIrreducible(f"quadratic is not irreducible: its "
                                      f"discriminant {disc} is a square")
-        if real_root_count(f) != n:
+        if len(self._roots) != n:
             raise NotTotallyReal("polynomial does not have n real roots")
-        self.f = tuple(f)
-        self.n = n
-        self._sturm = sturm_sequence(f)
-        self._roots = self._isolate_roots()
         # reduction table: theta^(n+k) in the power basis, k = 0..n-2
         red = []
         cur = [Fraction(-c) for c in f[:-1]]
@@ -369,6 +378,8 @@ class NumberField:
         return lattice_hnf([(Fraction(1), Fraction(0)), omega])
 
     def _isolate_roots(self) -> list[Interval]:
+        """Ascending intervals (lo, hi), each narrower than 1 and holding
+        one distinct real root; no endpoint is a root."""
         bound = Fraction(1) + max(abs(Fraction(c)) for c in self.f[:-1])
         stack = [(-bound, bound, real_root_count(self.f))]
         found: list[Interval] = []
@@ -376,11 +387,11 @@ class NumberField:
             lo, hi, cnt = stack.pop()
             if cnt == 0:
                 continue
-            if cnt == 1:
+            if cnt == 1 and hi - lo < 1:
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            while poly_eval(self.f, mid) == 0:  # cannot happen, f irreducible
+            while poly_eval(self.f, mid) == 0:  # a rational root of f
                 mid = (lo + mid) / 2
             left = sturm_count(self._sturm, lo, mid)
             stack.append((lo, mid, left))

@@ -17,9 +17,10 @@ the worst-case digit loss of a per-cell log; the weight character
 there is no p-adic exp; `_intval` takes every valuation and `_residue`
 every rational residue; `integrate_cells` is the one Riemann loop,
 `_poly_residue_evaluator` the one polynomial evaluator; and `_region`
-builds every region, with `_in_completion` its one membership test.  That
-test works in the completion at p, since for a class representative
-a != O the points x = w . (v + j) carry denominators prime to p.
+builds every region, testing each lattice as one integer congruence in the
+cell index.  That test works in the completion at p, since for a class
+representative a != O the points x = w . (v + j) carry denominators prime
+to p.
 
 The loop runs row by row.  `CellKernel.row` walks each chain term's
 cosets that differ only in the last coordinate as one long affine row,
@@ -42,8 +43,8 @@ from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .cyclotomic import _is_prime
 from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
 from .exact import (Matrix, MultiPoly, coset_reps, lattice_hnf, mat_det,
-                    mat_inv, mat_vec)
-from .numberfield import FieldElement, Ideal
+                    mat_inv, mat_mul, mat_vec)
+from .numberfield import Ideal
 from .zeta import MissingClassData, ZetaData
 
 
@@ -486,27 +487,26 @@ def _stabilized_lattice(I: Ideal, p: int):
     raise LevelTooSmall("lattice saturation did not stabilize")
 
 
-def _in_completion(lattice: Ideal, x: FieldElement, p: int) -> bool:
-    """x in lattice O_p, for a lattice between p^t O and O.
-
-    The prime-to-p part d of the denominators of x is a unit at p, and d x
-    lies in O[1/p].  There the global test is the local one: O / lattice is
-    a p-group, and an element of O[1/p] outside O is outside O_p."""
-    d = lcm(*(c.denominator for c in x.coords))
-    while d % p == 0:
-        d //= p
-    return lattice.contains(x * d)
-
-
 def _region(h: MeasureHandle, tag: str, f: Ideal, *,
             inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = (),
             unit_norm: bool = False, max_cells: int | None = None) -> Region:
-    """The cells j whose x = w . (v + j) lies in every ideal of `inside`
+    """The cells j whose x(j) = w . (v + j) lies in every ideal of `inside`
     and in none of `avoid`, is congruent to 1 modulo f and, with
     `unit_norm`, has a p-unit norm.  Each ideal is replaced by its
-    stabilised lattice and tested in the completion at p; the region's
-    level is the deepest stabilisation level.  A level with more than
-    `max_cells` cells raises TooManyCells before any cell is tested."""
+    stabilised lattice q, between p^t O and O, and tested in the completion
+    at p; the region's level is the deepest stabilisation level.  A level
+    with more than `max_cells` cells raises TooManyCells before any cell is
+    tested.
+
+    Each lattice test is one integer congruence in j, built once.  Let D be
+    the prime-to-p part of the common denominator of wmat and wmat v, so
+    that every D x(j) lies in O[1/p].  As D is a unit at p, x(j) - shift
+    lies in q O_p exactly when D (x(j) - shift) does, and that is exactly
+    when it lies in q: O / q is a p-group, and an element of O[1/p] outside
+    O is outside O_p.  With H the basis of q, that is L D H^-1 (wmat (v + j)
+    - shift) = 0 mod L, where L clears the denominators; the shift is 0, or
+    1 for the test modulo f.
+    """
     p = h.p
     field = h.z.field
     n = field.n
@@ -516,21 +516,43 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
         raise TooManyCells(f"the region's level {t} has {(p ** t) ** n} "
                            f"cells, above the limit of {max_cells}")
     flat, *lats = [lat for _, lat in stable]
-    inside_lats, avoid_lats = lats[:len(inside)], lats[len(inside):]
-    one = field.one()
     wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n)) for i in range(n))
+    wv = mat_vec(wmat, h.z.v)
+    D = lcm(*(c.denominator for row in wmat for c in row),
+            *(c.denominator for c in wv))
+    while D % p == 0:
+        D //= p
+
+    def congruence(q: Ideal, shift: Sequence) -> tuple[int, list]:
+        """(L, [(row of L D H^-1 wmat mod L, its constant)]), without the
+        rows that hold at every j."""
+        hinv = mat_inv(q.basis)
+        a = mat_mul(hinv, wmat)
+        b = mat_vec(hinv, [x - s for x, s in zip(wv, shift)])
+        L = lcm(*((D * c).denominator for row in a for c in row),
+                *((D * c).denominator for c in b))
+        rows = [([int(c * D * L) % L for c in arow], int(bc * D * L) % L)
+                for arow, bc in zip(a, b)]
+        return L, [(arow, bc) for arow, bc in rows if any(arow) or bc]
+
+    def holds(cong, j):
+        L, rows = cong
+        return all((sum(map(mul, arow, j)) + bc) % L == 0 for arow, bc in rows)
+
+    zero = (0,) * n
+    musts = [congruence(flat, field.one().coords)]
+    musts += [congruence(q, zero) for q in lats[:len(inside)]]
+    nots = [congruence(q, zero) for q in lats[len(inside):]]
 
     def member(j):
-        vj = [Fraction(vi) + ji for vi, ji in zip(h.z.v, j)]
-        if unit_norm:
-            nx = h.norm_poly.evaluate(vj)
-            if nx == 0 or frac_valuation(nx, p) != 0:
-                return False
-        x = field.element(mat_vec(wmat, vj))
-        if not all(_in_completion(q, x, p) for q in inside_lats) \
-                or any(_in_completion(q, x, p) for q in avoid_lats):
+        if not all(holds(c, j) for c in musts) \
+                or any(holds(c, j) for c in nots):
             return False
-        return _in_completion(flat, x - one, p)
+        if unit_norm:
+            nx = h.norm_poly.evaluate([Fraction(vi) + ji
+                                       for vi, ji in zip(h.z.v, j)])
+            return nx != 0 and frac_valuation(nx, p) == 0
+        return True
 
     mask = frozenset(j for j in product(range(p ** t), repeat=n) if member(j))
     return Region(p, t, mask, tag)
@@ -552,9 +574,10 @@ def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
 def region_oov(h: MeasureHandle, f: Ideal,
                pi_data: Sequence[tuple], other_primes: Sequence[Ideal] = (),
                *, max_cells: int | None = None) -> Region:
-    """The order-of-vanishing region: valuation < e_i at each supplied
-    prime (pi_i generates p_i^{e_i}), unit and congruent to 1 mod f at the
-    remaining primes above p."""
+    """The order-of-vanishing region: the cells whose x avoids the ideal
+    (pi_i) of each pair (pi_i, e_i) of `pi_data` and each ideal of
+    `other_primes`, and is congruent to 1 mod f.  Each e_i is checked by
+    the CLI but not used here: the region avoids (pi_i) itself."""
     field = h.z.field
     avoid = [Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
     return _region(h, "oov", f, avoid=avoid + list(other_primes),

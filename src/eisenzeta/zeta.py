@@ -135,18 +135,22 @@ def _reduce_adapted(field: NumberField, ws, ell: int):
     """Shrink the cocycle coset count over the transforms
     w_1 -> w_1 + ell * (m_2 w_2 + ... + m_n w_n) with every |m_i| <= 8,
     which preserve the adapted property.  The least |N(w_1)| wins; a tie
-    keeps ws (m = 0), or else the first m in `product` order.
+    keeps ws (m = 0), or else the first m in `product` order.  Returns the
+    basis and its norm form.
 
     The norm is the count up to a factor fixed by the units: the first
     columns of a chain term are the coordinates of eps w_1, so their
     determinant is N(w_1) det(tau_i(eps_j)) / det(tau_i(w_j)), and every
     candidate spans a^-1 f.  A candidate's N(w_1) is the norm form N_0 of
     ws at (1, ell m), evaluated in integers over N_0's common denominator.
+    The winner's norm form is N_0 with X_j -> X_j + ell m_j X_1 (j >= 2),
+    as (w_1 + ell sum m_j w_j) X_1 + sum w_j X_j = w_1 X_1 + sum w_j (X_j +
+    ell m_j X_1): one integer substitution, not a second resultant.
     """
     from itertools import product
-    n0 = norm_form(field, ws).coeffs
-    den = lcm(*(c.denominator for c in n0.values()))
-    terms = [(int(c * den), mono[1:]) for mono, c in n0.items()]
+    n0 = norm_form(field, ws)
+    den = lcm(*(c.denominator for c in n0.coeffs.values()))
+    terms = [(int(c * den), mono[1:]) for mono, c in n0.coeffs.items()]
 
     def score(m):
         x = [ell * mj for mj in m]
@@ -154,9 +158,11 @@ def _reduce_adapted(field: NumberField, ws, ell: int):
 
     best_m = min(product(range(-8, 9), repeat=field.n - 1), key=score)
     w1 = ws[0]
-    for mj, wj in zip(best_m, ws[1:]):
+    rows = [[int(i == j) for j in range(field.n)] for i in range(field.n)]
+    for j, (mj, wj) in enumerate(zip(best_m, ws[1:]), 1):
         w1 = w1 + (ell * mj) * wj
-    return [w1] + list(ws[1:])
+        rows[j][0] = ell * mj
+    return [w1] + list(ws[1:]), n0.compose_matrix(rows)
 
 
 def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
@@ -168,6 +174,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     is derived from the Smith form of the index-ell inclusion, and its
     first element is moved to the least |N(w_1)| in the box of
     `_reduce_adapted`, which shrinks the coset systems the evaluator walks.
+    Either way the norm form is computed once.
     """
     n = field.n
     if c.norm() != ell:
@@ -181,13 +188,14 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     eps = unit_basis(field, f) if units is None else list(units)
     reg_sign = validate_units(field, f, eps)  # certifies the regulator sign
     if ws is None:
-        ws = _reduce_adapted(field, adapted_basis(a, f, c, ell), ell)
+        ws, form = _reduce_adapted(field, adapted_basis(a, f, c, ell), ell)
     else:
         ws = list(ws)
         _check_adapted(ws, a.inverse() * f, a.inverse() * c.inverse() * f, ell)
+        form = norm_form(field, ws)
     wstar = dual_basis(ws)
     nac = a.norm() * c.norm()
-    P = nac * norm_form(field, ws)
+    P = nac * form
     for coeff in P.coeffs.values():
         den = coeff.denominator
         while den % ell == 0:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +108,48 @@ def test_golden_report(case, capsys):
     report.pop("timestamp")
     expected = json.loads((GOLDEN / "golden_reports.json").read_text())
     assert report == expected[case]
+
+
+# a CLI run in a fresh interpreter without site: whether OpenSSL's
+# `_hashlib` is loaded when build_common returns and when main returns
+FOOTPRINT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from eisenzeta import cli
+seen = {}
+build = cli.build_common
+
+def marked(*args, **kwargs):
+    out = build(*args, **kwargs)
+    seen.setdefault("after_build", "_hashlib" in sys.modules)
+    return out
+
+cli.build_common = marked
+rc = cli.main(sys.argv[3:])
+seen.update(rc=rc, at_exit="_hashlib" in sys.modules)
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+@pytest.mark.parametrize("argv, hashlib_loaded", [
+    (["padic-zeta", "--config", "golden_config.json"], False),
+    (["oov", "--config", "golden_config.json"], False),
+    (["zeta", "--config", "golden_config_cubic.json", "--no-crosscheck",
+      "--cache", "CACHE"], True),
+], ids=["padic-zeta", "oov", "zeta-cache"])
+def test_import_footprint(argv, hashlib_loaded, tmp_path):
+    # only the Dedekind cache loads hashlib: a cache-less run never maps
+    # OpenSSL, and a cached run has it loaded within set-up
+    src = Path(eisenzeta.cli.__file__).parents[1]
+    argv = [str(GOLDEN / a) if a.endswith(".json")
+            else str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
+    out = tmp_path / "seen.json"
+    subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, str(src), str(out),
+                    *argv], check=True, capture_output=True, timeout=120)
+    seen = json.loads(out.read_text())
+    assert seen == {"rc": 0, "after_build": hashlib_loaded,
+                    "at_exit": hashlib_loaded}
 
 
 def test_json_out(tmp_path, capsys):
@@ -401,6 +445,18 @@ def test_trusted_is_a_json_boolean(trusted, code, message, tmp_path, capsys):
     cfg = _with(field={"poly": ["-4", "0", "1"], "trusted": trusted})
     assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+def test_reducible_cubic_names_its_root(trusted, tmp_path, capsys):
+    # t^3 - t^2 - 5t + 5 = (t - 1)(t^2 - 5), trusted or not
+    cfg = _with(field={"poly": ["5", "-5", "-1", "1"], "trusted": trusted},
+                units=[["0", "1", "0"], ["2", "1", "0"]])
+    assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err == ("precondition error: polynomial is "
+                                       "not irreducible: it has the integer "
+                                       "root 1\n")
 
 
 def test_json_out_missing_directory(tmp_path, capsys):

@@ -48,6 +48,24 @@ def test_field_new_rejections():
             NumberField([1, 2, 1], trusted=trusted)  # (t+1)^2
 
 
+@pytest.mark.parametrize("poly, root", [
+    ([5, -5, -1, 1], 1),        # (t - 1)(t^2 - 5)
+    ([-3, 7, -5, 1], 1),        # (t - 1)^2 (t - 3), a double root
+    ([-2, 1, -2, 1], 2),        # (t - 2)(t^2 + 1), one real root
+    ([4, 0, -5, 0, 1], -2),     # (t^2 - 1)(t^2 - 4)
+    ([0, -7, 0, 1], 0),         # t (t^2 - 7)
+])
+def test_field_rejects_integer_root(poly, root):
+    # a monic f with an integer root is reducible, trusted or not, and the
+    # root is named; every isolating interval is narrower than 1
+    for trusted in (False, True):
+        with pytest.raises(NotIrreducible,
+                           match=rf"it has the integer root {root}$"):
+            NumberField(poly, trusted=trusted)
+    F = NumberField([-1, -3, 0, 1], trusted=True)
+    assert all(hi - lo < 1 for lo, hi in map(F.root_interval, range(3)))
+
+
 def test_field_new_cubic():
     F = NumberField([-1, -3, 0, 1])  # t^3 - 3t - 1, discriminant 81
     assert F.n == 3

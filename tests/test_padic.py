@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 
 import eisenzeta
 from eisenzeta.cocycle import CocycleArgs, GammaEllMatrix, psi_ell
-from eisenzeta.exact import MultiPoly, mat_inv
+from eisenzeta.exact import MultiPoly, mat_inv, mat_vec
 from eisenzeta.numberfield import Ideal, NumberField, adapted_basis, prime_over
 from eisenzeta.padic import (L_assemble, MeasureHandle, PadicInt,
                              PrecisionExhausted, Region, _intval,
                              _poly_residue_evaluator, _series_loss,
+                             _stabilized_lattice,
                              agreement_precision, frac_valuation,
                              integrate_cells, integrate_poly, iwasawa_log,
                              oov_integral, oov_integrals, padic_zeta,
@@ -305,6 +308,118 @@ def test_region_box():
     r = region_box(h, (1, 2), 1)
     assert r.contains((1, 2)) and r.contains((4, 5))
     assert not r.contains((0, 2))
+
+
+def _oracle_member(h, f, inside=(), avoid=(), unit_norm=False):
+    """The per-cell test `_region` made before its integer congruences, in
+    Fractions: x = w . (v + j) in each stabilised lattice in the completion
+    at p, the prime-to-p part d of x's denominators being a unit there."""
+    p, field = h.p, h.z.field
+    n = field.n
+    flat, *lats = [_stabilized_lattice(I, p)[1] for I in [f, *inside, *avoid]]
+    ins, avs = lats[:len(inside)], lats[len(inside):]
+    wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n)) for i in range(n))
+
+    def in_completion(lattice, x):
+        d = lcm(*(c.denominator for c in x.coords))
+        while d % p == 0:
+            d //= p
+        return lattice.contains(x * d)
+
+    def member(j):
+        vj = [Fraction(vi) + ji for vi, ji in zip(h.z.v, j)]
+        if unit_norm:
+            nx = h.norm_poly.evaluate(vj)
+            if nx == 0 or frac_valuation(nx, p) != 0:
+                return False
+        x = field.element(mat_vec(wmat, vj))
+        if not all(in_completion(q, x) for q in ins) \
+                or any(in_completion(q, x) for q in avs):
+            return False
+        return in_completion(flat, x - field.one())
+
+    return member
+
+
+def _region_and_oracle(h, tag, f, b=None, pis=(), other=()):
+    """The region of `tag` and the oracle member with the same ideals."""
+    if tag == "units":
+        return region_units(h, f), _oracle_member(h, f, unit_norm=True)
+    if tag == "b-units":
+        return (region_b_units(h, f, b, [b]),
+                _oracle_member(h, f, inside=[b], avoid=[b * b]))
+    avoid = [Ideal.from_generators(h.z.field, [pi]) for pi in pis]
+    return (region_oov(h, f, [(pi, 1) for pi in pis], other),
+            _oracle_member(h, f, avoid=avoid + list(other)))
+
+
+REGION_CASES = ["sqrt5-units", "sqrt5-a19-units-f3", "sqrt5-a19-p2-units-f4",
+                "sqrt5-a29-b-units", "sqrt5-oov", "sqrt5-a29-oov-f",
+                "sqrt10-units-f", "sqrt10-a13-b-units", "sqrt10-a13-oov-f",
+                "cubic-units", "cubic-units-f5", "cubic-a19-b-units",
+                "cubic-a19-oov"]
+
+
+@lru_cache(maxsize=None)
+def region_case(case):
+    """(region, oracle member) on Q(sqrt 5), Q(sqrt 10) and, at p = 5, the
+    cubic t^3 - 3t - 1; -aN puts a above N, and -fN or -f passes the region
+    an ideal f that p divides (-p2: p = 2, where O is not Z[theta] at p)."""
+    if case.startswith("sqrt5"):
+        a = 19 if "-a19" in case else 29 if "-a29" in case else None
+        if "oov" in case:  # p = 11 splits into (4 - t)(4 + t)
+            F, one, z, h = sqrt5_setup(19, 11, a)
+            lo, hi = F.element((4, -1)), F.element((4, 1))
+            if case.endswith("-f"):
+                return _region_and_oracle(h, "oov", Ideal.from_generators(
+                    F, [hi]), pis=[lo])
+            return _region_and_oracle(h, "oov", one, pis=[lo, hi])
+        F, one, z, h = sqrt5_setup(p=2 if "-p2" in case else 3, a=a)
+        three = Ideal.from_generators(F, [F.from_rational(3)])
+        if case.endswith("-b-units"):
+            return _region_and_oracle(h, "b-units", one, b=three)
+        m = int(case.rsplit("-f", 1)[1]) if "-f" in case else 1
+        return _region_and_oracle(h, "units", Ideal.from_generators(
+            F, [F.from_rational(m)]))
+    if case.startswith("sqrt10"):  # 3 splits into two non-principal primes
+        F = NumberField([-10, 0, 1])
+        one = Ideal.unit_ideal(F)
+        a = prime_over(F, 13) if "-a13" in case else one
+        h = MeasureHandle(build_zeta_data(F, one, a, prime_over(F, 31), 31), 3)
+        q1, q2 = (Ideal.from_generators(F, [F.from_rational(3),
+                                            F.element((-r, 1))])
+                  for r in (1, 2))
+        if case.endswith("-units-f"):
+            return _region_and_oracle(h, "units", q1)
+        if case.endswith("-b-units"):
+            return _region_and_oracle(h, "b-units", one, b=q1)
+        return _region_and_oracle(h, "oov", q1, pis=[F.from_rational(3)],
+                                  other=[q2])
+    h = _row_kernel_handle("cubic-p5")[0]  # 5 is inert
+    C = h.z.field
+    o = Ideal.unit_ideal(C)
+    five = Ideal.from_generators(C, [C.from_rational(5)])
+    if "-a19" in case:
+        z = build_zeta_data(C, o, prime_over(C, 19), prime_over(C, 17), 17,
+                            units=h.z.units)
+        h = MeasureHandle(z, 5)
+    if case.endswith("-b-units"):
+        return _region_and_oracle(h, "b-units", o, b=five)
+    if case.endswith("-oov"):
+        return _region_and_oracle(h, "oov", o, pis=[C.from_rational(5)])
+    return _region_and_oracle(h, "units", five if case.endswith("-f5") else o)
+
+
+@pytest.mark.parametrize("case", REGION_CASES)
+def test_region_matches_fraction_oracle(case):
+    # the integer congruences keep exactly the cells of the per-cell
+    # Fraction test, for a != O, for an f that p divides and at p = 2
+    region, member = region_case(case)
+    assert region.mask
+    pt = region.p ** region.t
+    cells = set(product(range(pt), repeat=len(next(iter(region.mask)))))
+    assert region.mask == {j for j in cells if member(j)}
+    assert len(region.mask) < len(cells)
 
 
 # --- p-adic zeta -----------------------------------------------------------------

@@ -5,7 +5,8 @@ under a change of units, the Bernoulli distribution relation, the integer
 Bernoulli rows and convolution behind the restricted distribution, the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
 box values of the p-adic measure against its distribution relation and its
-row kernel.
+row kernel, and the cells of the p-adic regions against the per-cell
+Fraction membership test kept in test_padic.py.
 
 Every test runs a fixed, derandomized example sequence and keeps no example
 database, so the suite stays deterministic and writes nothing to the
@@ -38,6 +39,8 @@ from eisenzeta.numberfield import (DependentUnits, Ideal, NumberField,
                                    regulator_det_sign)
 from eisenzeta.padic import MeasureHandle
 from eisenzeta.zeta import build_zeta_data
+
+from test_padic import REGION_CASES, region_case
 
 PROPS = settings(database=None, derandomize=True, deadline=None,
                  max_examples=60)
@@ -478,3 +481,14 @@ def test_measure_box_relations(case, data):
     kernel = _kernel(case, r + 1)
     for c, v in zip(children, values):
         assert kernel.row(c[:-1])[c[-1]] == h.mu_den * v
+
+
+@PROPS
+@given(st.sampled_from(REGION_CASES), st.data())
+def test_region_cell_matches_fraction_oracle(case, data):
+    # at any cell, also far outside 0 <= j < p^t, the region built from
+    # integer congruences agrees with the per-cell Fraction test
+    region, member = region_case(case)
+    n = len(next(iter(region.mask)))
+    j = data.draw(st.tuples(*[st.integers(-60, 60)] * n))
+    assert region.contains(j) == member(j)

@@ -293,14 +293,8 @@ REDUCE_CASES += [(([-5, 0, 1], None), ell, i, None, None)
 REDUCE_CASES += [(([-5, 0, 1], None), 19, i, 11, 3) for i in range(2)]
 
 
-@pytest.mark.parametrize(
-    "field, ell, index, a_over, f", REDUCE_CASES,
-    ids=[f"{'cubic' if fld is CUBIC else 'sqrt5'}-{ell}"
-         + (f"-{i}" if i else "") + (f"-a{a_over}-f{f}" if f else "")
-         for fld, ell, i, a_over, f in REDUCE_CASES])
-def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
-    # the norm search picks exactly the basis of least coset count at
-    # every degree-one prime, also for a != O and f != O
+def _reduce_case(field, ell, index, a_over, f):
+    """(F, f, a, c, units, adapted basis) of one of REDUCE_CASES."""
     poly, units = field
     F = NumberField(poly)
     one = Ideal.unit_ideal(F)
@@ -308,11 +302,46 @@ def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
     a = one if a_over is None else prime_over(F, a_over)
     c = _degree_one_primes(F, ell)[index]
     eps = unit_basis(F, fi, supplied=units and [F.element(u) for u in units])
-    ws = adapted_basis(a, fi, c, ell)
-    got = _reduce_adapted(F, ws, ell)
+    return F, fi, a, c, eps, adapted_basis(a, fi, c, ell)
+
+
+REDUCE_IDS = [f"{'cubic' if fld is CUBIC else 'sqrt5'}-{ell}"
+              + (f"-{i}" if i else "") + (f"-a{a_over}-f{f}" if f else "")
+              for fld, ell, i, a_over, f in REDUCE_CASES]
+
+
+@pytest.mark.parametrize("field, ell, index, a_over, f", REDUCE_CASES,
+                         ids=REDUCE_IDS)
+def test_reduce_adapted_matches_rebuilding(field, ell, index, a_over, f):
+    # the norm search picks exactly the basis of least coset count at
+    # every degree-one prime, also for a != O and f != O
+    F, fi, a, c, eps, ws = _reduce_case(field, ell, index, a_over, f)
+    got = _reduce_adapted(F, ws, ell)[0]
     assert got == _reduce_by_rebuilding(F, ws, eps, ell)
-    if (poly, ell, index) in ((CUBIC[0], 17, 0), ([-5, 0, 1], 11, 0)):
+    if (field[0], ell, index) in ((CUBIC[0], 17, 0), ([-5, 0, 1], 11, 0)):
         assert got != ws  # the search moves the basis at these primes
+
+
+@pytest.mark.parametrize("field, ell, index, a_over, f", REDUCE_CASES,
+                         ids=REDUCE_IDS)
+def test_one_norm_form_per_build(field, ell, index, a_over, f, monkeypatch):
+    # the moved basis's norm form is the start basis's after an integer
+    # substitution: one resultant per build_zeta_data, and P is N(ac) times
+    # the norm form of the basis it returns, also for a supplied basis
+    import eisenzeta.zeta as zeta
+    F, fi, a, c, eps, ws = _reduce_case(field, ell, index, a_over, f)
+    calls = []
+    resultant = zeta.resultant_norm
+    monkeypatch.setattr(zeta, "resultant_norm",
+                        lambda *args: calls.append(args) or resultant(*args))
+    z = build_zeta_data(F, fi, a, c, ell, units=eps)
+    assert len(calls) == 1
+    supplied = build_zeta_data(F, fi, a, c, ell, units=eps, ws=ws)
+    assert len(calls) == 2
+    nac = a.norm() * c.norm()
+    for data in (z, supplied):
+        assert data.P == nac * norm_form(F, data.w)
+    assert supplied.w == ws
 
 
 def test_sign_matrix_memo_per_sigma():
