@@ -110,19 +110,14 @@ def parse_field(cfg) -> NumberField:
         raise ConfigError("field must be an object with a 'poly' list")
     poly = [_int(c, "polynomial coefficient")
             for c in _list(cfg["poly"], "field.poly")]
-    trusted = cfg.get("trusted", False)
-    if not isinstance(trusted, bool):
-        raise ConfigError(f"field.trusted must be true or false, "
-                          f"got {trusted!r}")
-    kw = {"trusted": trusted}
+    basis = None
     if "integral_basis" in cfg:
-        kw["integral_basis"] = [
-            [_num(x) for x in _list(col, "integral_basis column")]
-            for col in _list(cfg["integral_basis"], "integral_basis")]
-        if any(len(col) != len(poly) - 1 for col in kw["integral_basis"]):
+        basis = [[_num(x) for x in _list(col, "integral_basis column")]
+                 for col in _list(cfg["integral_basis"], "integral_basis")]
+        if any(len(col) != len(poly) - 1 for col in basis):
             raise ConfigError("integral_basis columns need one entry per "
                               "power of theta below the degree")
-    return NumberField(poly, **kw)
+    return NumberField(poly, integral_basis=basis)
 
 
 def parse_ideal(field: NumberField, cfg) -> Ideal:
@@ -260,11 +255,6 @@ def cmd_oov(cfg, args, cache) -> dict:
     p = _int(ocfg["p"], "p")
     pis = [field.element([_num(x) for x in _list(coords, "pi generator")])
            for coords in _list(ocfg["pi"], "pi")]
-    es = [_int_min(e, "e", 1)
-          for e in _list(ocfg.get("e", ["1"] * len(pis)), "e")]
-    if len(es) != len(pis):
-        raise ConfigError(f"oov needs one 'e' per 'pi' generator, got "
-                          f"{len(es)} for {len(pis)}")
     other = [parse_ideal(field, q)
              for q in _list(ocfg.get("other_primes", []), "other_primes")]
     levels = [_int_min(m, "level", 1)
@@ -272,8 +262,7 @@ def cmd_oov(cfg, args, cache) -> dict:
     r = len(pis)
     kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
-    region = region_oov(h, f, list(zip(pis, es)), other,
-                        max_cells=MAX_REGION_CELLS)
+    region = region_oov(h, f, pis, other, max_cells=MAX_REGION_CELLS)
     _check_sweeps(h, region, levels)
     rows = []
     for M in levels:

@@ -3,21 +3,27 @@
 A field is Q[t]/(f) for a monic irreducible integer polynomial f with all
 roots real.  Real embeddings are ordered by ascending root and carried as
 isolating rational intervals, refined on demand; every sign decision is
-certified, never floated.  Ideals are O-module lattices given by rational
-column bases in Hermite normal form, where O is the maximal order for
-quadratic fields and Z[theta] (or a user-supplied integral basis) above.
+certified, never floated.  Irreducibility is decided exactly from those
+intervals (`NumberField._real_factor`): a monic integer factor of f is the
+product of t - alpha_i over a set of its roots, and it or its cofactor has
+degree at most n / 2.  A factor found among the real roots proves f
+reducible, and with every root real the search is complete, repeated roots
+included: the distinct repeated ones multiply to a factor of degree at
+most n / 2.  Ideals are O-module lattices given by rational column bases
+in Hermite normal form, where O is the maximal order for quadratic fields
+and Z[theta] (or a user-supplied integral basis) above.
 
 Each concept has one implementation: `_fundamental_discriminant` splits
 off the square part of a quadratic discriminant, `_atanh_bounds` is the
-only logarithm series, `_pmod_divmod` the only division over F_p,
-`Ideal.contains` the only ideal-membership test (a zero
-`exact.reduce_mod_lattice`), `_check_adapted` the only adapted-basis check,
-and `_unit_search_bound` the only bound on unit-power searches.
+only logarithm series, `Ideal.contains` the only ideal-membership test (a
+zero `exact.reduce_mod_lattice`), `_check_adapted` the only adapted-basis
+check, and `_unit_search_bound` the only bound on unit-power searches.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, isqrt
 from typing import Sequence
 
@@ -118,6 +124,14 @@ def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
     return seq
 
 
+def _poly_str(g: Sequence[int]) -> str:
+    """A monic integer polynomial, highest power first: "t^2 - 3"."""
+    return " ".join(("- " if c < 0 else "+ ")
+                    + ("" if abs(c) == 1 and k else str(abs(c)))
+                    + (f"t^{k}" if k > 1 else "t" * k)
+                    for k, c in reversed(list(enumerate(g))) if c)[2:]
+
+
 def _sign_changes(values: Sequence[Fraction]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -136,112 +150,6 @@ def real_root_count(coeffs: Sequence) -> int:
     at_minf = _sign_changes([c if (len(p) - 1) % 2 == 0 else -c
                              for p, c in zip(seq, lead)])
     return at_minf - at_inf
-
-
-# --- mod-p polynomial helpers for the irreducibility certificate --------------
-
-def _pmod_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod_divmod(a: list[int], b: list[int],
-                 p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b over F_p, both trimmed (the zero
-    polynomial is []); b must have a leading coefficient prime to p."""
-    r = _pmod_trim([x % p for x in a])
-    q = [0] * max(len(r) - len(b) + 1, 0)
-    binv = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        c = r[-1] * binv % p
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * bc) % p
-        _pmod_trim(r)
-    return _pmod_trim(q), r
-
-
-def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _pmod_trim([x % p for x in a]), _pmod_trim([x % p for x in b])
-    while b:
-        a, b = b, _pmod_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
-
-
-def _pmod_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pmod_divmod(out, f, p)[1] or [0]
-
-
-def _pmod_xpow(e: int, f: list[int], p: int) -> list[int]:
-    """x^e mod (f, p) by square and multiply."""
-    result = [1]
-    base = _pmod_divmod([0, 1], f, p)[1] or [0]
-    while e:
-        if e & 1:
-            result = _pmod_mulmod(result, base, f, p)
-        base = _pmod_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def factor_degree_pattern(f: Sequence[int], p: int) -> list[int] | None:
-    """Degrees (with multiplicity... none allowed) of the irreducible
-    factors of f mod p, or None if f mod p is not squarefree."""
-    fp = _pmod_trim([c % p for c in f])
-    if len(fp) != len(f):
-        return None  # leading coefficient vanished; skip this p
-    if len(_pmod_gcd(fp, _pmod_trim([i * c % p for i, c in enumerate(fp)][1:]
-                                    or [0]), p)) > 1:
-        return None
-    degrees: list[int] = []
-    g = fp
-    d = 0
-    while len(g) > 1:
-        d += 1
-        if 2 * d > len(g) - 1:
-            degrees.append(len(g) - 1)
-            break
-        xp = _pmod_xpow(p ** d, g, p)
-        xp = list(xp)
-        if len(xp) < 2:
-            xp += [0] * (2 - len(xp))
-        xp[1] = (xp[1] - 1) % p
-        h = _pmod_gcd(g, _pmod_trim(xp) or [0], p)
-        if len(h) > 1:
-            degrees.extend([d] * ((len(h) - 1) // d))
-            g = _pmod_divmod(g, h, p)[0]
-    return degrees
-
-
-_CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def certify_irreducible(f: Sequence[int]) -> bool:
-    """Degree-pattern sieve over a fixed prime list: the subset sums of the
-    factor degrees mod p bound the degrees of rational factors."""
-    n = len(f) - 1
-    possible = set(range(1, n))
-    for p in _CERT_PRIMES:
-        pattern = factor_degree_pattern(f, p)
-        if pattern is None:
-            continue
-        sums = {0}
-        for d in pattern:
-            sums |= {s + d for s in sums}
-        possible &= sums
-        if not possible:
-            return True
-    return False
 
 
 # --- interval arithmetic ------------------------------------------------------
@@ -316,7 +224,7 @@ class NumberField:
     """Totally real field presented by a monic irreducible integer
     polynomial, with isolated ordered real roots."""
 
-    def __init__(self, f: Sequence[int], *, trusted: bool = False,
+    def __init__(self, f: Sequence[int], *,
                  integral_basis: Sequence[Sequence] | None = None):
         f = [int(c) for c in f]
         if len(f) < 3:
@@ -327,25 +235,13 @@ class NumberField:
         self.f = tuple(f)
         self.n = n
         self._sturm = sturm_sequence(f)
+        self._simple = len(self._sturm[-1]) == 1  # gcd(f, f') is constant
         self._roots = self._isolate_roots()
-        # a rational root of the monic f is an integer, and an isolating
-        # interval of width < 1 holds at most one: so this check is exact,
-        # trusted or not, and complete for n = 3; the discriminant below
-        # decides a quadratic
-        for lo, hi in self._roots:
-            r = ceil(lo)
-            if n > 2 and r < hi and poly_eval(f, r) == 0:
-                raise NotIrreducible(f"polynomial is not irreducible: it has "
-                                     f"the integer root {r}")
-        if not trusted and not certify_irreducible(f):
-            raise NotIrreducible(
-                "could not certify irreducibility mod the fixed prime list; "
-                "pass trusted=True if the polynomial is known irreducible")
-        if n == 2:  # reducible iff the discriminant is a square, trusted or not
-            disc = f[1] * f[1] - 4 * f[0]
-            if disc >= 0 and isqrt(disc) ** 2 == disc:
-                raise NotIrreducible(f"quadratic is not irreducible: its "
-                                     f"discriminant {disc} is a square")
+        g = self._real_factor()
+        if g is not None:
+            raise NotIrreducible("polynomial is not irreducible: it has " + (
+                f"the integer root {-g[0]}" if len(g) == 2
+                else f"the factor {_poly_str(g)}"))
         if len(self._roots) != n:
             raise NotTotallyReal("polynomial does not have n real roots")
         # reduction table: theta^(n+k) in the power basis, k = 0..n-2
@@ -407,11 +303,53 @@ class NumberField:
         fmid = poly_eval(self.f, mid)
         if flo == 0 or fmid == 0:  # endpoints are never roots for deg >= 2
             raise RuntimeError("rational root encountered")
-        if (flo > 0) != (fmid > 0):
+        # f keeps its sign across a root of even multiplicity, which only a
+        # reducible f has: there Sturm's count picks the half
+        if ((flo > 0) != (fmid > 0) if self._simple
+                else sturm_count(self._sturm, lo, mid)):
             self._roots[i] = (lo, mid)
         else:
             self._roots[i] = (mid, hi)
         return self._roots[i]
+
+    def _real_factor(self) -> list[int] | None:
+        """A monic integer factor g of f (ascending coefficients) with
+        1 <= deg g <= n / 2 and real roots, or None if f has none.
+
+        A monic integer factor is prod_(i in S) (t - alpha_i) over a set S
+        of roots of f (Cohen, A Course in Computational Algebraic Number
+        Theory, 3.5).  For each set S of isolated real roots, they are
+        refined until every coefficient interval of that product is
+        narrower than 1; the one integer polynomial that can fit is then
+        tried by exact division.  A factor of degree n / 2 or its cofactor
+        holds root 0, so with n simple real roots only those sets are tried.
+        """
+        f, n, roots = self.f, self.n, self._roots
+        m = len(roots)
+        for d in range(1, n // 2 + 1):
+            sets = (((0,) + s for s in combinations(range(1, m), d - 1))
+                    if 2 * d == n == m else combinations(range(m), d))
+            for s in sets:
+                while True:
+                    box = [(1, 1)]
+                    for i in s:  # box *= t - alpha_i
+                        lo, hi = roots[i]
+                        box = [_iv_add(a, _iv_mul(b, (-hi, -lo)))
+                               for a, b in zip([(0, 0)] + box, box + [(0, 0)])]
+                    if all(hi - lo < 1 for lo, hi in box):
+                        break
+                    for i in s:
+                        self.refine_root(i)
+                g = [ceil(lo) for lo, _ in box]
+                if any(c > hi for c, (_, hi) in zip(g, box)):
+                    continue  # no integer polynomial fits
+                rem = list(f)
+                for k in range(n - d, -1, -1):  # divide f by the monic g
+                    rem[k:k + d + 1] = [r - rem[k + d] * c
+                                        for r, c in zip(rem[k:], g)]
+                if not any(rem):
+                    return g
+        return None
 
     def root_interval(self, i: int) -> Interval:
         return self._roots[i]

@@ -44,7 +44,7 @@ from .cyclotomic import _is_prime
 from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
 from .exact import (Matrix, MultiPoly, coset_reps, lattice_hnf, mat_det,
                     mat_inv, mat_mul, mat_vec)
-from .numberfield import Ideal
+from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
 
@@ -571,15 +571,15 @@ def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
     return _region(h, "b-units", f, inside=[b], avoid=[b * q for q in b_primes])
 
 
-def region_oov(h: MeasureHandle, f: Ideal,
-               pi_data: Sequence[tuple], other_primes: Sequence[Ideal] = (),
+def region_oov(h: MeasureHandle, f: Ideal, pis: Sequence[FieldElement],
+               other_primes: Sequence[Ideal] = (),
                *, max_cells: int | None = None) -> Region:
     """The order-of-vanishing region: the cells whose x avoids the ideal
-    (pi_i) of each pair (pi_i, e_i) of `pi_data` and each ideal of
-    `other_primes`, and is congruent to 1 mod f.  Each e_i is checked by
-    the CLI but not used here: the region avoids (pi_i) itself."""
+    (pi_i) of each generator of `pis` and each ideal of `other_primes`, and
+    is congruent to 1 mod f.  With (pi_i) = p_i^(e_i), avoiding (pi_i) is
+    v_(p_i)(x) < e_i, so the generator fixes e_i."""
     field = h.z.field
-    avoid = [Ideal.from_generators(field, [pi]) for pi, _ in pi_data]
+    avoid = [Ideal.from_generators(field, [pi]) for pi in pis]
     return _region(h, "oov", f, avoid=avoid + list(other_primes),
                    max_cells=max_cells)
 

@@ -305,7 +305,7 @@ def test_criterion_7_order_of_vanishing():
     h = MeasureHandle(z19, 11)
     pi1 = F.element((4, -1))   # generates (11, theta - 4)
     pi2 = F.element((4, 1))    # generates (11, theta + 4)
-    region = region_oov(h, one, [(pi1, 1), (pi2, 1)])
+    region = region_oov(h, one, [pi1, pi2])
     assert region.cell_count() == 100
     k2_values = {}
     eps_cap = 1
@@ -439,3 +439,36 @@ def test_criterion_10_cubic_zeta_oracle():
     report(10, f"cubic t^3-3t-1: smoothed zeta(-1) = 32 (ell=17) and 40 "
                f"(ell=19), matching (1-ell^2) * (-1/9) from L(-1, chi) L(-1, "
                f"chi-bar) in Q(zeta_3) ({time.time()-t0:.1f}s)")
+
+
+def test_criterion_13_quartic_zeta_oracle():
+    # F = Q(t), t^4 - 14t^2 + 9: t = sqrt2 + sqrt5 generates Q(sqrt2, sqrt5),
+    # whose minimal polynomial is reducible mod every prime; the exact
+    # irreducibility test admits it as it stands
+    t0 = time.time()
+    zQ = Fraction(-1, 12)
+    zF = (zagier_zeta_minus1(8) * zagier_zeta_minus1(5)
+          * zagier_zeta_minus1(40) / zQ ** 2)  # L(-1, chi) over chi_8, 5, 40
+    assert zF == Fraction(7, 15)
+    q = Fraction
+    F = NumberField([9, 0, -14, 0, 1], integral_basis=[
+        [1, 0, 0, 0], [0, q(-11, 6), 0, q(1, 6)],
+        [q(1, 2), q(17, 12), 0, q(-1, 12)],
+        [q(-7, 4), q(-11, 12), q(1, 4), q(1, 12)]])
+    assert F.order_index == 48
+    one = Ideal.unit_ideal(F)
+    # eta / (eps5^2 eps10^2), eps5^2 and eps10^2, where eps2 = 1 + sqrt2,
+    # eps5 = (1 + sqrt5) / 2, eps10 = 3 + sqrt10 and eta = eps2 eps5 eps10
+    # is totally positive; their index in the unit group is not certified
+    units = [F.element(u) for u in (
+        [q(27, 2), q(-173, 12), -1, q(13, 12)],
+        [q(3, 2), q(17, 12), 0, q(-1, 12)], [-2, 0, 3, 0])]
+    ell = 31
+    z = build_zeta_data(F, one, one, prime_over(F, ell), ell, units=units)
+    val = zeta_minus_k(z, 1, crosscheck=False)
+    assert val == (1 - ell ** 2) * zF == -448
+    elapsed = time.time() - t0
+    assert elapsed < 60
+    report(13, f"biquadratic t^4-14t^2+9: smoothed zeta(-1) = -448 "
+               f"(ell=31), matching (1-ell^2) * 7/15 from the three "
+               f"quadratic subfields ({elapsed:.1f}s)")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -40,12 +41,8 @@ def test_field_new_rejections():
         NumberField([1, 0, 1])  # t^2 + 1
     with pytest.raises(NotMonic):
         NumberField([1, 0, 2])
-    # a square discriminant decides a quadratic exactly, trusted or not
-    for trusted in (False, True):
-        with pytest.raises(NotIrreducible):
-            NumberField([-4, 0, 1], trusted=trusted)  # t^2 - 4 = (t-2)(t+2)
-        with pytest.raises(NotIrreducible):
-            NumberField([1, 2, 1], trusted=trusted)  # (t+1)^2
+    with pytest.raises(NotTotallyReal):
+        NumberField([1, 0, 2, 0, 1])  # (t^2 + 1)^2: no real root to test
 
 
 @pytest.mark.parametrize("poly, root", [
@@ -54,16 +51,33 @@ def test_field_new_rejections():
     ([-2, 1, -2, 1], 2),        # (t - 2)(t^2 + 1), one real root
     ([4, 0, -5, 0, 1], -2),     # (t^2 - 1)(t^2 - 4)
     ([0, -7, 0, 1], 0),         # t (t^2 - 7)
+    ([-4, 0, 1], -2),           # (t - 2)(t + 2)
+    ([1, 2, 1], -1),            # (t + 1)^2
 ])
 def test_field_rejects_integer_root(poly, root):
-    # a monic f with an integer root is reducible, trusted or not, and the
-    # root is named; every isolating interval is narrower than 1
-    for trusted in (False, True):
-        with pytest.raises(NotIrreducible,
-                           match=rf"it has the integer root {root}$"):
-            NumberField(poly, trusted=trusted)
-    F = NumberField([-1, -3, 0, 1], trusted=True)
+    # a monic f with an integer root is reducible, and the least such root
+    # is named; every isolating interval is narrower than 1
+    with pytest.raises(NotIrreducible,
+                       match=rf"it has the integer root {root}$"):
+        NumberField(poly)
+    F = NumberField([-1, -3, 0, 1])
     assert all(hi - lo < 1 for lo, hi in map(F.root_interval, range(3)))
+
+
+@pytest.mark.parametrize("poly, factor", [
+    ([6, 0, -5, 0, 1], "t^2 - 3"),          # (t^2 - 2)(t^2 - 3)
+    ([4, 0, -4, 0, 1], "t^2 - 2"),          # (t^2 - 2)^2: no simple root
+    ([-3, 0, -2, 0, 1], "t^2 - 3"),         # (t^2 - 3)(t^2 + 1)
+    ([-1, 2, 4, -4, -1, 1], "t^2 - t - 1"),  # (t^2 - t - 1)(t^3 - 3t + 1)
+    ([1, 0, -6, 0, 11, 0, -6, 0, 1],        # (t^2 - t - 1)^2 (t^2 + t - 1)^2
+     "t^2 + t - 1"),
+])
+def test_field_rejects_real_factor(poly, factor):
+    # without a rational root the factor is found as the product over a set
+    # of real roots, whose coefficient intervals refine to a lone integer
+    with pytest.raises(NotIrreducible,
+                       match=rf"it has the factor {re.escape(factor)}$"):
+        NumberField(poly)
 
 
 def test_field_new_cubic():

@@ -298,7 +298,7 @@ def test_region_oov_split_11(a):
     F, one, z19, h11 = sqrt5_setup(19, 11, a)
     pi1 = F.element((4, -1))
     pi2 = F.element((4, 1))
-    r = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
+    r = region_oov(h11, one, [pi1, pi2])
     assert r.t == 1
     assert r.cell_count() == 100  # (11 - 1)^2 unit pairs
 
@@ -349,7 +349,7 @@ def _region_and_oracle(h, tag, f, b=None, pis=(), other=()):
         return (region_b_units(h, f, b, [b]),
                 _oracle_member(h, f, inside=[b], avoid=[b * b]))
     avoid = [Ideal.from_generators(h.z.field, [pi]) for pi in pis]
-    return (region_oov(h, f, [(pi, 1) for pi in pis], other),
+    return (region_oov(h, f, pis, other),
             _oracle_member(h, f, avoid=avoid + list(other)))
 
 
@@ -572,7 +572,7 @@ def test_padic_zeta_weight_matches_cell_sum():
         cases.append((h, region_units(h, one), M))
     F, one, z, h11 = sqrt5_setup(19, 11, 19)
     pi1, pi2 = F.element((4, -1)), F.element((4, 1))
-    oov = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
+    oov = region_oov(h11, one, [pi1, pi2])
     cases.append((h11, oov, 1))
     for h, region, M in cases:
         p = h.p
@@ -590,7 +590,7 @@ def test_padic_zeta_weight_matches_cell_sum():
     assert (twisted.res, twisted.prec) == ((chi * single).res, single.prec)
     # an order-of-vanishing region that keeps the cells divisible by pi2
     # has non-unit norms at live cells
-    partial = region_oov(h11, one, [(pi1, 1)])
+    partial = region_oov(h11, one, [pi1])
     with pytest.raises(PrecisionExhausted,
                        match="weight character needs unit norms"):
         padic_zeta_weight(h11, partial, 1, 1)
@@ -609,7 +609,7 @@ def test_oov_low_levels():
     h11 = MeasureHandle(z19, 11)
     pi1 = F.element((4, -1))
     pi2 = F.element((4, 1))
-    ro = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
+    ro = region_oov(h11, one, [pi1, pi2])
     vals = {}
     for M in (1, 2):
         v0, v1, v2 = oov_integrals(h11, ro, [0, 1, 2], M)
@@ -628,7 +628,7 @@ def test_oov_precision_drops_by_deepest_stratum():
     one = Ideal.unit_ideal(F)
     z19 = build_zeta_data(F, one, one, prime_over(F, 19), 19)
     h11 = MeasureHandle(z19, 11)
-    ro = region_oov(h11, one, [(F.element((4, -1)), 1)])
+    ro = region_oov(h11, one, [F.element((4, -1))])
     M, work_prec = 1, 7
     stratum = max(
         frac_valuation(h11.norm_poly.evaluate(
@@ -649,7 +649,7 @@ def test_oov_matches_exact_region_mass():
     h11 = MeasureHandle(z19, 11)
     pi1 = F.element((4, -1))
     pi2 = F.element((4, 1))
-    ro = region_oov(h11, one, [(pi1, 1), (pi2, 1)])
+    ro = region_oov(h11, one, [pi1, pi2])
     mass = Fraction(0)
     for cell in sorted(ro.mask):
         mass += h11.measure_box(cell, 1)
@@ -682,7 +682,7 @@ def test_L_derivative_taylor_tie():
     h = MeasureHandle(z19, 11)
     pi1 = F.element((4, -1))
     pi2 = F.element((4, 1))
-    ro = region_oov(h, one, [(pi1, 1), (pi2, 1)])
+    ro = region_oov(h, one, [pi1, pi2])
     p = 11
     for M in (1, 2):
         W = M + 6
@@ -1051,7 +1051,7 @@ def test_oov_zeroth_moment_skips_log(monkeypatch):
     one = Ideal.unit_ideal(F)
     z19 = build_zeta_data(F, one, one, prime_over(F, 19), 19)
     h11 = MeasureHandle(z19, 11)
-    ro = region_oov(h11, one, [(F.element((4, -1)), 1)])  # stratum >= 1
+    ro = region_oov(h11, one, [F.element((4, -1))])  # stratum >= 1
     M, work_prec = 1, 7
     expected = oov_integrals(h11, ro, [0, 1], M, work_prec)[0]
 

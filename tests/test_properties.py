@@ -1,6 +1,8 @@
 """Property tests: exact linear algebra (determinants against cofactor
 expansion), integer polynomial substitution against a naive expansion,
-lattice membership, mod-p division, logarithm bounds, the regulator sign
+lattice membership, the exact irreducibility test (a named factor of
+every product of real-rooted polynomials, and biquadratic fields accepted
+though reducible mod every prime), logarithm bounds, the regulator sign
 under a change of units, the Bernoulli distribution relation, the integer
 Bernoulli rows and convolution behind the restricted distribution, the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
@@ -14,6 +16,7 @@ working tree.
 """
 
 import math
+import re
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
@@ -34,9 +37,9 @@ from eisenzeta.dedekind import (LinearFormModL, RationalForms, b_L_z,
 from eisenzeta.exact import (MultiPoly, SingularMatrix, identity, lattice_hnf,
                              mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
                              reduce_mod_lattice)
-from eisenzeta.numberfield import (DependentUnits, Ideal, NumberField,
-                                   _pmod_divmod, ln_interval, prime_over,
-                                   regulator_det_sign)
+from eisenzeta.numberfield import (DependentUnits, Ideal, NotIrreducible,
+                                   NumberField, ln_interval, prime_over,
+                                   real_root_count, regulator_det_sign)
 from eisenzeta.padic import MeasureHandle
 from eisenzeta.zeta import build_zeta_data
 
@@ -224,28 +227,69 @@ def test_ideal_contains_agrees_with_lattice(case):
 
 
 @st.composite
-def pmod_operands(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
-    a = draw(st.lists(st.integers(-50, 50), max_size=9))
-    b = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
-    assume(b[-1] % p)
-    return a, b, p
+def real_rooted(draw, deg):
+    """A monic integer polynomial of degree deg with deg distinct real
+    roots."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+    assume(real_root_count(coeffs + [1]) == deg)
+    return coeffs + [1]
+
+
+@st.composite
+def real_rooted_pairs(draw):
+    return (draw(real_rooted(draw(st.integers(2, 3)))),
+            draw(real_rooted(draw(st.integers(2, 3)))))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _named_factor(message):
+    """The factor a NotIrreducible message names, ascending coefficients:
+    t - r for "the integer root r", else the polynomial after "factor"."""
+    root = re.search(r"integer root (-?\d+)$", message)
+    if root:
+        return [-int(root[1]), 1]
+    coeffs = {}
+    for term in message.split("factor ")[1].replace(" - ", " + -").split(" + "):
+        c, t, k = re.fullmatch(r"(-?\d*)(t?)\^?(\d*)", term).groups()
+        coeffs[int(k or len(t))] = int(c + "1" if c in ("", "-") else c)
+    return [coeffs.get(i, 0) for i in range(max(coeffs) + 1)]
 
 
 @PROPS
-@given(pmod_operands())
-def test_pmod_divmod(operands):
-    a, b, p = operands
-    q, r = _pmod_divmod(a, b, p)
-    assert len(r) < len(b) and (not r or r[-1] != 0)
-    back = [0] * max(len(a), len(q) + len(b) - 1, len(r), 1)
-    for i, qc in enumerate(q):
-        for j, bc in enumerate(b):
-            back[i + j] += qc * bc
-    for i, rc in enumerate(r):
-        back[i] += rc
-    padded = list(a) + [0] * (len(back) - len(a))
-    assert all((x - y) % p == 0 for x, y in zip(back, padded))
+@given(real_rooted_pairs())
+@example(([-2, 0, 1], [-2, 0, 1]))  # (t^2 - 2)^2: no simple root
+@example(([-1, -3, 0, 1], [-1, -3, 0, 1]))
+def test_real_rooted_product_names_a_factor(pair):
+    # f = g h has all its roots real, so the subset search finds a factor of
+    # degree at most deg(f) / 2; the named one must divide f exactly
+    f = _poly_mul(*pair)
+    with pytest.raises(NotIrreducible) as info:
+        NumberField(f)
+    g = _named_factor(str(info.value))
+    assert g[-1] == 1 and 2 * (len(g) - 1) <= len(f) - 1
+    rem = list(f)
+    for k in range(len(f) - len(g), -1, -1):
+        q = rem[k + len(g) - 1]
+        rem[k:k + len(g)] = [r - q * c for r, c in zip(rem[k:], g)]
+    assert not any(rem)
+
+
+@PROPS
+@given(st.integers(2, 40), st.integers(2, 40))
+@example(2, 5)
+def test_biquadratic_fields_construct(a, b):
+    # sqrt(a) + sqrt(b) has degree 4 when a, b and ab are not squares; its
+    # minimal polynomial is reducible mod every prime, and is irreducible
+    assume(all(math.isqrt(x) ** 2 != x for x in (a, b, a * b)))
+    F = NumberField([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
+    assert F.n == 4
 
 
 @PROPS
