@@ -40,8 +40,7 @@ EXIT_CROSSCHECK = 4
 # sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
 # about 35 s on the 19-coset oov kernel), and the (p^t)^n cells of its
 # region at level t (a cell costs about 5 us in the integer congruences,
-# and up to about 150 us where `region_units` evaluates its norm in
-# Fractions, so 10^6 take up to about 2.5 minutes).
+# so 10^6 take about 5 s).
 MAX_SWEEP_CELLS = 10 ** 7
 MAX_REGION_CELLS = 10 ** 6
 
@@ -88,6 +87,20 @@ def _obj(x, what) -> dict:
     return x
 
 
+def _vector(x, what, n: int) -> list[Fraction]:
+    v = [_num(c, what) for c in _list(x, what)]
+    if len(v) != n:
+        raise ConfigError(f"{what} needs {n} entries, got {len(v)}")
+    return v
+
+
+def _columns(x, what, n: int) -> list[list[Fraction]]:
+    cols = [_vector(col, f"{what} column", n) for col in _list(x, what)]
+    if len(cols) != n:
+        raise ConfigError(f"{what} needs {n} columns, got {len(cols)}")
+    return cols
+
+
 def _int_min(s, what, low: int) -> int:
     v = _int(s, what)
     if v < low:
@@ -112,11 +125,8 @@ def parse_field(cfg) -> NumberField:
             for c in _list(cfg["poly"], "field.poly")]
     basis = None
     if "integral_basis" in cfg:
-        basis = [[_num(x) for x in _list(col, "integral_basis column")]
-                 for col in _list(cfg["integral_basis"], "integral_basis")]
-        if any(len(col) != len(poly) - 1 for col in basis):
-            raise ConfigError("integral_basis columns need one entry per "
-                              "power of theta below the degree")
+        basis = _columns(cfg["integral_basis"], "integral_basis",
+                         len(poly) - 1)
     return NumberField(poly, integral_basis=basis)
 
 
@@ -126,17 +136,12 @@ def parse_ideal(field: NumberField, cfg) -> Ideal:
     if not isinstance(cfg, dict):
         raise ConfigError("ideal must be 'unit' or an object")
     if "hnf" in cfg:
-        cols = [[_num(x, "ideal entry") for x in _list(col, "hnf column")]
-                for col in _list(cfg["hnf"], "hnf")]
-        return Ideal.from_columns(field, cols)
+        return Ideal.from_columns(field, _columns(cfg["hnf"], "hnf", field.n))
     if "gens" in cfg:
-        gens = []
-        for g in _list(cfg["gens"], "gens"):
-            if isinstance(g, (str, int)):
-                gens.append(field.from_rational(_num(g, "generator")))
-            else:
-                gens.append(field.element([_num(x, "generator coordinate")
-                                           for x in _list(g, "generator")]))
+        gens = [field.from_rational(_num(g, "generator"))
+                if isinstance(g, (str, int))
+                else field.element(_vector(g, "generator", field.n))
+                for g in _list(cfg["gens"], "gens")]
         return Ideal.from_generators(field, gens)
     raise ConfigError("ideal needs 'hnf' or 'gens'")
 
@@ -144,7 +149,7 @@ def parse_ideal(field: NumberField, cfg) -> Ideal:
 def parse_units(field: NumberField, cfg):
     if cfg is None:
         return None
-    return [field.element([_num(x, "unit coordinate") for x in _list(u, "unit")])
+    return [field.element(_vector(u, "unit", field.n))
             for u in _list(cfg, "units")]
 
 
@@ -253,8 +258,8 @@ def cmd_oov(cfg, args, cache) -> dict:
     if "p" not in ocfg or "pi" not in ocfg:
         raise ConfigError("oov needs 'p' and 'pi' (list of generators)")
     p = _int(ocfg["p"], "p")
-    pis = [field.element([_num(x) for x in _list(coords, "pi generator")])
-           for coords in _list(ocfg["pi"], "pi")]
+    pis = [field.element(_vector(g, "pi generator", field.n))
+           for g in _list(ocfg["pi"], "pi")]
     other = [parse_ideal(field, q)
              for q in _list(ocfg.get("other_primes", []), "other_primes")]
     levels = [_int_min(m, "level", 1)

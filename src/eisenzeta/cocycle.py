@@ -77,9 +77,6 @@ class CocycleChain:
             merged[tuple(tup)] = merged.get(tuple(tup), 0) + int(coeff)
         self.terms = tuple((c, t) for t, c in merged.items() if c)
 
-    def __add__(self, other: "CocycleChain") -> "CocycleChain":
-        return CocycleChain(self.terms + other.terms)
-
     def scale(self, c: int) -> "CocycleChain":
         return CocycleChain([(c * k, t) for k, t in self.terms])
 
@@ -171,10 +168,6 @@ def psi_ell(tup: Sequence, args: CocycleArgs, ell: int, *,
             dval = d_ell(sigma, e, args.Q, args.v, ell, plus=plus, cache=cache)
             total += pr / (prod(map(factorial, e)) * ell ** sum(r)) * dval
     return sign * total
-
-
-def psi_ell_plus(tup: Sequence, args: CocycleArgs, ell: int, **kw) -> Fraction:
-    return psi_ell(tup, args, ell, plus=True, **kw)
 
 
 def psi_ell_chain(chain: CocycleChain, args: CocycleArgs, ell: int, *,

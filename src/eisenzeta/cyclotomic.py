@@ -139,15 +139,3 @@ class CycloElement:
     def __repr__(self):
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coords) if c]
         return " + ".join(terms) if terms else "0"
-
-
-def cyclo_mul(a: CycloElement, b: CycloElement) -> CycloElement:
-    return a * b
-
-
-def cyclo_inv(a: CycloElement) -> CycloElement:
-    return a.inverse()
-
-
-def trace_to_Q(a: CycloElement) -> Fraction:
-    return a.trace()

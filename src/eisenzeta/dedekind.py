@@ -54,10 +54,6 @@ class RationalForms:
         self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
 
     @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @property
     def n(self) -> int:
         return len(self.rows[0])
 
@@ -280,11 +276,6 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     if cache is not None:
         cache.put(key, val)
     return val
-
-
-def d_ell_plus(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int,
-               **kw) -> Fraction:
-    return d_ell(sigma, e, Q, v, ell, plus=True, **kw)
 
 
 def d_ell_direct(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,

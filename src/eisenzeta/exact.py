@@ -7,10 +7,12 @@ are small (n <= 8), so dense quadratic/cubic algorithms are used throughout.
 Each concept has one implementation: `mat_solve` is the only Gauss-Jordan
 elimination (`mat_inv` and the field-element inverses solve through it),
 `_bareiss` the only determinant (`mat_det` over the integers, `poly_det`
-over the polynomial ring), `reduce_mod_lattice` the only reduction
-modulo a lattice in HNF (membership, as in `Ideal.contains`, is a zero
-reduction), and `poly_eval` the only Horner evaluation of a dense
-univariate polynomial.
+over the polynomial ring), `_hermite` the only Hermite reduction (`hnf`
+carries U along in the columns [M_j; e_j], `lattice_hnf` takes any
+spanning columns, and `coset_reps` reads the diagonal of `lattice_hnf`),
+`reduce_mod_lattice` the only reduction modulo a lattice in HNF
+(membership, as in `Ideal.contains`, is a zero reduction), and `poly_eval`
+the only Horner evaluation of a dense univariate polynomial.
 """
 
 from __future__ import annotations
@@ -115,71 +117,16 @@ def mat_inv(a: Matrix) -> Matrix:
     return mat_solve(a, identity(len(a)))
 
 
-def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
-    """Column Hermite normal form H = M*U with U unimodular.
-
-    H is lower triangular with nonnegative diagonal; in every row the
-    entries left of the diagonal are reduced into [0, H[i][i]).  Zero
-    diagonal entries occur exactly when M is singular.  Works for integer
-    or rational input (rational input is scaled to integers and back).
-    """
-    n = len(mat)
-    den = lcm(*(x.denominator for row in mat for x in row))
-    h = [[int(x * den) for x in row] for row in mat]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def colop_sub(dst: int, src: int, q: int) -> None:
-        for i in range(n):
-            h[i][dst] -= q * h[i][src]
-            u[i][dst] -= q * u[i][src]
-
-    def colswap(a: int, b: int) -> None:
-        for i in range(n):
-            h[i][a], h[i][b] = h[i][b], h[i][a]
-            u[i][a], u[i][b] = u[i][b], u[i][a]
-
-    for r in range(n):
-        # gcd-eliminate row r across columns r..n-1, pivot lands at (r, r)
-        while True:
-            nz = [j for j in range(r + 1, n) if h[r][j] != 0]
-            if not nz:
-                break
-            if h[r][r] == 0:
-                colswap(r, nz[0])
-                continue
-            for j in nz:
-                q = h[r][j] // h[r][r]
-                colop_sub(j, r, q)
-                if h[r][j] != 0:
-                    colswap(r, j)
-                    break
-        if h[r][r] < 0:
-            for i in range(n):
-                h[i][r] = -h[i][r]
-                u[i][r] = -u[i][r]
-        if h[r][r] != 0:
-            for j in range(r):
-                q = h[r][j] // h[r][r]
-                if q:
-                    colop_sub(j, r, q)
-    if den != 1:
-        hq = tuple(tuple(Fraction(x, den) for x in row) for row in h)
-    else:
-        hq = tuple(tuple(row) for row in h)
-    return hq, tuple(tuple(row) for row in u)
-
-
-def lattice_hnf(cols: Sequence[Sequence]) -> Matrix:
-    """HNF basis (n x n, lower triangular) of the full-rank lattice spanned
-    by the given columns; accepts m >= n integer or rational columns."""
-    if not cols:
-        raise SingularMatrix("no generators")
-    n = len(cols[0])
-    den = lcm(*(x.denominator for col in cols for x in col))
-    h = [[int(x * den) for x in col] for col in cols]  # h[j] is a column
-    m = len(h)
-
-    for r in range(n):
+def _hermite(cols: list[list[int]], n: int) -> list[list[int]]:
+    """Column Hermite reduction of integer columns on their first n
+    coordinates, in place (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4.2): for each r < n, Euclid on row r across columns
+    r.. leaves one pivot cols[r][r] >= 0 and zeros to its right, and a
+    nonzero pivot reduces the row's entries left of it into [0, pivot).
+    Coordinates past n ride along with their columns; a zero pivot (a
+    singular first block) is left in place."""
+    h, m = cols, len(cols)
+    for r in range(min(n, m)):
         while True:
             nz = [j for j in range(r + 1, m) if h[j][r] != 0]
             if not nz:
@@ -193,19 +140,46 @@ def lattice_hnf(cols: Sequence[Sequence]) -> Matrix:
                 if h[j][r] != 0:
                     h[r], h[j] = h[j], h[r]
                     break
-        if h[r][r] == 0:
-            raise SingularMatrix("generators do not span a full-rank lattice")
         if h[r][r] < 0:
             h[r] = [-a for a in h[r]]
-        for j in range(r):
-            q = h[j][r] // h[r][r]
-            if q:
-                h[j] = [a - q * b for a, b in zip(h[j], h[r])]
-    basis = h[:n]
-    if den != 1:
-        return tuple(tuple(Fraction(basis[j][i], den) for j in range(n))
-                     for i in range(n))
-    return tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
+        if h[r][r] != 0:
+            for j in range(r):
+                q = h[j][r] // h[r][r]
+                if q:
+                    h[j] = [a - q * b for a, b in zip(h[j], h[r])]
+    return h
+
+
+def hnf(mat: Matrix) -> tuple[Matrix, Matrix]:
+    """Column Hermite normal form H = M*U with U unimodular.
+
+    H is lower triangular with nonnegative diagonal; in every row the
+    entries left of the diagonal are reduced into [0, H[i][i]).  Zero
+    diagonal entries occur exactly when M is singular.  Works for integer
+    or rational input (rational input is scaled to integers and back).
+    U rides along as the lower half of the columns [M_j; e_j].
+    """
+    n = len(mat)
+    den = lcm(*(x.denominator for row in mat for x in row))
+    cols = _hermite([[int(mat[i][j] * den) for i in range(n)]
+                     + [int(i == j) for i in range(n)] for j in range(n)], n)
+    h = tuple(tuple(Fraction(c[i], den) if den != 1 else c[i] for c in cols)
+              for i in range(n))
+    return h, tuple(tuple(c[n + i] for c in cols) for i in range(n))
+
+
+def lattice_hnf(cols: Sequence[Sequence]) -> Matrix:
+    """HNF basis (n x n, lower triangular) of the full-rank lattice spanned
+    by the given columns; accepts m >= n integer or rational columns."""
+    if not cols:
+        raise SingularMatrix("no generators")
+    n = len(cols[0])
+    den = lcm(*(x.denominator for col in cols for x in col))
+    h = _hermite([[int(x * den) for x in col] for col in cols], n)
+    if len(h) < n or any(h[r][r] == 0 for r in range(n)):
+        raise SingularMatrix("generators do not span a full-rank lattice")
+    return tuple(tuple(Fraction(h[j][i], den) if den != 1 else h[j][i]
+                       for j in range(n)) for i in range(n))
 
 
 def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -301,9 +275,7 @@ def coset_reps(mat: Matrix) -> list[tuple[int, ...]]:
     Canonical rule: 0 <= x_i < H[i][i] where H is the column HNF of M.
     """
     n = len(mat)
-    h, _ = hnf(mat)
-    if any(h[i][i] == 0 for i in range(n)):
-        raise SingularMatrix("det M = 0 has no finite coset system")
+    h = lattice_hnf(tuple(zip(*mat)))  # SingularMatrix when det M = 0
     reps: list[tuple[int, ...]] = [()]
     for i in range(n):
         reps = [r + (x,) for r in reps for x in range(int(h[i][i]))]

@@ -11,13 +11,17 @@ reducible, and with every root real the search is complete, repeated roots
 included: the distinct repeated ones multiply to a factor of degree at
 most n / 2.  Ideals are O-module lattices given by rational column bases
 in Hermite normal form, where O is the maximal order for quadratic fields
-and Z[theta] (or a user-supplied integral basis) above.
+and Z[theta] (or an integral basis the caller gives) above.
 
-Each concept has one implementation: `_fundamental_discriminant` splits
-off the square part of a quadratic discriminant, `_atanh_bounds` is the
-only logarithm series, `Ideal.contains` the only ideal-membership test (a
-zero `exact.reduce_mod_lattice`), `_check_adapted` the only adapted-basis
-check, and `_unit_search_bound` the only bound on unit-power searches.
+Each concept has one implementation: `sturm_count` counts real roots
+(`real_root_count` over the Cauchy bound, and the root isolation on the
+field's one Sturm sequence), `_fundamental_discriminant` splits off the
+square part of a quadratic discriminant, `_atanh_bounds` is the only
+logarithm series, `Ideal.contains` the only ideal-membership test (a zero
+`exact.reduce_mod_lattice`; congruence mod f and integrality are calls of
+it), `_check_adapted` the only adapted-basis check, `validate_units` the
+only check of units (`build_zeta_data` calls it on given and computed
+units alike), and `totally_positive_unit` the only unit-power search.
 """
 
 from __future__ import annotations
@@ -143,13 +147,15 @@ def sturm_count(seq, lo: Fraction, hi: Fraction) -> int:
             - _sign_changes([poly_eval(p, hi) for p in seq]))
 
 
+def _cauchy_bound(coeffs: Sequence) -> Fraction:
+    """1 + max |c_i / c_n|: every root lies strictly inside (-B, B)."""
+    return 1 + max(abs(Fraction(c, coeffs[-1])) for c in coeffs[:-1])
+
+
 def real_root_count(coeffs: Sequence) -> int:
-    seq = sturm_sequence(coeffs)
-    lead = [p[-1] for p in seq]
-    at_inf = _sign_changes(lead)
-    at_minf = _sign_changes([c if (len(p) - 1) % 2 == 0 else -c
-                             for p, c in zip(seq, lead)])
-    return at_minf - at_inf
+    """Number of distinct real roots."""
+    bound = _cauchy_bound(coeffs)
+    return sturm_count(sturm_sequence(coeffs), -bound, bound)
 
 
 # --- interval arithmetic ------------------------------------------------------
@@ -276,8 +282,8 @@ class NumberField:
     def _isolate_roots(self) -> list[Interval]:
         """Ascending intervals (lo, hi), each narrower than 1 and holding
         one distinct real root; no endpoint is a root."""
-        bound = Fraction(1) + max(abs(Fraction(c)) for c in self.f[:-1])
-        stack = [(-bound, bound, real_root_count(self.f))]
+        bound = _cauchy_bound(self.f)
+        stack = [(-bound, bound, sturm_count(self._sturm, -bound, bound))]
         found: list[Interval] = []
         while stack:
             lo, hi, cnt = stack.pop()
@@ -565,9 +571,6 @@ class Ideal:
     def contains(self, x: FieldElement) -> bool:
         return not any(reduce_mod_lattice(x.coords, self.basis))
 
-    def contains_lattice(self, other: "Ideal") -> bool:
-        return all(self.contains(b) for b in other.basis_elements())
-
     def norm(self) -> Fraction:
         return abs(Fraction(mat_det(self.basis)) / mat_det(self.field.order_basis))
 
@@ -608,7 +611,8 @@ class Ideal:
         return Ideal.from_columns(self.field, cols, check=False)
 
     def is_integral(self) -> bool:
-        return Ideal.unit_ideal(self.field).contains_lattice(self)
+        one = Ideal.unit_ideal(self.field)
+        return all(one.contains(b) for b in self.basis_elements())
 
     def is_coprime(self, other: "Ideal") -> bool:
         cols = [b.coords for b in self.basis_elements() + other.basis_elements()]
@@ -629,10 +633,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal(basis={self.basis})"
-
-
-def congruent_mod_ideal(x: FieldElement, y: FieldElement, I: Ideal) -> bool:
-    return I.contains(x - y)
 
 
 def dual_basis(ws: Sequence[FieldElement]) -> list[FieldElement]:
@@ -745,22 +745,16 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     return unit
 
 
-def _unit_search_bound(f: Ideal) -> int:
-    """How many powers of the fundamental unit to try for one that is
-    congruent to 1 mod f."""
-    return 4 * int(f.norm()) ** 2 + 8
-
-
 def totally_positive_unit(field: NumberField, f: Ideal) -> FieldElement:
     """Smallest power of the fundamental unit that is totally positive and
-    congruent to 1 modulo f (n = 2 only)."""
+    congruent to 1 modulo f (n = 2 only), among the first 4 N(f)^2 + 8."""
     if field.n != 2:
-        raise UnitsRequired("units must be supplied for degree >= 3")
+        raise UnitsRequired("units must be given for degree >= 3")
     u = fundamental_unit_quadratic(field)
     one = field.one()
     cur = u
-    for _ in range(_unit_search_bound(f)):
-        if cur.is_totally_positive() and congruent_mod_ideal(cur, one, f):
+    for _ in range(4 * int(f.norm()) ** 2 + 8):
+        if cur.is_totally_positive() and f.contains(cur - one):
             return cur
         cur = cur * u
     raise NotFoundWithinBound("no totally positive unit = 1 mod f within bound")
@@ -768,15 +762,19 @@ def totally_positive_unit(field: NumberField, f: Ideal) -> FieldElement:
 
 def validate_units(field: NumberField, f: Ideal,
                    units: Sequence[FieldElement]) -> int:
-    """Check the supplied units: totally positive, = 1 mod f, independent;
-    return the regulator sign that certified independence."""
-    one = field.one()
+    """Check the given units: in the working order, units, totally
+    positive, = 1 mod f, independent; return the regulator sign that
+    certified independence."""
+    order, one = Ideal.unit_ideal(field), field.one()
     for eps in units:
+        if not order.contains(eps):
+            raise ValueError("unit is not in the working order "
+                             "(is an integral basis missing?)")
         if abs(eps.norm()) != 1:
-            raise ValueError("supplied element is not a unit")
+            raise ValueError("given element is not a unit")
         if not eps.is_totally_positive():
             raise NotTotallyPositive("unit is not totally positive")
-        if not congruent_mod_ideal(eps, one, f):
+        if not f.contains(eps - one):
             raise NotCongruentOne("unit is not congruent to 1 mod f")
     if len(units) != field.n - 1:
         raise DependentUnits("need exactly n - 1 units")
@@ -807,15 +805,9 @@ def regulator_det_sign(field: NumberField, units: Sequence[FieldElement]) -> int
     raise DependentUnits("regulator sign undecided (units may be dependent)")
 
 
-def unit_basis(field: NumberField, f: Ideal,
-               supplied: Sequence[FieldElement] | None = None) -> list[FieldElement]:
-    """Basis of totally positive units congruent to 1 mod f; computed for
-    quadratic fields, validated pass-through otherwise."""
-    if supplied is not None:
-        validate_units(field, f, list(supplied))
-        return list(supplied)
-    if field.n != 2:
-        raise UnitsRequired("units must be supplied for degree >= 3")
+def unit_basis(field: NumberField, f: Ideal) -> list[FieldElement]:
+    """Basis of totally positive units congruent to 1 mod f of a real
+    quadratic field; higher degrees need units given (UnitsRequired)."""
     return [totally_positive_unit(field, f)]
 
 
@@ -823,12 +815,12 @@ def totally_positive_generator(I: Ideal, f: Ideal, *, bound: int = 6,
                                coeff_bound: int = 60) -> tuple[int, FieldElement]:
     """Search (e, pi) with (pi) = I^e, pi totally positive and = 1 mod f.
 
-    Enumerates small coordinate combinations of the ideal basis, then
-    repairs signs/congruence with totally positive unit powers.
+    Enumerates small coordinate combinations of the ideal basis, up to sign.
+    No unit power repairs a candidate: a totally positive unit u = 1 mod f
+    changes no sign, and pi u^k - 1 = pi - 1 mod f for integral pi.
     """
     field = I.field
     one = field.one()
-    unit = totally_positive_unit(field, f) if field.n == 2 else None
     power = Ideal.unit_ideal(field)
     for e in range(1, bound + 1):
         power = power * I
@@ -843,27 +835,9 @@ def totally_positive_generator(I: Ideal, f: Ideal, *, bound: int = 6,
                 if alpha.is_zero() or abs(alpha.norm()) != target:
                     continue
                 for cand in (alpha, -alpha):
-                    fixed = _fix_generator(cand, f, unit, one)
-                    if fixed is not None:
-                        return e, fixed
+                    if cand.is_totally_positive() and f.contains(cand - one):
+                        return e, cand
     raise NotFoundWithinBound("no totally positive generator within bounds")
-
-
-def _fix_generator(alpha: FieldElement, f: Ideal, unit: FieldElement | None,
-                   one: FieldElement):
-    field = alpha.field
-    if not alpha.is_totally_positive():
-        return None
-    if congruent_mod_ideal(alpha, one, f):
-        return alpha
-    if unit is None:
-        return None
-    cur = alpha
-    for _ in range(_unit_search_bound(f)):
-        cur = cur * unit
-        if congruent_mod_ideal(cur, one, f):
-            return cur
-    return None
 
 
 def _shell(n: int, radius: int):

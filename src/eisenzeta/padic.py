@@ -14,13 +14,14 @@ is tested against it; `_log_series` sums the logarithm of a list of
 arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
 the worst-case digit loss of a per-cell log; the weight character
 <N(ac) Nx>^(-s) of `padic_zeta_weight` is one modular power per cell, and
-there is no p-adic exp; `_intval` takes every valuation and `_residue`
-every rational residue; `integrate_cells` is the one Riemann loop,
-`_poly_residue_evaluator` the one polynomial evaluator; and `_region`
-builds every region, testing each lattice as one integer congruence in the
-cell index.  That test works in the completion at p, since for a class
-representative a != O the points x = w . (v + j) carry denominators prime
-to p.
+there is no p-adic exp; `teichmuller` is one modular power; `_intval`
+takes every valuation and `_residue` every rational residue;
+`integrate_cells` is the one Riemann loop, `_poly_residue_evaluator` the
+one polynomial evaluator (the sweeps' norm residues, and the norm mod p
+that `region_units` reads once on (Z/p)^n); and `_region` builds every
+region, testing each lattice as one integer congruence in the cell index.
+That test works in the completion at p, since for a class representative
+a != O the points x = w . (v + j) carry denominators prime to p.
 
 The loop runs row by row.  `CellKernel.row` walks each chain term's
 cosets that differ only in the last coordinate as one long affine row,
@@ -182,13 +183,7 @@ def teichmuller(a: int, p: int, prec: int) -> int:
     mod = p ** prec
     if p == 2:
         return 1 if a % 4 == 1 else mod - 1
-    x = a % mod
-    for _ in range(prec + 1):
-        nxt = pow(x, p, mod)
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    return pow(a, p ** (prec - 1), mod)  # a^(p^k) = omega(a) mod p^(k+1)
 
 
 def iwasawa_log(x: PadicInt) -> PadicInt:
@@ -489,14 +484,13 @@ def _stabilized_lattice(I: Ideal, p: int):
 
 def _region(h: MeasureHandle, tag: str, f: Ideal, *,
             inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = (),
-            unit_norm: bool = False, max_cells: int | None = None) -> Region:
+            max_cells: int | None = None) -> Region:
     """The cells j whose x(j) = w . (v + j) lies in every ideal of `inside`
-    and in none of `avoid`, is congruent to 1 modulo f and, with
-    `unit_norm`, has a p-unit norm.  Each ideal is replaced by its
-    stabilised lattice q, between p^t O and O, and tested in the completion
-    at p; the region's level is the deepest stabilisation level.  A level
-    with more than `max_cells` cells raises TooManyCells before any cell is
-    tested.
+    and in none of `avoid`, and is congruent to 1 modulo f.  Each ideal is
+    replaced by its stabilised lattice q, between p^t O and O, and tested
+    in the completion at p; the region's level is the deepest stabilisation
+    level.  A level with more than `max_cells` cells raises TooManyCells
+    before any cell is tested.
 
     Each lattice test is one integer congruence in j, built once.  Let D be
     the prime-to-p part of the common denominator of wmat and wmat v, so
@@ -545,14 +539,8 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
     nots = [congruence(q, zero) for q in lats[len(inside):]]
 
     def member(j):
-        if not all(holds(c, j) for c in musts) \
-                or any(holds(c, j) for c in nots):
-            return False
-        if unit_norm:
-            nx = h.norm_poly.evaluate([Fraction(vi) + ji
-                                       for vi, ji in zip(h.z.v, j)])
-            return nx != 0 and frac_valuation(nx, p) == 0
-        return True
+        return all(holds(c, j) for c in musts) \
+            and not any(holds(c, j) for c in nots)
 
     mask = frozenset(j for j in product(range(p ** t), repeat=n) if member(j))
     return Region(p, t, mask, tag)
@@ -560,8 +548,17 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
 
 def region_units(h: MeasureHandle, f: Ideal, *,
                  max_cells: int | None = None) -> Region:
-    """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
-    return _region(h, "units", f, unit_norm=True, max_cells=max_cells)
+    """O*_{p,f}: units congruent to 1 modulo the p-part of f.  The norm
+    N(x(j)) is p-integral, so whether it is a p-unit depends on j mod p
+    only: its residues on (Z/p)^n are read once."""
+    region = _region(h, "units", f, max_cells=max_cells)
+    p, xs = h.p, list(range(h.p))
+    nx = _poly_residue_evaluator(h, h.norm_poly, 1)
+    units = {(*prefix, x) for prefix in product(xs, repeat=h.n - 1)
+             for x, r in zip(xs, nx(prefix, xs)) if r}
+    mask = frozenset(j for j in region.mask
+                     if tuple(ji % p for ji in j) in units)
+    return Region(p, region.t, mask, region.tag)
 
 
 def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
@@ -811,11 +808,6 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
             for k, r in zip(ks, res)]
 
 
-def oov_integral(h: MeasureHandle, region: Region, k: int, M: int,
-                 work_prec: int | None = None) -> PadicInt:
-    return oov_integrals(h, region, [k], M, work_prec)[0]
-
-
 def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
                       work_prec: int | None = None) -> PadicInt:
     """Zeta value at the weight-space character <.>^(-s): the integral of
@@ -862,7 +854,7 @@ def L_assemble(terms: Sequence[tuple], s, M: int,
     int) embedding the character value at the working precision.
     """
     if not terms:
-        raise MissingClassData("no class representatives supplied")
+        raise MissingClassData("no class representatives given")
     p = terms[0][1].p
     if work_prec is None:
         work_prec = M + 6

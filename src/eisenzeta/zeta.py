@@ -47,10 +47,6 @@ class EmbeddedForms:
         self.rows = tuple((i, tuple(cs)) for i, cs in rows)
         self._signs: dict = {}
 
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
     def transform(self, m: Matrix) -> "EmbeddedForms":
         n = self.field.n
         out = []
@@ -170,7 +166,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
                     ws: Sequence[FieldElement] | None = None) -> ZetaData:
     """Assemble and fail-fast-verify the specialization data.
 
-    A pre-adapted basis ws may be supplied (it is verified); by default one
+    A pre-adapted basis ws may be given (it is verified); by default one
     is derived from the Smith form of the index-ell inclusion, and its
     first element is moved to the least |N(w_1)| in the box of
     `_reduce_adapted`, which shrinks the coset systems the evaluator walks.

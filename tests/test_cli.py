@@ -316,6 +316,28 @@ def test_oov_command(tmp_path, capsys):
         assert code == 0 and again["result"] == report["result"]
 
 
+def test_hnf_ideals_and_smoothing_ideal_c(tmp_path, capsys):
+    # a above 19 and c = (11, theta - 4), the prime "ell": "11" selects,
+    # written as generators and as HNF columns (power-basis coordinates):
+    # every form gives the same values
+    a_gens = {"gens": ["19", ["-9", "1"]]}
+    a_hnf = {"hnf": [["1/2", "21/2"], ["0", "19"]]}
+    c_gens = {"gens": ["11", ["-4", "1"]]}
+    c_hnf = {"hnf": [["1/2", "19/2"], ["0", "11"]]}
+    results = []
+    for a, c in ((a_gens, None), (a_hnf, None), (a_gens, c_gens),
+                 (a_hnf, c_hnf)):
+        cfg = _with(a=a, **({} if c is None else {"c": c}))
+        if c is not None:
+            del cfg["ell"]
+        code, report = run(["zeta", "--config", write_cfg(tmp_path, cfg)],
+                           capsys)
+        assert code == 0 and report["result"]["ell"] == "11"
+        results.append((report["result"]["rho"], report["result"]["values"]))
+    assert results[0][1][1]["value"] != "0"
+    assert all(r == results[0] for r in results)
+
+
 def test_cocycle_check_command(capsys):
     code, report = run(["cocycle-check"], capsys)
     assert code == 0
@@ -418,12 +440,22 @@ def _with(**changes):
     ("zeta", _with(k_max=True)),
     ("zeta", _with(field={"poly": ["-5", False, True]})),
     ("zeta", _with(a=True)),
+    # a vector or column list of the wrong length
+    ("zeta", _with(a={"hnf": [["1", "0"]]})),
+    ("zeta", _with(a={"hnf": [["1"], ["0", "1"]]})),
+    ("zeta", _with(field={"poly": ["-5", "0", "1"],
+                          "integral_basis": [["1", "0"]]})),
+    ("zeta", _with(a={"gens": ["19", ["-9", "1", "0"]]})),
+    ("zeta", _with(units=[["2"]])),
+    ("oov", _with(oov__pi=[["4", "-1"], ["4"]])),
 ], ids=["top-level-list", "poly-not-list", "divisor-not-object",
         "divisor-without-factors", "config-is-directory", "negative-k_max",
         "integral-basis-column-length", "negative-level", "zero-level",
         "negative-precision", "zero-precision-flag",
         "negative-precision-flag", "precision-flag-outside-padic-zeta",
-        "boolean-k_max", "boolean-poly-coefficient", "boolean-ideal"])
+        "boolean-k_max", "boolean-poly-coefficient", "boolean-ideal",
+        "hnf-one-column", "hnf-short-column", "integral-basis-one-column",
+        "gens-long-vector", "units-short-vector", "oov-pi-short-vector"])
 def test_config_shape_errors(command, cfg, tmp_path, capsys):
     # command is the subcommand, followed by any flags
     path = str(tmp_path) if cfg is None else write_cfg(tmp_path, cfg)

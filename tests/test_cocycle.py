@@ -6,7 +6,7 @@ import pytest
 from eisenzeta.cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix,
                                bar_tuple, first_column_matrix, module_action,
                                pr_coefficients, psi_ell, psi_ell_chain,
-                               psi_ell_plus, symmetrized_chain)
+                               symmetrized_chain)
 from eisenzeta.dedekind import RationalForms
 from eisenzeta.exact import (MultiPoly, NotHomogeneous, identity, mat_det,
                              mat_mul)
@@ -154,8 +154,8 @@ def test_cocycle_relation_n2_nontrivial_P():
             + psi_ell(pairs[2], args, ell)
         assert total == 0
         # and for the symmetrized variant
-        totalp = psi_ell_plus(pairs[0], args, ell) - psi_ell_plus(pairs[1], args, ell) \
-            + psi_ell_plus(pairs[2], args, ell)
+        totalp = sum(s * psi_ell(t, args, ell, plus=True)
+                     for s, t in zip((1, -1, 1), pairs))
         assert totalp == 0
         checked += 1
 
@@ -247,12 +247,12 @@ def test_plus_invariance_under_negation():
     g = tuple(rand_gamma(n, ell) for _ in range(n))
     q, v = sample_args(n, [g], m=2)
     P = MultiPoly.constant(n, 1)
-    assert psi_ell_plus(g, CocycleArgs(P, q, v), ell) == \
-        psi_ell_plus(g, CocycleArgs(P, q.negate(), v), ell)
+    assert psi_ell(g, CocycleArgs(P, q, v), ell, plus=True) == \
+        psi_ell(g, CocycleArgs(P, q.negate(), v), ell, plus=True)
     # and psi_plus is the average of psi at Q and -Q
     avg = (psi_ell(g, CocycleArgs(P, q, v), ell)
            + psi_ell(g, CocycleArgs(P, q.negate(), v), ell)) / 2
-    assert psi_ell_plus(g, CocycleArgs(P, q, v), ell) == avg
+    assert psi_ell(g, CocycleArgs(P, q, v), ell, plus=True) == avg
 
 
 def test_q_linearity_in_P():

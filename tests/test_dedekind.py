@@ -11,8 +11,8 @@ from eisenzeta.bernoulli import B_e_Q
 from eisenzeta.cli import main
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
                                 ShapeError, _sigma_walk, b1_L_z_fast,
-                                b_L_z_direct, d_ell, d_ell_direct, d_ell_plus,
-                                d_plus, sigma_ell)
+                                b_L_z_direct, d_ell, d_ell_direct, d_plus,
+                                sigma_ell)
 from eisenzeta.exact import mat_det
 
 rng = random.Random(1234)
@@ -239,7 +239,7 @@ def test_decomposition_identity():
                   for _ in range(n))
         for e in ((1,) * n, tuple(rng.randint(1, 3) for _ in range(n))):
             assert d_ell(sigma, e, q, v, ell) == d_ell_direct(sigma, e, q, v, ell)
-            assert d_ell_plus(sigma, e, q, v, ell) == \
+            assert d_ell(sigma, e, q, v, ell, plus=True) == \
                 d_ell_direct(sigma, e, q, v, ell, plus=True)
 
 

@@ -144,6 +144,13 @@ def test_lattice_hnf_overdetermined():
     assert h == ((1, 0), (1, 2))
 
 
+def test_lattice_hnf_rank_deficient():
+    # fewer than n columns, a zero column, dependent columns: no full rank
+    for cols in ([(1, 0)], [(1, 0), (0, 0)], [(1, 2), (2, 4), (3, 6)]):
+        with pytest.raises(SingularMatrix):
+            lattice_hnf(cols)
+
+
 # --- MultiPoly ----------------------------------------------------------------
 
 def test_multipoly_ring_axioms():

@@ -9,12 +9,13 @@ from eisenzeta.exact import mat_det
 from eisenzeta.numberfield import (DependentUnits, Ideal, IndexDivisor,
                                    NoDegreeOnePrime, NotIrreducible, NotMonic,
                                    NotTotallyReal, NumberField, UnitsRequired,
-                                   adapted_basis, congruent_mod_ideal,
-                                   dual_basis, fundamental_unit_quadratic,
-                                   ln_interval, prime_over, real_root_count,
+                                   adapted_basis, dual_basis,
+                                   fundamental_unit_quadratic, ln_interval,
+                                   prime_over, real_root_count,
                                    regulator_det_sign,
                                    totally_positive_generator,
-                                   totally_positive_unit, unit_basis)
+                                   totally_positive_unit, unit_basis,
+                                   validate_units)
 
 rng = random.Random(555)
 
@@ -278,7 +279,7 @@ def test_totally_positive_unit_values():
     # with a congruence condition: eps = 1 mod (2) in Q(sqrt2)
     two = Ideal.from_generators(F2, [F2.from_rational(2)])
     eps_c = totally_positive_unit(F2, two)
-    assert congruent_mod_ideal(eps_c, F2.one(), two)
+    assert two.contains(eps_c - F2.one())
     assert eps_c.is_totally_positive()
 
 
@@ -294,7 +295,7 @@ def test_unit_basis_supplied_validation():
     assert abs(u.norm()) == 1
     e = u * u  # totally positive square
     with pytest.raises(DependentUnits):
-        unit_basis(F, one, [e, e * e])
+        validate_units(F, one, [e, e * e])
 
 
 def test_regulator_sign_quadratic():
@@ -378,7 +379,7 @@ def test_log_embed_interval_sums_one_series_pair(monkeypatch):
     e1, e2 = C.element([0, 0, 1]), C.element([1, 2, 1])
     build_zeta_data(C, one, one, prime_over(C, 17), 17, units=[e1, e2])
     with pytest.raises(DependentUnits):
-        unit_basis(C, one, [e1, e1 * e1])
+        validate_units(C, one, [e1, e1 * e1])
     F = sqrt5()
     one = Ideal.unit_ideal(F)
     build_zeta_data(F, one, one, prime_over(F, 11), 11)
@@ -411,8 +412,7 @@ def test_adapted_basis_index_not_prime():
 
 
 def test_unit_validation_errors():
-    from eisenzeta.numberfield import (NotCongruentOne, NotTotallyPositive,
-                                       validate_units)
+    from eisenzeta.numberfield import NotCongruentOne, NotTotallyPositive
     F = sqrt5()
     one = Ideal.unit_ideal(F)
     phi = F.element((Fraction(1, 2), Fraction(1, 2)))  # norm -1, not TP
@@ -422,6 +422,24 @@ def test_unit_validation_errors():
     two = Ideal.from_generators(F, [F.from_rational(2)])
     with pytest.raises(NotCongruentOne):
         validate_units(F, two, [eps])  # (3+sqrt5)/2 - 1 is not in (2)
+
+
+def test_unit_outside_the_order_is_named():
+    # criterion 13's units need the index-48 integral basis of
+    # t^4 - 14t^2 + 9; without it the field works in Z[theta], which holds
+    # the first of them only with denominators, and every unit of O is = 1
+    # mod f = O, so the error names the order and not the congruence
+    from eisenzeta.zeta import build_zeta_data
+    F = NumberField([9, 0, -14, 0, 1])
+    one = Ideal.unit_ideal(F)
+    q = Fraction
+    units = [F.element(u) for u in (
+        [q(27, 2), q(-173, 12), -1, q(13, 12)],
+        [q(3, 2), q(17, 12), 0, q(-1, 12)], [-2, 0, 3, 0])]
+    with pytest.raises(ValueError) as err:
+        build_zeta_data(F, one, one, prime_over(F, 31), 31, units=units)
+    assert str(err.value) == ("unit is not in the working order "
+                              "(is an integral basis missing?)")
 
 
 def test_totally_positive_generator_bound():

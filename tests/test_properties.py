@@ -30,13 +30,12 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
                                  periodic_B_row)
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
-                               first_column_matrix, module_action, psi_ell,
-                               psi_ell_plus)
+                               first_column_matrix, module_action, psi_ell)
 from eisenzeta.dedekind import (LinearFormModL, RationalForms, b_L_z,
                                 b_L_z_direct)
-from eisenzeta.exact import (MultiPoly, SingularMatrix, identity, lattice_hnf,
-                             mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
-                             reduce_mod_lattice)
+from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
+                             lattice_hnf, mat_det, mat_inv, mat_mul,
+                             mat_solve, mat_vec, reduce_mod_lattice)
 from eisenzeta.numberfield import (DependentUnits, Ideal, NotIrreducible,
                                    NumberField, ln_interval, prime_over,
                                    real_root_count, regulator_det_sign)
@@ -188,6 +187,16 @@ def lattice_points(draw):
                                 st.sampled_from([1, 1, 2, 3])),
                       min_size=n, max_size=n))
     return h, k, d
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_hnf_matches_lattice_hnf(m):
+    # H = M U from the columns [M_j; e_j] is the HNF of M's column lattice
+    assume(mat_det(m) != 0)
+    h, u = hnf(m)
+    assert h == lattice_hnf(list(zip(*m)))
+    assert mat_mul(m, u) == h and abs(mat_det(u)) == 1
 
 
 @PROPS
@@ -453,8 +462,8 @@ def test_cocycle_relation_degree_2_to_6(g, P, data):
     assume(all(mat_det(s) != 0 for s in sigmas))
     q, v = _forms_and_v(data.draw, 2, sigmas)
     args = CocycleArgs(P, q, v)
-    for psi in (psi_ell, psi_ell_plus):
-        values = [psi(t, args, ELL) for t in pairs]
+    for plus in (False, True):
+        values = [psi_ell(t, args, ELL, plus=plus) for t in pairs]
         assert values[0] - values[1] + values[2] == 0
 
 

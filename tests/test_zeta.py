@@ -301,7 +301,7 @@ def _reduce_case(field, ell, index, a_over, f):
     fi = one if f is None else Ideal.from_generators(F, [F.from_rational(f)])
     a = one if a_over is None else prime_over(F, a_over)
     c = _degree_one_primes(F, ell)[index]
-    eps = unit_basis(F, fi, supplied=units and [F.element(u) for u in units])
+    eps = [F.element(u) for u in units] if units else unit_basis(F, fi)
     return F, fi, a, c, eps, adapted_basis(a, fi, c, ell)
 
 
