@@ -327,8 +327,9 @@ def test_hnf_ideals_and_smoothing_ideal_c(tmp_path, capsys):
     results = []
     for a, c in ((a_gens, None), (a_hnf, None), (a_gens, c_gens),
                  (a_hnf, c_hnf)):
-        cfg = _with(a=a, **({} if c is None else {"c": c}))
+        cfg = _with(a=a)
         if c is not None:
+            cfg["c"] = c
             del cfg["ell"]
         code, report = run(["zeta", "--config", write_cfg(tmp_path, cfg)],
                            capsys)
