@@ -38,9 +38,9 @@ EXIT_CROSSCHECK = 4
 
 # Most cells a command may visit, each checked before the work starts: the
 # sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
-# about 35 s on the 19-coset oov kernel), and the (p^t)^n cells of its
-# region at level t (a cell costs about 5 us in the integer congruences,
-# so 10^6 take about 5 s).
+# about 35 s on the 19-coset oov kernel, and 0.5 s where padic-zeta sums
+# the norm in closed form), and the (p^t)^n cells of its region at level t
+# (a cell costs about 5 us in the integer congruences, so 10^6 take 5 s).
 MAX_SWEEP_CELLS = 10 ** 7
 MAX_REGION_CELLS = 10 ** 6
 

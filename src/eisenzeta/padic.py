@@ -18,17 +18,21 @@ there is no p-adic exp; `teichmuller` is one modular power; `_intval`
 takes every valuation and `_residue` every rational residue;
 `integrate_cells` is the one Riemann loop, `_poly_residue_evaluator` the
 one polynomial evaluator (the sweeps' norm residues, and the norm mod p
-that `region_units` reads once on (Z/p)^n); and `_region` builds every
+that `_unit_norm_cells` reads once on (Z/p)^n); and `_region` builds every
 region, testing each lattice as one integer congruence in the cell index.
 That test works in the completion at p, since for a class representative
 a != O the points x = w . (v + j) carry denominators prime to p.
 
-The loop runs row by row.  `CellKernel.row` walks each chain term's
+The loop runs row by row.  `CellKernel.diff` walks each chain term's
 cosets that differ only in the last coordinate as one long affine row,
-folded onto the row's cells, and reads integer tables, one per set of
-integral coordinates; each integrand takes a row's cells in one call.
-The values at s = -k are moments of one measure, so `padic_zetas` and
-`oov_integrals` take every k from one sweep (`powers`).
+folded onto the difference array d of the row's measures, and reads
+integer tables, one per set of integral coordinates.  The values at
+s = -k are moments of one measure, so `padic_zetas` and `oov_integrals`
+take every k from one sweep (`powers`).  An integrand takes a row's live
+cells in one call.  A polynomial P takes the nodes 0..D, D >= deg P^k: as
+P^k = sum_y P^k(y) l_y, with l_y of degree D, 1 at y and 0 at the other
+nodes, a row sums to sum_y P^k(y) sum_X d[X] T_y(X) over d's few nonzero
+X, T_y(X) summing l_y over the kept x >= X.  That holds mod p^work too.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -371,16 +375,18 @@ class CellKernel:
 
     def row(self, prefix: Sequence[int],
             keep: Sequence[bool] | None = None) -> list[int]:
-        """[mu_den * measure of box (v + prefix + (x,) + p^M X), for x in
-        range(p^M)].
+        """[mu_den * measure of box (v + prefix + (x,) + p^M X), x < p^M]."""
+        return list(accumulate(self.diff(prefix, keep)))[:self.h.p ** self.M]
 
-        On a run of W cosets y_i = c_i + s_i X for X < W p^M, and its table
-        value changes where some floor(y_i / den) steps: a step at X goes
-        to a difference array at X mod p^M, and each window start w p^M
-        adds the value there to cell 0.  A cell with some y_i = 0 mod den
-        reads the table of its integral coordinates, except where `keep`
-        is false: those cells are left unspecified.
-        """
+    def diff(self, prefix: Sequence[int],
+             keep: Sequence[bool] | None) -> list[int]:
+        """The p^M + 1 entries of `row`'s difference array.  On a run of W
+        cosets y_i = c_i + s_i X for X < W p^M, and its table value changes
+        where some floor(y_i / den) steps: a step at X goes to the array at
+        X mod p^M, and each window start w p^M adds the value there to cell
+        0.  A cell with some y_i = 0 mod den reads the table of its integral
+        coordinates, except where `keep` is false: those cells are left
+        unspecified."""
         h, ell = self.h, self.h.ell
         pl = h.p ** self.M
         diff = [0] * (pl + 1)
@@ -423,7 +429,7 @@ class CellKernel:
                     fix = h.table(term, J)[t] - table[t]
                     diff[X % pl] += fix
                     diff[X % pl + 1] -= fix
-        return list(accumulate(diff))[:pl]
+        return diff
 
 
 def _floor_steps(c: int, s: int, den: int, n: int,
@@ -548,17 +554,20 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
 
 def region_units(h: MeasureHandle, f: Ideal, *,
                  max_cells: int | None = None) -> Region:
-    """O*_{p,f}: units congruent to 1 modulo the p-part of f.  The norm
-    N(x(j)) is p-integral, so whether it is a p-unit depends on j mod p
-    only: its residues on (Z/p)^n are read once."""
+    """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
     region = _region(h, "units", f, max_cells=max_cells)
+    mask = frozenset(_unit_norm_cells(h, region.mask))
+    return Region(h.p, region.t, mask, region.tag)
+
+
+def _unit_norm_cells(h: MeasureHandle, cells: frozenset) -> list[tuple]:
+    """The cells j of `cells` where N(x(j)), p-integral, is a p-unit: that
+    depends on j mod p only, so its residues on (Z/p)^n are read once."""
     p, xs = h.p, list(range(h.p))
     nx = _poly_residue_evaluator(h, h.norm_poly, 1)
     units = {(*prefix, x) for prefix in product(xs, repeat=h.n - 1)
              for x, r in zip(xs, nx(prefix, xs)) if r}
-    mask = frozenset(j for j in region.mask
-                     if tuple(ji % p for ji in j) in units)
-    return Region(p, region.t, mask, region.tag)
+    return [j for j in cells if tuple(ji % p for ji in j) in units]
 
 
 def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
@@ -592,33 +601,41 @@ def region_box(h: MeasureHandle, a: Sequence[int], r: int) -> Region:
 def integrate_cells(h: MeasureHandle, region: Region | None,
                     integrands: Sequence[Callable[..., int]],
                     M: int, work_prec: int,
-                    powers: Sequence[int] = (1,)) -> list[int]:
-    """One pass over the level-M cells: for each integrand g, then each k
-    in `powers`, the residue mod p^work of the sum over region cells of
-    g(j)^k * measure(box_j).
+                    powers: Sequence[int] = (1,),
+                    polys: Sequence[MultiPoly] = ()) -> list[int]:
+    """One pass over the level-M cells: for each integrand g, then each
+    polynomial P, and each k in `powers`, the residue mod p^work of the sum
+    over region cells of g(j)^k (or P(v + j)^k) * measure(box_j).
 
     g is called once per row as g(prefix, xs): prefix holds the first n - 1
     cell coordinates, xs the last coordinates of the row's live cells
     (region cells of nonzero measure) in increasing order, and g returns
     its values at those cells as a list.  Rows without a live cell get no
-    call, and g is never called when every power is 0.
+    call, and g is never called when every power is 0.  A polynomial, for
+    k >= 0, is summed in closed form (see the module docstring).
     """
+    powers = list(powers)
+    if not powers or not (integrands or polys):
+        return []
+    if polys and min(powers) < 0:
+        raise ValueError("a polynomial integrand takes powers k >= 0")
     level = max(M, region.t if region is not None else 0)
     kernel = h.cell_numerators(level)
     p = h.p
     mod = p ** work_prec
     pl = p ** level
-    powers = list(powers)
     call = any(powers)
-    acc = [0] * (len(integrands) * len(powers))
-    if region is not None and region.t > 0:
-        pt = p ** region.t
-        mask = region.mask
-    else:
-        pt, mask = 1, None
+    fns = [*integrands,
+           *(_poly_residue_evaluator(h, P, work_prec) for P in polys)]
+    acc = [0] * (len(fns) * len(powers))
+    degree = max(powers) * max((P.degree() for P in polys), default=0)
+    nodes = list(range(min(degree, pl - 1) + 1))
+    mask = region.mask if region is not None and region.t > 0 else None
+    pt = p ** region.t if mask is not None else 1
     rows_in: dict[tuple, list[bool]] = {}  # prefix mod p^t -> membership
+    tables: dict = {}  # prefix mod p^t -> [T_y for y in nodes]
+    key = keep = None
     for prefix in product(range(pl), repeat=h.n - 1):
-        keep = None
         if mask is not None:
             key = tuple(ji % pt for ji in prefix)
             if key not in rows_in:
@@ -626,19 +643,38 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
             keep = rows_in[key]
             if not any(keep):
                 continue
-        row = kernel.row(prefix, keep)
-        cells = range(pl) if keep is None else compress(range(pl), keep)
-        xs = [x for x in cells if row[x]]
-        if not xs:
-            continue
-        nums = [row[x] for x in xs]
-        for gi, g in enumerate(integrands):
-            vals = g(prefix, xs) if call else []
-            sums = _moment_sums(nums, vals, powers, mod)
-            for i, s in enumerate(sums, gi * len(powers)):
-                acc[i] += s
+        diff = kernel.diff(prefix, keep)
+        sites = []  # (weights, points) of each integrand, then each poly
+        if integrands:
+            row = list(accumulate(diff))
+            cells = range(pl) if keep is None else compress(range(pl), keep)
+            xs = [x for x in cells if row[x]]
+            sites += [([row[x] for x in xs], xs)] * len(integrands)
+        if polys:
+            if key not in tables:
+                tables[key] = _lagrange_sums(keep, pl, len(nodes) - 1)
+            steps = list(compress(range(pl + 1), diff))
+            ds = [diff[X] for X in steps]
+            sites += [([sum(map(mul, ds, map(w.__getitem__, steps)))
+                        for w in tables[key]], nodes)] * len(polys)
+        for gi, (g, (ws, xs)) in enumerate(zip(fns, sites)):
+            if xs:
+                vals = g(prefix, xs) if call else []
+                sums = _moment_sums(ws, vals, powers, mod)
+                for i, s in enumerate(sums, gi * len(powers)):
+                    acc[i] += s
     inv_den = pow(h.mu_den % mod, -1, mod)
     return [a * inv_den % mod for a in acc]
+
+
+def _lagrange_sums(keep: Sequence[bool] | None, pl: int, D: int) -> list:
+    """[T_y for y <= D]: T_y[X] sums l_y(x) over the kept x in [X, pl), and
+    l_y(x) = (-1)^(D-y) C(D, y) (D + 1) C(x, D + 1) / (x - y) for x > D."""
+    cs = [(D + 1) * comb(x, D + 1) for x in range(pl)]
+    cols = [[0 if keep is not None and not keep[x] else int(x == y) if x <= D
+             else (-1) ** (D - y) * comb(D, y) * cs[x] // (x - y)
+             for x in range(pl)] for y in range(D + 1)]
+    return [list(accumulate(reversed(col), initial=0))[::-1] for col in cols]
 
 
 def _moment_sums(nums: list[int], vals: list[int], powers: Sequence[int],
@@ -702,8 +738,7 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     """
     if work_prec is None:
         work_prec = M + 8
-    ev = _poly_residue_evaluator(h, P, work_prec)
-    res = integrate_cells(h, None, [ev], M, work_prec)[0]
+    res = integrate_cells(h, None, [], M, work_prec, polys=[P])[0]
     return PadicInt(h.p, work_prec, res)
 
 
@@ -736,9 +771,13 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
                            "norm residue vanished at working precision")[0]
 
     # ks all 0 still takes the unit part at every cell (the extra moment),
-    # so a vanishing norm residue raises whatever moments are asked for
-    check = [1] if ks and not any(ks) else []
-    res = integrate_cells(h, region, [unit], M, guard, powers=[*ks, *check])
+    # so a vanishing norm residue raises for any ks; where every cell of a
+    # region of level >= 1 has a p-unit norm, the unit part is the norm
+    powers = [*ks, *([1] if ks and not any(ks) else [])]
+    poly = region.t and min(ks, default=0) >= 0 \
+        and len(_unit_norm_cells(h, region.mask)) == len(region.mask)
+    res = integrate_cells(h, region, [] if poly else [unit], M, guard,
+                          powers, [h.norm_poly] if poly else [])
     return [PadicInt(p, work_prec, r * _residue(h.nac ** k, mod))
             for k, r in zip(ks, res)]
 

@@ -177,15 +177,36 @@ def test_padic_zeta_sweeps_once(capsys, monkeypatch):
     sweeps = []
     sweep = eisenzeta.padic.integrate_cells
 
-    def counting(h, region, integrands, M, work_prec, powers=(1,)):
-        sweeps.append(len(integrands) * len(powers))
-        return sweep(h, region, integrands, M, work_prec, powers)
+    def counting(h, region, integrands, M, work_prec, powers=(1,), polys=()):
+        sweeps.append((len(integrands) + len(polys)) * len(powers))
+        return sweep(h, region, integrands, M, work_prec, powers, polys)
 
     monkeypatch.setattr(eisenzeta.padic, "integrate_cells", counting)
     code, report = run(["padic-zeta", "--config",
                         str(GOLDEN / "golden_config.json")], capsys)
     assert code == 0
     assert sweeps == [len(report["result"]["values"])] == [3]
+
+
+def test_padic_zeta_calls_no_cell_integrand(capsys, monkeypatch):
+    # every cell of the units region has a p-unit norm, so the one sweep
+    # sums the norm's moments in closed form and calls no row integrand
+    sweeps, calls = [], []
+    sweep = eisenzeta.padic.integrate_cells
+
+    def counted(g):
+        return lambda prefix, xs: calls.append(prefix) or g(prefix, xs)
+
+    def counting(h, region, integrands, M, work_prec, powers=(1,), polys=()):
+        sweeps.append(len(polys))
+        return sweep(h, region, [counted(g) for g in integrands], M,
+                     work_prec, powers, polys)
+
+    monkeypatch.setattr(eisenzeta.padic, "integrate_cells", counting)
+    code, report = run(["padic-zeta", "--config",
+                        str(GOLDEN / "golden_config.json")], capsys)
+    assert code == 0 and report["result"]["values"]
+    assert sweeps == [1] and calls == []
 
 
 @pytest.mark.parametrize("flags,checked", [([], True),

@@ -1094,6 +1094,79 @@ def test_padic_zetas_zeroth_moment_checks_norm(monkeypatch):
     assert padic_zetas(h, region, [], M) == []
 
 
+def test_empty_sweeps_build_no_kernel(monkeypatch):
+    # with no integrand, no polynomial or no power there is nothing to sum:
+    # no kernel is built and no row is walked
+    F, one, z, h = sqrt5_setup()
+    region = region_units(h, one)
+    ev = _poly_residue_evaluator(h, z.P, 13)
+
+    def no_kernel(self, M):
+        raise AssertionError("kernel built for an empty sweep")
+
+    monkeypatch.setattr(MeasureHandle, "cell_numerators", no_kernel)
+    assert padic_zetas(h, region, [], 5) == []
+    assert oov_integrals(h, region, [], 5) == []
+    assert integrate_cells(h, region, [], 5, 13, powers=[0, 1]) == []
+    assert integrate_cells(h, region, [ev], 5, 13, powers=[]) == []
+    assert integrate_cells(h, None, [], 5, 13, powers=[], polys=[z.P]) == []
+
+
+def _closed_form_handle(case):
+    """(handle, levels, regions) for the closed-form comparisons."""
+    if case == "sqrt10":
+        F = NumberField([-10, 0, 1])
+        one = Ideal.unit_ideal(F)
+        h = MeasureHandle(build_zeta_data(F, one, one, prime_over(F, 31), 31),
+                          3)
+        return h, [1, 2], [None, region_units(h, one),
+                           region_case("sqrt10-units-f")[0]]
+    h = _row_kernel_handle(case)[0]
+    one = Ideal.unit_ideal(h.z.field)
+    if case == "cubic-p5":
+        return h, [2], [None, region_units(h, one)]
+    return h, [1, 2, 3, 4], [None, region_units(h, one),
+                             region_box(h, (1, 2), 2)]
+
+
+@pytest.mark.parametrize("case", ["sqrt5-p3", "sqrt10", "cubic-p5"])
+def test_closed_form_matches_per_cell(case, monkeypatch):
+    # a polynomial summed in closed form from the rows' difference arrays
+    # gives the per-cell residues of its row evaluator bit for bit, with
+    # sign-defect cells in the sweep, on Q(sqrt 10) at ell = 31 and in the
+    # cubic's dense floor-step branch (a floor rising at most cells)
+    h, levels, regions = _closed_form_handle(case)
+    n, p = h.n, h.p
+    X = [MultiPoly.variable(n, i) for i in range(n)]
+    polys = [h.norm_poly, h.z.P, MultiPoly.constant(n, Fraction(5, 7)),
+             X[0] ** 3 - X[-1] * X[-1] * Fraction(1, 2) + X[-1]]
+    ks = [0, 1, 2, 3, 0]
+    dense = []
+    floor_steps = eisenzeta.padic._floor_steps
+
+    def watched(c, s, den, length, dt):
+        dense.append((c + s * (length - 1)) // den - c // den >= length)
+        return floor_steps(c, s, den, length, dt)
+
+    monkeypatch.setattr(eisenzeta.padic, "_floor_steps", watched)
+    defects = 0
+    for M in levels:
+        kernel = h.cell_numerators(M)
+        defects += sum(
+            (b + sum(c * jk for c, jk in zip(mrow, j))) % mp["den"] == 0
+            for j in product(range(p ** M), repeat=n) for mp in kernel.maps
+            for b, mrow in zip(mp["base"], mp["mat"]))
+        for region, work in product(regions, (11,) if n == 3 else (4, 11)):
+            evs = [_poly_residue_evaluator(h, P, work) for P in polys]
+            got = integrate_cells(h, region, [], M, work, ks, polys)
+            assert got == integrate_cells(h, region, evs, M, work, ks)
+        assert [integrate_poly(h, P, M, work).res for P in polys[:2]] \
+            == integrate_cells(h, None, evs[:2], M, work)
+    assert defects and (case != "cubic-p5" or any(dense))
+    with pytest.raises(ValueError, match="powers k >= 0"):
+        integrate_cells(h, None, [], 1, 4, [1, -1], polys[:1])
+
+
 def _log_series_formula(y, p, prec, vy=1):
     """The log series with one modular inverse per term, the formula the
     cached inverse table replaces."""

@@ -39,10 +39,11 @@ from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
 from eisenzeta.numberfield import (DependentUnits, Ideal, NotIrreducible,
                                    NumberField, ln_interval, prime_over,
                                    real_root_count, regulator_det_sign)
-from eisenzeta.padic import MeasureHandle
+from eisenzeta.padic import (MeasureHandle, _poly_residue_evaluator,
+                             integrate_cells, region_box)
 from eisenzeta.zeta import build_zeta_data
 
-from test_padic import REGION_CASES, region_case
+from test_padic import REGION_CASES, _row_kernel_handle, region_case
 
 PROPS = settings(database=None, derandomize=True, deadline=None,
                  max_examples=60)
@@ -545,3 +546,49 @@ def test_region_cell_matches_fraction_oracle(case, data):
     n = len(next(iter(region.mask)))
     j = data.draw(st.tuples(*[st.integers(-60, 60)] * n))
     assert region.contains(j) == member(j)
+
+
+# handle -> (its region case, deepest level swept)
+POLY_SWEEPS = {"sqrt5-p3": ("sqrt5-units", 3), "oov": ("sqrt5-oov", 2),
+               "cubic-p5": ("cubic-units", 1)}
+
+
+@st.composite
+def poly_sweeps(draw):
+    """(handle, P of degree <= 3, level, region, powers): Q(sqrt 5) at
+    p = 3 and p = 11 and the cubic at p = 5, over the whole space, a units
+    or oov region or a box."""
+    case = draw(st.sampled_from(sorted(POLY_SWEEPS)))
+    h = _row_kernel_handle(case)[0] if case == "oov" \
+        else _measure_handle(case)
+    tag, top = POLY_SWEEPS[case]
+    monos = st.tuples(*[st.integers(0, 3)] * h.n).filter(
+        lambda m: sum(m) <= 3)
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                       st.sampled_from([1, 2, 7]))
+    P = MultiPoly(h.n, draw(st.dictionaries(monos, coeffs, min_size=1,
+                                            max_size=6)))
+    kind = draw(st.sampled_from(["all", "region", "box"]))
+    if kind == "all":
+        region = None
+    elif kind == "region":
+        region = region_case(tag)[0]
+    else:
+        r = draw(st.integers(1, top))
+        region = region_box(h, draw(st.tuples(
+            *[st.integers(0, h.p ** r - 1)] * h.n)), r)
+    M = draw(st.integers(1, top))
+    ks = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    return h, P, M, region, ks
+
+
+@PROPS
+@given(poly_sweeps(), st.integers(1, 12))
+def test_closed_form_poly_sums_match_per_cell(sweep, work):
+    # a polynomial summed in closed form from the rows' difference arrays
+    # equals the per-cell sum of its row evaluator bit for bit, for powers
+    # with 0 and repeats
+    h, P, M, region, ks = sweep
+    ev = _poly_residue_evaluator(h, P, work)
+    assert integrate_cells(h, region, [], M, work, ks, [P]) \
+        == integrate_cells(h, region, [ev], M, work, ks)
