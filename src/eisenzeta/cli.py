@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
     module_action, psi_ell
 from .dedekind import DedekindCache, RationalForms
-from .exact import MultiPoly, mat_det
+from .exact import MultiPoly, _is_prime, mat_det
 from .numberfield import (DependentUnits, Ideal, NumberField, prime_over,
                           regulator_det_sign)
 from .padic import (MeasureHandle, PadicInt, TooManyCells,
@@ -108,6 +108,13 @@ def _int_min(s, what, low: int) -> int:
     return v
 
 
+def _prime(s, what) -> int:
+    v = _int(s, what)
+    if not _is_prime(v):
+        raise ConfigError(f"{what} must be a prime, got {v}")
+    return v
+
+
 def _k_max(cfg, default: str) -> int:
     return _int_min(cfg.get("k_max", default), "k_max", 0)
 
@@ -180,7 +187,7 @@ def build_common(cfg, override=None):
         c = parse_ideal(field, src["c"])
         ell = int(c.norm())
     elif "ell" in src:
-        ell = _int(src["ell"], "ell")
+        ell = _prime(src["ell"], "ell")
         c = prime_over(field, ell)
     else:
         raise ConfigError("config needs 'c' or 'ell'")
@@ -288,9 +295,9 @@ def cmd_oov(cfg, args, cache) -> dict:
 
 def cmd_cocycle_check(cfg, args, cache) -> dict:
     ccfg = _obj(cfg.get("cocycle_check", {}), "cocycle_check")
-    ell = _int(ccfg.get("ell", "5"), "ell")
-    n = _int(ccfg.get("n", "2"), "n")
-    count = _int(ccfg.get("count", "10"), "count")
+    ell = _prime(ccfg.get("ell", "5"), "ell")
+    n = _int_min(ccfg.get("n", "2"), "n", 2)
+    count = _int_min(ccfg.get("count", "10"), "count", 0)
     seed = _int(ccfg.get("seed", "20240817"), "seed")
     rng = random.Random(seed)
 

@@ -4,9 +4,9 @@ Elements are stored in the power basis 1, z, ..., z^(ell-2); reduction by
 the ell-th cyclotomic polynomial happens on every write, so coordinates
 are always canonical.
 
-Each concept has one implementation: `CycloElement.inverse` solves its
-multiplication system with `exact.mat_solve`, and `_is_prime` is the
-primality test of the whole package.
+`CycloElement.inverse` solves the system of `exact.multiplication_matrix`
+for the ell-th cyclotomic polynomial 1 + t + ... + t^(ell-1) with
+`exact.mat_solve`; the primality test is `exact._is_prime`.
 """
 
 from __future__ import annotations
@@ -14,22 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import mat_solve
+from .exact import _is_prime, mat_solve, multiplication_matrix
 
 
 class MismatchedField(ValueError):
     pass
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class CycloElement:
@@ -121,16 +110,12 @@ class CycloElement:
 
     def inverse(self) -> "CycloElement":
         """Multiplicative inverse, by solving the (ell-1) x (ell-1) linear
-        system for multiplication by self."""
+        system M x = e_0 for multiplication by self."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        ell = self.ell
-        n = ell - 1
-        cols = [(self * CycloElement.zeta_pow(ell, j)).coords for j in range(n)]
-        # solve M x = e_0 where column j of M is self * zeta^j
-        m = tuple(tuple(col[i] for col in cols) for i in range(n))
-        e0 = ((1,),) + ((0,),) * (n - 1)
-        return CycloElement(ell, [row[0] for row in mat_solve(m, e0)])
+        m = multiplication_matrix((1,) * self.ell, self.coords, Fraction(0))
+        e0 = ((1,),) + ((0,),) * (self.ell - 2)
+        return CycloElement(self.ell, [row[0] for row in mat_solve(m, e0)])
 
     def trace(self) -> Fraction:
         """Trace to Q: (ell-1)*c_0 - sum of the other coordinates."""

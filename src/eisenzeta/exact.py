@@ -11,14 +11,17 @@ over the polynomial ring), `_hermite` the only Hermite reduction (`hnf`
 carries U along in the columns [M_j; e_j], `lattice_hnf` takes any
 spanning columns, and `coset_reps` reads the diagonal of `lattice_hnf`),
 `reduce_mod_lattice` the only reduction modulo a lattice in HNF
-(membership, as in `Ideal.contains`, is a zero reduction), and `poly_eval`
-the only Horner evaluation of a dense univariate polynomial.
+(membership, as in `Ideal.contains`, is a zero reduction), `poly_eval`
+the only Horner evaluation of a dense univariate polynomial,
+`multiplication_matrix` the only multiplication matrix in Q[t]/(f) (norms,
+traces, inverses, and the norm forms: `resultant_norm` is its `poly_det`),
+`_is_prime` the only primality test and `_intval` the only valuation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import floordiv
 from typing import Sequence
 
@@ -465,39 +468,49 @@ def poly_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
                     MultiPoly.constant(nvars, 1), MultiPoly.divexact)
 
 
+def multiplication_matrix(f: Sequence[int], coeffs: Sequence, zero) -> Matrix:
+    """The matrix of multiplication by g = sum coeffs[k] t^k in Q[t]/(f),
+    that is sum coeffs[k] C^k with C the companion matrix of the monic f
+    (ascending coefficients, degree n): column j holds the power-basis
+    coordinates of g t^j mod f.  The coefficients are rationals or
+    polynomials, `zero` the zero among them, and there are at most n."""
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1 or len(coeffs) > n:
+        raise DegreeError("f must be monic of degree n >= 1, g of degree < n")
+    col = [*coeffs, *[zero] * (n - len(coeffs))]
+    cols = [col]
+    for _ in range(n - 1):  # t^n = -(f[0] + ... + f[n-1] t^(n-1))
+        top, col = col[-1], [zero, *col[:-1]]
+        if top != zero:
+            col = [x - top * c if c else x for x, c in zip(col, f)]
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
 def resultant_norm(f: Sequence[int], g: Sequence[MultiPoly]) -> MultiPoly:
-    """prod over the roots theta_i of f of g(theta_i; X), via the Sylvester
-    determinant of f and g over the polynomial ring.
+    """prod over the roots theta_i of f of g(theta_i; X): the determinant,
+    over the polynomial ring, of the multiplication matrix of g in
+    Q[t]/(f) (Cohen, A Course in Computational Algebraic Number Theory,
+    4.3).
 
     f is a monic integer polynomial given by ascending coefficients
     (f[0] + f[1] t + ... + t^n); g is given by its ascending t-coefficients,
-    each a MultiPoly in the auxiliary variables, with deg_t(g) < n.
+    at most n of them, each a MultiPoly in the auxiliary variables.
     """
-    n = len(f) - 1
-    if n < 1 or f[-1] != 1:
-        raise DegreeError("f must be monic of degree >= 1")
-    gc = list(g)
-    while gc and gc[-1].is_zero():
-        gc.pop()
-    if not gc:
-        return MultiPoly(g[0].nvars if g else 1)
-    d = len(gc) - 1
-    if d >= n:
-        raise DegreeError("deg_t(g) must be < deg(f)")
-    nvars = gc[0].nvars
-    if d == 0:
-        return gc[0] ** n
-    size = n + d
-    const = lambda c: MultiPoly.constant(nvars, c)
-    rows: list[list[MultiPoly]] = []
-    for i in range(d):  # d shifted copies of f (descending coefficients)
-        row = [const(0)] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = const(c)
-        rows.append(row)
-    for i in range(n):  # n shifted copies of g
-        row = [const(0)] * size
-        for j, cpoly in enumerate(reversed(gc)):
-            row[i + j] = cpoly
-        rows.append(row)
-    return poly_det(rows)
+    zero = MultiPoly(g[0].nvars if g else 1)
+    return poly_det(multiplication_matrix(f, g, zero))
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _intval(n: int, p: int) -> int:
+    """v_p(n), for n != 0 and p >= 2."""
+    if n == 0 or p < 2:
+        raise ValueError(f"no valuation of {n} at {p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

@@ -22,6 +22,8 @@ logarithm series, `Ideal.contains` the only ideal-membership test (a zero
 it), `_check_adapted` the only adapted-basis check, `validate_units` the
 only check of units (`build_zeta_data` calls it on given and computed
 units alike), and `totally_positive_unit` the only unit-power search.
+An element's norm, trace and inverse read `FieldElement.mult_matrix`,
+which is `exact.multiplication_matrix` for f.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from math import ceil, isqrt
 from typing import Sequence
 
 from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
-                    mat_inv, mat_mul, mat_solve, mat_vec, poly_eval,
-                    reduce_mod_lattice, snf)
+                    mat_inv, mat_mul, mat_solve, mat_vec,
+                    multiplication_matrix, poly_eval, reduce_mod_lattice, snf)
 
 
 class NotMonic(ValueError):
@@ -503,14 +505,7 @@ class FieldElement:
     def mult_matrix(self) -> Matrix:
         """Matrix of multiplication by self on the power basis (columns are
         images of basis vectors)."""
-        n = self.field.n
-        cols = []
-        cur = self
-        theta = self.field.theta()
-        for _ in range(n):
-            cols.append(cur.coords)
-            cur = cur * theta
-        return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+        return multiplication_matrix(self.field.f, self.coords, Fraction(0))
 
     def trace(self) -> Fraction:
         m = self.mult_matrix()

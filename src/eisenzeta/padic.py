@@ -14,8 +14,8 @@ is tested against it; `_log_series` sums the logarithm of a list of
 arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
 the worst-case digit loss of a per-cell log; the weight character
 <N(ac) Nx>^(-s) of `padic_zeta_weight` is one modular power per cell, and
-there is no p-adic exp; `teichmuller` is one modular power; `_intval`
-takes every valuation and `_residue` every rational residue;
+there is no p-adic exp; `teichmuller` is one modular power;
+`exact._intval` takes every valuation and `_residue` every rational residue;
 `integrate_cells` is the one Riemann loop, `_poly_residue_evaluator` the
 one polynomial evaluator (the sweeps' norm residues, and the norm mod p
 that `_unit_norm_cells` reads once on (Z/p)^n); and `_region` builds every
@@ -45,10 +45,9 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
-from .cyclotomic import _is_prime
 from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
-from .exact import (Matrix, MultiPoly, coset_reps, lattice_hnf, mat_det,
-                    mat_inv, mat_mul, mat_vec)
+from .exact import (Matrix, MultiPoly, _intval, _is_prime, coset_reps,
+                    lattice_hnf, mat_det, mat_inv, mat_mul, mat_vec)
 from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
@@ -156,16 +155,6 @@ class PadicInt:
 
     def __repr__(self):
         return f"PadicInt({self.res} + O({self.p}^{self.prec}))"
-
-
-def _intval(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _residue(q, mod: int) -> int:
@@ -520,8 +509,7 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
     wv = mat_vec(wmat, h.z.v)
     D = lcm(*(c.denominator for row in wmat for c in row),
             *(c.denominator for c in wv))
-    while D % p == 0:
-        D //= p
+    D //= p ** _intval(D, p)
 
     def congruence(q: Ideal, shift: Sequence) -> tuple[int, list]:
         """(L, [(row of L D H^-1 wmat mod L, its constant)]), without the
@@ -758,17 +746,25 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
                 work_prec: int | None = None) -> list[PadicInt]:
     """Values interpolating the prime-to-p smoothed zeta at s = -k for each
     k, sharing one pass: N(ac)^k * integral over the region of
-    (unit part of Nx)^k d mu, the k-th moment of one measure."""
+    (unit part of Nx)^k d mu, the k-th moment of one measure.
+
+    The norms are taken mod p^(2 work); a unit part that strips p^v keeps
+    2 work - v digits, so a k != 0 is reported to min(work, 2 work - v)
+    with v the deepest stratum met (0 in the closed form)."""
     if work_prec is None:
         work_prec = M + 8
     p = h.p
-    guard = 2 * work_prec  # strata shift valuations; generous
+    guard = 2 * work_prec
     mod = p ** guard
     nx = _poly_residue_evaluator(h, h.norm_poly, guard)
+    stratum = 0
 
     def unit(prefix, xs):
-        return _unit_parts(nx(prefix, xs), p,
-                           "norm residue vanished at working precision")[0]
+        nonlocal stratum
+        us, v = _unit_parts(nx(prefix, xs), p,
+                            "norm residue vanished at working precision")
+        stratum = max(stratum, v)
+        return us
 
     # ks all 0 still takes the unit part at every cell (the extra moment),
     # so a vanishing norm residue raises for any ks; where every cell of a
@@ -778,8 +774,9 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
         and len(_unit_norm_cells(h, region.mask)) == len(region.mask)
     res = integrate_cells(h, region, [] if poly else [unit], M, guard,
                           powers, [h.norm_poly] if poly else [])
-    return [PadicInt(p, work_prec, r * _residue(h.nac ** k, mod))
-            for k, r in zip(ks, res)]
+    digits = min(work_prec, guard - stratum)
+    return [PadicInt(p, work_prec if k == 0 else digits,
+                     r * _residue(h.nac ** k, mod)) for k, r in zip(ks, res)]
 
 
 def padic_zeta(h: MeasureHandle, region: Region, k: int, M: int,

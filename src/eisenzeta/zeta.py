@@ -18,8 +18,8 @@ from typing import Sequence
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)
 from .dedekind import DedekindCache
-from .exact import (Matrix, MultiPoly, mat_det, mat_inv, mat_solve,
-                    resultant_norm)
+from .exact import (Matrix, MultiPoly, _intval, _is_prime, mat_det, mat_inv,
+                    mat_solve, resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
@@ -172,6 +172,8 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     `_reduce_adapted`, which shrinks the coset systems the evaluator walks.
     Either way the norm form is computed once.
     """
+    if not _is_prime(ell):
+        raise ValueError(f"the smoothing ideal's norm ell = {ell} is not prime")
     n = field.n
     if c.norm() != ell:
         raise ValueError("smoothing ideal must have norm ell")
@@ -194,9 +196,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     P = nac * form
     for coeff in P.coeffs.values():
         den = coeff.denominator
-        while den % ell == 0:
-            den //= ell
-        if den != 1:
+        if den != ell ** _intval(den, ell):
             raise ValueError("norm polynomial has a denominator away from ell")
     v = tuple(w.trace() for w in wstar)
     acc = field.zero()
@@ -207,11 +207,8 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     # sample check of the integrality domain of P
     for probe in ((Fraction(1, ell), 0) + (0,) * (n - 2),
                   (Fraction(ell - 1, ell), 1) + (1,) * (n - 2)):
-        val = P.evaluate([vi + pi for vi, pi in zip(v, probe)])
-        den = val.denominator
-        while den % ell == 0:
-            den //= ell
-        if den != 1:
+        den = P.evaluate([vi + pi for vi, pi in zip(v, probe)]).denominator
+        if den != ell ** _intval(den, ell):
             raise ValueError("P does not map v + (1/ell)Z + Z^(n-1) into Z[1/ell]")
     mats = _unit_matrices(field, ws, eps)
     if mats is None:

@@ -405,6 +405,61 @@ def test_precondition_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ell", ["0", "1", "12", "-11"])
+def test_non_prime_ell_is_config_error(ell, tmp_path, capsys, monkeypatch):
+    # refused before prime_over looks for a prime above it
+    def prime_over(*args):
+        raise AssertionError("prime_over called")
+
+    monkeypatch.setattr(eisenzeta.cli, "prime_over", prime_over)
+    cfg = dict(SQRT5, ell=ell)
+    assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: ell must be a prime, got {int(ell)}\n"
+
+
+@pytest.mark.parametrize("c", [{"gens": ["1"]}, {"gens": ["2"]}],
+                         ids=["norm-1", "norm-4"])
+def test_smoothing_ideal_of_non_prime_norm(c, tmp_path, capsys):
+    # c = O has norm 1; refused before any loop over powers of ell, which
+    # never ended at ell = 1; the alarm ends work that was not refused
+    import signal
+    import time
+
+    def hanging(signum, frame):
+        raise TimeoutError("the run did not refuse c")
+
+    cfg = {"field": {"poly": ["-5", "0", "1"]}, "c": c}
+    previous = signal.signal(signal.SIGALRM, hanging)
+    signal.alarm(5)
+    try:
+        start = time.monotonic()
+        code = main(["zeta", "--config", write_cfg(tmp_path, cfg)])
+        assert time.monotonic() - start < 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_PRECONDITION
+    norm = 1 if c == {"gens": ["1"]} else 4
+    assert capsys.readouterr().err == ("precondition error: the smoothing "
+                                       f"ideal's norm ell = {norm} is not "
+                                       "prime\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "0", "n must be >= 2, got 0"),
+    ("n", "-2", "n must be >= 2, got -2"),
+    ("ell", "0", "ell must be a prime, got 0"),
+    ("ell", "4", "ell must be a prime, got 4"),
+    ("count", "-1", "count must be >= 0, got -1"),
+])
+def test_cocycle_check_config_errors(key, value, message, tmp_path, capsys):
+    cfg = {"cocycle_check": {key: value}}
+    code = main(["cocycle-check", "--config", write_cfg(tmp_path, cfg)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_p_dividing_f_is_precondition_error(tmp_path, capsys):
     # f = (4), p = 2: the shift v = (1/2, -3/4) has denominators divisible
     # by p, so there is no measure on the p-adic completion

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from eisenzeta.exact import (DegreeError, MultiPoly, SingularMatrix, coset_reps,
-                             hnf, identity, lattice_hnf, mat_det, mat_inv,
-                             mat_mul, mat_vec, poly_det, reduce_mod_lattice,
-                             resultant_norm, snf)
+from eisenzeta.exact import (DegreeError, MultiPoly, SingularMatrix, _intval,
+                             _is_prime, coset_reps, hnf, identity, lattice_hnf,
+                             mat_det, mat_inv, mat_mul, mat_vec, poly_det,
+                             reduce_mod_lattice, resultant_norm, snf)
 
 rng = random.Random(20240817)
 
@@ -260,3 +260,13 @@ def test_resultant_norm_preconditions():
         resultant_norm([0, 2], [x1])  # not monic
     with pytest.raises(DegreeError):
         resultant_norm([-1, 1], [x1, x1])  # deg_t too large
+
+
+def test_intval_and_is_prime():
+    assert [_intval(n, 3) for n in (1, -3, 18, 3 ** 7 * 5)] == [0, 1, 2, 7]
+    # p < 2 has no valuation: at p = 1 stripping p would never end
+    for n, p in ((5, 1), (5, 0), (5, -3), (0, 3)):
+        with pytest.raises(ValueError):
+            _intval(n, p)
+    assert [n for n in range(-3, 30) if _is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -508,6 +508,23 @@ def test_padic_zetas_one_sweep_equals_per_k(tag):
         [(fused[3].res, fused[3].prec), (fused[1].res, fused[1].prec)]
 
 
+@pytest.mark.parametrize("M, work", [(4, 5), (3, 3), (4, 4)])
+def test_padic_zetas_report_only_digits_they_have(M, work):
+    # over the whole lattice the norms meet p^6 at (M, work) = (4, 5): a
+    # unit part taken mod p^(2 work) keeps 2 work - 6 = 4 digits there, and
+    # every reported digit agrees with a run at work + 20
+    F, one, z, h = sqrt5_setup()
+    region = region_box(h, (0, 0), 0)
+    ks = [0, 1, 2]
+    low = padic_zetas(h, region, ks, M, work_prec=work)
+    high = padic_zetas(h, region, ks, M, work_prec=work + 20)
+    assert low[0].prec == work and min(v.prec for v in low[1:]) < work
+    for lo, hi in zip(low, high):
+        assert lo.prec <= hi.prec and agreement_precision(lo, hi) >= lo.prec
+    if (M, work) == (4, 5):
+        assert [v.prec for v in low] == [5, 4, 4]
+
+
 def test_padic_zeta_weight_matches_integer_point():
     # at k = 0 mod (p-1) the Teichmuller twist is trivial and the weight
     # route reproduces the integer route

@@ -1,9 +1,11 @@
 """Property tests: exact linear algebra (determinants against cofactor
 expansion), integer polynomial substitution against a naive expansion,
-lattice membership, the exact irreducibility test (a named factor of
-every product of real-rooted polynomials, and biquadratic fields accepted
-though reducible mod every prime), logarithm bounds, the regulator sign
-under a change of units, the Bernoulli distribution relation, the integer
+norm forms of the multiplication matrix in Q[t]/(f) against Sylvester
+determinants and its columns against reduction mod f, lattice membership,
+the exact irreducibility test (a named factor of every product of
+real-rooted polynomials, and biquadratic fields accepted though reducible
+mod every prime), logarithm bounds, the regulator sign under a change of
+units, the Bernoulli distribution relation, the integer
 Bernoulli rows and convolution behind the restricted distribution, the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
 box values of the p-adic measure against its distribution relation and its
@@ -35,7 +37,8 @@ from eisenzeta.dedekind import (LinearFormModL, RationalForms, b_L_z,
                                 b_L_z_direct)
 from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
                              lattice_hnf, mat_det, mat_inv, mat_mul,
-                             mat_solve, mat_vec, reduce_mod_lattice)
+                             mat_solve, mat_vec, multiplication_matrix,
+                             reduce_mod_lattice, resultant_norm)
 from eisenzeta.numberfield import (DependentUnits, Ideal, NotIrreducible,
                                    NumberField, ln_interval, prime_over,
                                    real_root_count, regulator_det_sign)
@@ -166,6 +169,62 @@ def test_compose_matrix_matches_naive_expansion(case):
     assert all(c != 0 and isinstance(c, Fraction)
                for c in composed.coeffs.values())
     assert composed.evaluate(point) == P.evaluate(mat_vec(rows, point))
+
+
+@st.composite
+def norm_forms(draw):
+    """A monic integer f of degree 2 to 4, g of t-degree < n with integer
+    polynomial coefficients in 2 variables (possibly none), integer points
+    and a rational g of t-degree < n."""
+    n = draw(st.integers(2, 4))
+    f = [*draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)), 1]
+    small = st.integers(-4, 4)
+    g = [MultiPoly(2, draw(st.dictionaries(monomials(2, 2), small,
+                                           max_size=3)))
+         for _ in range(draw(st.integers(0, n)))]
+    points = draw(st.lists(st.lists(st.integers(-5, 5), min_size=2,
+                                    max_size=2), min_size=1, max_size=3))
+    return f, g, points, draw(st.lists(rationals, max_size=n))
+
+
+def _sylvester_resultant(f, g):
+    """prod g(theta_i) over the roots of the monic integer f, for an
+    integer g: the determinant of the Sylvester matrix of f and g."""
+    g = list(g)
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
+        return 0
+    n, d = len(f) - 1, len(g) - 1
+    if d == 0:
+        return g[0] ** n
+    size = n + d
+    rows = [[0] * i + f[::-1] + [0] * (size - n - 1 - i) for i in range(d)]
+    rows += [[0] * i + g[::-1] + [0] * (size - d - 1 - i) for i in range(n)]
+    return mat_det(rows)
+
+
+def _times_power_mod(f, g, j):
+    """The coefficients of g t^j mod the monic f, n of them."""
+    n, out = len(f) - 1, [0] * j + list(g)
+    while len(out) > n:
+        top = out.pop()
+        for i in range(n):
+            out[len(out) - n + i] -= top * f[i]
+    return out + [0] * (n - len(out))
+
+
+@PROPS
+@given(norm_forms())
+def test_multiplication_matrix_norms_and_columns(case):
+    f, g, points, h = case
+    norm = resultant_norm(f, g)
+    for x in points:
+        gx = [int(c.evaluate(x)) for c in g]
+        assert norm.evaluate(x) == _sylvester_resultant(f, gx)
+    m = multiplication_matrix(f, h, 0)
+    for j in range(len(f) - 1):
+        assert [row[j] for row in m] == _times_power_mod(f, h, j)
 
 
 def _integral_solution(h, x):
