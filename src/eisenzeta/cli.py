@@ -215,8 +215,8 @@ def cmd_zeta(cfg, args, cache) -> dict:
 
 def cmd_padic_zeta(cfg, args, cache) -> dict:
     pcfg = _obj(cfg.get("padic", {}), "padic")
+    p = _prime(pcfg.get("p", "3"), "p")
     field, f, a, c, ell, z = build_common(cfg, override=pcfg)
-    p = _int(pcfg.get("p", "3"), "p")
     M = _int_min(args.precision if args.precision is not None
                  else pcfg.get("precision", "4"), "precision", 1)
     kmax = _k_max(pcfg, "2")
@@ -261,10 +261,10 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
 
 def cmd_oov(cfg, args, cache) -> dict:
     ocfg = _obj(cfg.get("oov", {}), "oov")
-    field, f, a, c, ell, z = build_common(cfg, override=ocfg)
     if "p" not in ocfg or "pi" not in ocfg:
         raise ConfigError("oov needs 'p' and 'pi' (list of generators)")
-    p = _int(ocfg["p"], "p")
+    p = _prime(ocfg["p"], "p")
+    field, f, a, c, ell, z = build_common(cfg, override=ocfg)
     pis = [field.element(_vector(g, "pi generator", field.n))
            for g in _list(ocfg["pi"], "pi")]
     other = [parse_ideal(field, q)

@@ -12,9 +12,12 @@ Each concept has one implementation: `MeasureHandle.measure_box` is the
 one exact box value, the cocycle at P = 1, and the fast `CellKernel.row`
 is tested against it; `_log_series` sums the logarithm of a list of
 arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
-the worst-case digit loss of a per-cell log; the weight character
-<N(ac) Nx>^(-s) of `padic_zeta_weight` is one modular power per cell, and
-there is no p-adic exp; `teichmuller` is one modular power;
+the worst-case digit loss of a per-cell log; `_disc_values` evaluates a
+polynomial in y from its three Taylor terms at y mod p^ceil(work / 3),
+kept once per residue disc: the log series' polynomial part and the weight
+character <N(ac) Nx>^(-s) of `padic_zeta_weight`, the polynomial
+(1 + y)^e in y = <N(ac) Nx> - 1, go through it, and there is no p-adic
+exp; `teichmuller` is one modular power;
 `exact._intval` takes every valuation and `_residue` every rational residue;
 `integrate_cells` is the one Riemann loop, `_poly_residue_evaluator` the
 one polynomial evaluator (the sweeps' norm residues, and the norm mod p
@@ -61,6 +64,10 @@ class LevelTooSmall(ValueError):
 
 
 class TooManyCells(ValueError):
+    pass
+
+
+class ResidueFieldMismatch(ValueError):
     pass
 
 
@@ -199,6 +206,30 @@ def iwasawa_log(x: PadicInt) -> PadicInt:
     return PadicInt(p, prec - loss, total)
 
 
+def _disc_values(ys: Sequence[int], p: int, prec: int, table: dict,
+                 taylor: Callable[[int], Sequence[int]]) -> list[int]:
+    """[F(y) mod p^prec for y in ys], F a polynomial with p-integral
+    coefficients, read from its Taylor terms at y's residue disc.
+
+    With h = ceil(prec / 3), y1 = y mod p^h and d = y - y1, p^h divides d,
+    so d^3 = 0 mod p^prec and F(y) = F0(y1) + d F1(y1) + d^2 F2(y1), where
+    Fj = F^(j) / j! = sum_k C(k, j) f_k Y^(k - j).  `taylor(y1)` gives
+    (F0, F1, F2)(y1) mod p^prec once per y1, kept in `table`, which holds
+    at most p^(h - 1) entries when p divides every y.
+    """
+    mod = p ** prec
+    ph = p ** -(-prec // 3)
+    out = []
+    for y in ys:
+        y1 = y % ph
+        f = table.get(y1)
+        if f is None:
+            f = table[y1] = taylor(y1)
+        d = y - y1
+        out.append((f[0] + d * (f[1] + d * f[2])) % mod)
+    return out
+
+
 def _log_series(ys: Sequence[int], p: int, prec: int,
                 vy: int = 1) -> tuple[list[int], int]:
     """([log(1 + y) mod p^prec for y in ys], loss) for v_p(y) >= vy >= 1,
@@ -207,12 +238,34 @@ def _log_series(ys: Sequence[int], p: int, prec: int,
     Term k has valuation >= k*vy - v_p(k) and vanishes mod p^prec once
     k*vy >= prec, so the sum runs while k*vy <= prec + loss; that bound does
     not depend on y.  The terms with p not dividing k are one polynomial in
-    y, summed by Horner mod p^prec.  A term with p | k is y^k mod p^prec
-    divided by p^v_p(k), where the digits are lost, so it is taken as such.
+    y, read from its Taylor table at y's residue disc (`_disc_values`), one
+    table per (p, prec, vy) kept across calls.  A term with p | k is y^k mod
+    p^prec divided by p^v_p(k), where the digits are lost, so it is taken
+    as such at every y.
     """
+    table, taylor, divided, loss = _log_terms(p, prec, vy)
+    totals = _disc_values(ys, p, prec, table, taylor)
+    if not divided:
+        return totals, loss
+    mod = p ** prec
+    for k, pv, c in divided:
+        terms = [pow(y, k, mod) for y in ys]
+        if any(t % pv for t in terms):
+            raise PrecisionExhausted("series division by p underflows")
+        totals = [s + t // pv * c for s, t in zip(totals, terms)]
+    return [s % mod for s in totals], loss
+
+
+@lru_cache(maxsize=None)
+def _log_terms(p: int, prec: int, vy: int) -> tuple:
+    """(table, taylor, divided, loss) of `_log_series` at (p, prec, vy):
+    the disc table of the polynomial sum_(p not | k) (-1)^(k+1) y^k / k and
+    its Taylor terms at a residue y1, the terms (k, p^v_p(k), (-1)^(k+1) /
+    (k / p^v_p(k))) with p | k, and the largest v_p(k) among them.  Every
+    caller shares the table: its entries depend on (p, prec, vy, y1) only."""
     mod = p ** prec
     inverses = _series_inverses(p, prec)
-    coeffs, divided = [], []  # (-1)^(k+1) / k, by whether p | k
+    coeffs, divided = [0], []  # (-1)^(k+1) / k, by whether p | k
     loss = 0
     k = 1
     while k * vy <= prec + loss:
@@ -223,15 +276,19 @@ def _log_series(ys: Sequence[int], p: int, prec: int,
             loss = max(loss, vk)
         coeffs.append(0 if vk else c)
         k += 1
-    totals = [0] * len(ys)
-    for c in reversed(coeffs):
-        totals = [(s + c) * y % mod for s, y in zip(totals, ys)]
-    for k, pv, c in divided:
-        terms = [pow(y, k, mod) for y in ys]
-        if any(t % pv for t in terms):
-            raise PrecisionExhausted("series division by p underflows")
-        totals = [s + t // pv * c for s, t in zip(totals, terms)]
-    return [s % mod for s in totals], loss
+    derivs = [[comb(k, j) * c % mod for k, c in enumerate(coeffs)][j:]
+              for j in range(3)]  # the coefficients of F0, F1, F2
+
+    def taylor(y1):
+        out = []
+        for cs in derivs:
+            s = 0
+            for c in reversed(cs):
+                s = (s * y1 + c) % mod
+            out.append(s)
+        return out
+
+    return {}, taylor, divided, loss
 
 
 @lru_cache(maxsize=None)
@@ -796,9 +853,12 @@ def _log_tables(p: int, work_prec: int):
 def _log_unit_residues(rs: list[int], p: int, work_prec: int,
                        teich_inv) -> list[int]:
     """Iwasawa logs of the unit residues rs, each mod
-    p^(work - _series_loss)."""
+    p^(work - _series_loss): y = r omega(r)^-1 - 1 in one pass, then the
+    log series, whose polynomial part reads one kept table per residue
+    disc of y mod p^ceil(work / 3)."""
     mod = p ** work_prec
-    ys = [(r * teich_inv[r % len(teich_inv)] - 1) % mod for r in rs]
+    t = len(teich_inv)
+    ys = [(r * teich_inv[r % t] - 1) % mod for r in rs]
     return _log_series(ys, p, work_prec)[0]
 
 
@@ -851,34 +911,50 @@ def padic_zeta_weight(h: MeasureHandle, region: Region, s, M: int,
 
     The principal part <u> = u omega(u)^-1 of a unit u lies in 1 + pZ_p
     (1 + 4Z_2 for p = 2), which is cyclic of order dividing p^(work - 1)
-    modulo p^work; so <u>^(-s) is one modular power with the exponent
-    -s mod p^(work - 1), exact, at every cell."""
+    modulo p^work; so <u>^(-s) = (1 + y)^e with y = <u> - 1 and the
+    exponent e = -s mod p^(work - 1), exact, at every cell.  That is a
+    polynomial in y with Taylor terms C(e, j) (1 + y1)^(e - j), read once
+    per residue disc y1 (`_disc_values`, one table per call).
+
+    Changing s by p^c moves <u>^(-s) by a factor = 1 mod p^(c + 1) (mod
+    2^(c + 2) for p = 2), so a PadicInt s caps the reported precision at
+    s.prec + 1 (s.prec + 2); an s at another prime raises
+    ResidueFieldMismatch."""
     if work_prec is None:
         work_prec = M + 6
     p = h.p
     mod = p ** work_prec
-    e = -(s if isinstance(s, int) else s.res) % p ** (work_prec - 1)
+    # The sum is exact mod p^work, but the reported precision is the
+    # per-cell log bound of `oov_integrals`: the order-2 Taylor expansion in
+    # s from its log moments (test_L_derivative_taylor_tie) agrees to that
+    # bound and not to p^work, so raising it is a change of its own.
+    prec = work_prec - _series_loss(p, work_prec) - 1
+    if not isinstance(s, int):
+        if s.p != p:
+            raise ResidueFieldMismatch(f"s is known at {s.p}, not at p = {p}")
+        prec = min(prec, s.prec + (2 if p == 2 else 1))
+        s = s.res
+    e = -s % p ** (work_prec - 1)
     nx = _poly_residue_evaluator(h, h.norm_poly, work_prec)
     teich_inv = _log_tables(p, work_prec)
     nac_res = _residue(h.nac, mod)
+    t = len(teich_inv)  # u = N(ac) r has <u> = r twist[r mod t]
+    twist = [nac_res * teich_inv[nac_res * a % t] % mod for a in range(t)]
+    table: dict = {}
+
+    def taylor(y1):
+        return [comb(e, j) * pow(1 + y1, e - j, mod) % mod if j <= e else 0
+                for j in range(3)]
 
     def ev(prefix, xs):
         rs = nx(prefix, xs)
         if not all(map(p.__rmod__, rs)):  # some r is 0 or divisible by p
             raise PrecisionExhausted("weight character needs unit norms")
-        us = [nac_res * r % mod for r in rs]
-        return [pow(u * teich_inv[u % len(teich_inv)], e, mod) for u in us]
+        ys = [(r * twist[r % t] - 1) % mod for r in rs]
+        return _disc_values(ys, p, work_prec, table, taylor)
 
     res = integrate_cells(h, region, [ev], M, work_prec)[0]
-    # The sum is exact mod p^work, but the reported precision is the
-    # per-cell log bound of `oov_integrals`: the order-2 Taylor expansion in
-    # s from its log moments (test_L_derivative_taylor_tie) agrees to that
-    # bound and not to p^work, so raising it is a change of its own.
-    return PadicInt(p, work_prec - _series_loss(p, work_prec) - 1, res)
-
-
-class ResidueFieldMismatch(ValueError):
-    pass
+    return PadicInt(p, prec, res)
 
 
 def L_assemble(terms: Sequence[tuple], s, M: int,

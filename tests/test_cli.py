@@ -541,6 +541,23 @@ def test_config_shape_errors(command, cfg, tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, changes, p", [
+    ("padic-zeta", {"padic__p": "4"}, 4),
+    ("oov", {"oov__p": "9"}, 9),
+], ids=["padic-zeta-4", "oov-9"])
+def test_non_prime_p_is_config_error(command, changes, p, tmp_path, capsys,
+                                     monkeypatch):
+    # refused like a non-prime ell, before any zeta data is built
+    def build_common(*args, **kwargs):
+        raise AssertionError("build_common called")
+
+    monkeypatch.setattr(eisenzeta.cli, "build_common", build_common)
+    path = write_cfg(tmp_path, _with(**changes))
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: p must be a prime, got {p}\n"
+
+
 @pytest.mark.parametrize("trusted", [False, "false", True, 1],
                          ids=["json-false", "string-false", "json-true",
                               "integer-one"])

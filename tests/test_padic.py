@@ -579,10 +579,21 @@ def _weight_cell_sum(cells, p, s, work_prec):
     return total % mod
 
 
-def test_padic_zeta_weight_matches_cell_sum():
-    # the weight character, one modular power per cell, against the cell
-    # sum with exact box measures, over units and order-of-vanishing
-    # regions, class representatives a = O and a above 19
+def test_padic_zeta_weight_matches_cell_sum(monkeypatch):
+    # the weight character, read from a Taylor table per residue disc,
+    # against the cell sum with exact box measures and one modular power
+    # per cell, to all work digits of the Riemann sum (not only the
+    # reported ones), over units and order-of-vanishing regions, class
+    # representatives a = O and a above 19; s = 0, -1, -2 give e = 0, 1, 2
+    # (Taylor terms C(e, j) = 0 for j > e), s = 1 and -10^6 large e
+    real = eisenzeta.padic.integrate_cells
+    sums = []
+
+    def recording(*args):
+        sums.append(real(*args)[0])
+        return sums[-1:]
+
+    monkeypatch.setattr(eisenzeta.padic, "integrate_cells", recording)
     cases = []
     for p, a, M in [(2, None, 2), (3, 19, 2), (7, None, 1)]:
         F, one, z, h = sqrt5_setup(11, p, a)
@@ -595,10 +606,13 @@ def test_padic_zeta_weight_matches_cell_sum():
         p = h.p
         cells = _live_cells(h, region, M)
         for work_prec in (M + 6, M + 4):
-            for s in (0, 1, -2, p, PadicInt(p, work_prec, 2 * p + 3)):
+            for s in (0, 1, -1, -2, p, -10 ** 6,
+                      PadicInt(p, work_prec, 2 * p + 3),
+                      PadicInt(p, work_prec, p ** work_prec - 1)):
                 got = padic_zeta_weight(h, region, s, M, work_prec)
                 assert got.prec == work_prec - _series_loss(p, work_prec) - 1
                 want = _weight_cell_sum(cells, p, s, work_prec)
+                assert sums[-1] == want
                 assert got.res == want % p ** got.prec
     # L assembly is linear in the character values
     chi = PadicInt(11, 7, 5)
@@ -1240,3 +1254,59 @@ def test_log_series_inverse_table(p, prec):
             assert got == [w for w, _ in formula]
             assert {loss} == {wl for _, wl in formula}
     assert divided >= 1
+
+
+def test_log_series_disc_table_matches_formula():
+    # the polynomial part of the log series is read from three Taylor terms
+    # per residue disc y mod p^ceil(W/3), one table per (p, W, vy) kept
+    # across calls: every residue is the one-element formula's, a second
+    # call reads the kept table and adds nothing to it, W values mix at
+    # the same p, and a table never holds more than p^(ceil(W/3) - 1)
+    # residues
+    from eisenzeta.padic import _log_series, _log_terms
+    rng = random.Random(2718)
+    for p in (2, 3, 5, 7, 11, 13):
+        cases = [(W, vy) for W in range(1, 17) for vy in (1, 2, 3)]
+        rng.shuffle(cases)
+        for W, vy in cases:
+            ys = [rng.randrange(p ** (W + 1)) * p ** vy for _ in range(10)]
+            ys += [ys[0] + p ** (W + vy), -ys[1]]  # same disc; negative
+            want = [_log_series_formula(y, p, W, vy) for y in ys]
+            table = _log_terms(p, W, vy)[0]
+            sizes = []
+            for _ in range(2):
+                assert _log_series(ys, p, W, vy) == \
+                    ([w for w, _ in want], want[0][1])
+                sizes.append(len(table))
+            assert sizes[0] == sizes[1]
+            assert 1 <= len(table) <= p ** (-(-W // 3) - 1)
+
+
+def test_padic_zeta_weight_digits_of_s():
+    # changing s by p^c multiplies <u>^(-s) by a factor = 1 mod p^(c + 1)
+    # (mod 2^(c + 2) for p = 2), so an s known mod p^c gives c + 1 digits
+    # (c + 2), on which all its lifts agree; the lifts 5 and 14 of s = 5
+    # mod 9 differ at 3^5
+    from eisenzeta.padic import ResidueFieldMismatch
+    F, one, z, h = sqrt5_setup()
+    ru = region_units(h, one)
+    coarse = padic_zeta_weight(h, ru, PadicInt(3, 2, 5), 3)
+    lifts = [padic_zeta_weight(h, ru, s, 3) for s in (5, 14, 23)]
+    assert coarse.prec == 3 and {v.prec for v in lifts} == {6}
+    assert all(agreement_precision(coarse, v) >= 3 for v in lifts)
+    assert agreement_precision(lifts[0], lifts[1]) == 5
+    assert (coarse.res, lifts[1].res) == (0, 189)
+    F, one, z, h2 = sqrt5_setup(11, 2)
+    ru2 = region_units(h2, one)
+    coarse = padic_zeta_weight(h2, ru2, PadicInt(2, 1, 1), 2)
+    lifts = [padic_zeta_weight(h2, ru2, s, 2) for s in (1, 3, 5)]
+    assert coarse.prec == 3 and {v.prec for v in lifts} == {4}
+    assert all(agreement_precision(coarse, v) >= 3 for v in lifts)
+    # precision W does not bind
+    assert padic_zeta_weight(h, ru, PadicInt(3, 9, 5), 3).prec == 6
+    for run in (lambda: padic_zeta_weight(h, ru, PadicInt(7, 8, 5), 3),
+                lambda: L_assemble([(1, h, ru)], PadicInt(7, 8, 5), 3)):
+        with pytest.raises(ResidueFieldMismatch, match="not at p = 3"):
+            run()
+    with pytest.raises(ValueError, match="^p must be prime$"):
+        MeasureHandle(z, 4)  # the library's own check, under the CLI's
