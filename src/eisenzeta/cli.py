@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
     module_action, psi_ell
 from .dedekind import DedekindCache, RationalForms
-from .exact import MultiPoly, _is_prime, mat_det
+from .exact import MultiPoly, _intval, _is_prime, mat_det
 from .numberfield import (DependentUnits, Ideal, NumberField, prime_over,
                           regulator_det_sign)
 from .padic import (MeasureHandle, PadicInt, TooManyCells,
@@ -223,16 +223,21 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
     h = MeasureHandle(z, p)
     region = region_units(h, f, max_cells=MAX_REGION_CELLS)
     _check_sweeps(h, region, [M])
-    divisors = [(0, 1, z)]
-    for d in _list(pcfg.get("divisors", []), "padic.divisors"):
+    divisors = [(0, 1, z)]  # the trivial divisor
+    for i, d in enumerate(_list(pcfg.get("divisors", []), "padic.divisors")):
         if not isinstance(d, dict) or "factors" not in d or "norm" not in d:
             raise ConfigError("each divisor must be an object with "
                               "'factors' and 'norm'")
+        what = f"padic.divisors[{i}]"
+        factors = _int_min(d["factors"], f"{what}.factors", 1)
+        norm = _int(d["norm"], f"{what}.norm")
+        if norm <= 1 or norm != p ** _intval(norm, p):
+            raise ConfigError(f"{what}.norm must be a power of p = {p} "
+                              f"above 1, got {norm}")
         da = parse_ideal(field, d.get("a", "unit"))
         dz = z if da == a else build_zeta_data(
             field, f, da, c, ell, units=parse_units(field, cfg.get("units")))
-        divisors.append((_int(d["factors"], "factors"),
-                         _int(d["norm"], "norm"), dz))
+        divisors.append((factors, norm, dz))
     ks = list(range(kmax + 1))
     rows = []
     for k, val in zip(ks, padic_zetas(h, region, ks, M)):
@@ -271,11 +276,16 @@ def cmd_oov(cfg, args, cache) -> dict:
              for q in _list(ocfg.get("other_primes", []), "other_primes")]
     levels = [_int_min(m, "level", 1)
               for m in _list(ocfg.get("levels", ["1", "2"]), "levels")]
+    if not levels:
+        raise ConfigError("oov.levels must name at least one level")
     r = len(pis)
     kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
     region = region_oov(h, f, pis, other, max_cells=MAX_REGION_CELLS)
     _check_sweeps(h, region, levels)
+    # after the budget, which counts the cells a repeated level sweeps again
+    if len(set(levels)) != len(levels):
+        raise ConfigError(f"oov.levels repeats a level: {levels}")
     rows = []
     for M in levels:
         vals = oov_integrals(h, region, list(range(kmax + 1)), M)
@@ -388,9 +398,10 @@ def cmd_selftest(cfg, args, cache) -> dict:
                                b_L_z_direct)
         L = LinearFormModL(5, (1, 3))
         s = ((1, -1),)
+        x = (Fraction(1, 2), Fraction(3, 4))
+        assert b1_L_z_fast(L, x, s) == [b_L_z_direct((1, 1), L, z, x, s)
+                                        for z in range(5)]
         for z in range(5):
-            x = (Fraction(1, 2), Fraction(3, 4))
-            assert b1_L_z_fast(L, z, x, s) == b_L_z_direct((1, 1), L, z, x, s)
             # mixed weight with an integral (sign-defect) coordinate
             x = (Fraction(1, 3), Fraction(0))
             assert b_L_z((2, 1), L, z, x, s) == b_L_z_direct((2, 1), L, z, x, s)

@@ -1,7 +1,9 @@
 """Generalized Dedekind sums, their prime smoothings, and the restricted
 Bernoulli distributions: one cyclic convolution over F_ell at every
 weight, e = (1, ..., 1) included, with the direct level-set sum kept as
-its oracle.
+its oracle.  One factor build (`_level_factors`) serves both reads: `b_L_z`
+at one level z, for the smoothed sums, and `b1_L_z_fast` at every level
+from one full convolution per sign group, for the p-adic measure's tables.
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -125,10 +127,13 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     return lead - Fraction(ell) ** (1 - n + ebar) * total
 
 
-def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
-          signs: Sequence[Sequence[int]]) -> Fraction:
-    """Restricted distribution at any weight, e = (1, ..., 1) included, as
-    a cyclic convolution over F_ell; agrees exactly with b_L_z_direct.
+def _level_factors(e: Sequence[int], L: LinearFormModL, x: Sequence,
+                   signs: Sequence[Sequence[int]]) -> tuple:
+    """(lead, scale, den, groups): the restricted distribution at z is
+    lead - scale * total(z) / den, where total sums count * (acc * last)(z)
+    over the groups (count, acc, last), * the cyclic convolution over F_ell
+    (last(z) alone when acc is None).  `b_L_z` reads one z of it, and
+    `b1_L_z_fast` every z.
 
     B_e_Q at (x + y)/ell is the average over the sign rows of a product of
     one-coordinate factors, so the level-set sum is, row by row, the value
@@ -137,12 +142,11 @@ def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     and there only at the one y_j that makes the coordinate integral, so
     rows are grouped by their entries on the defect coordinates.  Every
     factor is an integer vector over one denominator per coordinate.  Cost:
-    n*ell Bernoulli values and (n-2)*ell^2 + ell integer products per group,
-    against ell^(n-1) calls of B_e_Q.
+    n*ell Bernoulli values and (n-2)*ell^2 integer products per group, and
+    then ell products to read one z or ell^2 for the row, against
+    ell^(n-1) calls of B_e_Q per z.
     """
     ell = L.ell
-    n = len(e)
-    z %= ell
     lead = B_e_Q(e, x, signs)
     free, defect, dpos, den = [], [], [], 1
     for j, (ej, aj) in enumerate(zip(e, L.a)):
@@ -165,7 +169,7 @@ def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     base = None
     for vec in (free if defect else free[:-1]):
         base = vec if base is None else _cyclic_conv(base, vec, ell)
-    total = 0
+    out = []
     for pattern, count in groups.items():
         vecs = [free[-1]] if not defect else []
         for (vec, t0, half), s in zip(defect, pattern):
@@ -175,18 +179,38 @@ def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
         acc = base
         for vec in vecs[:-1]:
             acc = vec if acc is None else _cyclic_conv(acc, vec, ell)
-        last = vecs[-1]
+        out.append((count, acc, vecs[-1]))
+    return lead, ell ** (1 - len(e) + sum(e)), den * len(signs), out
+
+
+def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
+          signs: Sequence[Sequence[int]]) -> Fraction:
+    """Restricted distribution at any weight, e = (1, ..., 1) included, as
+    a cyclic convolution over F_ell (`_level_factors`), read at the one
+    level z; agrees exactly with b_L_z_direct."""
+    ell = L.ell
+    z %= ell
+    lead, scale, den, groups = _level_factors(e, L, x, signs)
+    total = 0
+    for count, acc, last in groups:
         total += count * (last[z] if acc is None else
                           sum(acc[t] * last[(z - t) % ell] for t in range(ell)))
-    return lead - Fraction(ell ** (1 - n + sum(e)) * total, den * len(signs))
+    return lead - Fraction(scale * total, den)
 
 
-def b1_L_z_fast(L: LinearFormModL, z: int, x: Sequence,
-                signs: Sequence[Sequence[int]]) -> Fraction:
-    """b_L_z at e = (1, ..., 1).  It adds no arithmetic: it is the entry
-    `MeasureHandle.table` calls for the sign-defect tables, and the name
-    `perfbench/tracer.py` wraps to count them."""
-    return b_L_z((1,) * len(L.a), L, z, x, signs)
+def b1_L_z_fast(L: LinearFormModL, x: Sequence,
+                signs: Sequence[Sequence[int]]) -> list[Fraction]:
+    """[b_L_z((1, ..., 1), L, z, x, signs) for z < ell]: every level from
+    one full cyclic convolution per sign group.  `MeasureHandle.table`
+    builds each sign-defect table with one call, and `perfbench/tracer.py`
+    wraps the name to count them."""
+    ell = L.ell
+    lead, scale, den, groups = _level_factors((1,) * len(L.a), L, x, signs)
+    totals = [0] * ell
+    for count, acc, last in groups:
+        full = last if acc is None else _cyclic_conv(acc, last, ell)
+        totals = [t + count * f for t, f in zip(totals, full)]
+    return [lead - Fraction(scale * t, den) for t in totals]
 
 
 # --- Dedekind sums -----------------------------------------------------------

@@ -12,7 +12,8 @@ carries U along in the columns [M_j; e_j], `lattice_hnf` takes any
 spanning columns, and `coset_reps` reads the diagonal of `lattice_hnf`),
 `reduce_mod_lattice` the only reduction modulo a lattice in HNF
 (membership, as in `Ideal.contains`, is a zero reduction), `poly_eval`
-the only Horner evaluation of a dense univariate polynomial,
+the only Horner evaluation of a dense univariate polynomial and
+`forward_extend` the only extension of one from its values at 0..d,
 `multiplication_matrix` the only multiplication matrix in Q[t]/(f) (norms,
 traces, inverses, and the norm forms: `resultant_norm` is its `poly_det`),
 `_is_prime` the only primality test and `_intval` the only valuation.
@@ -21,9 +22,10 @@ traces, inverses, and the norm forms: `resultant_norm` is its `poly_det`),
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt, lcm
 from operator import floordiv
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class SingularMatrix(ValueError):
@@ -283,6 +285,21 @@ def coset_reps(mat: Matrix) -> list[tuple[int, ...]]:
     for i in range(n):
         reps = [r + (x,) for r in reps for x in range(int(h[i][i]))]
     return reps
+
+
+def forward_extend(qs: Sequence[int], count: int, mod: int) -> Iterator[int]:
+    """The values at 0, 1, .. (at least count of them) of the polynomial of
+    degree < len(qs) that takes the values qs at 0, 1, ..: its forward
+    differences at 0, reduced mod `mod`, then running sums, which an
+    iterator takes one value at a time."""
+    diffs = []
+    while qs:
+        diffs.append(qs[0] % mod)
+        qs = [b - a for a, b in zip(qs, qs[1:])]
+    row = repeat(diffs.pop(), count)
+    while diffs:
+        row = accumulate(row, initial=diffs.pop())
+    return row
 
 
 def poly_eval(coeffs: Sequence, x) -> Fraction:

@@ -29,13 +29,17 @@ a != O the points x = w . (v + j) carry denominators prime to p.
 The loop runs row by row.  `CellKernel.diff` walks each chain term's
 cosets that differ only in the last coordinate as one long affine row,
 folded onto the difference array d of the row's measures, and reads
-integer tables, one per set of integral coordinates.  The values at
-s = -k are moments of one measure, so `padic_zetas` and `oov_integrals`
-take every k from one sweep (`powers`).  An integrand takes a row's live
-cells in one call.  A polynomial P takes the nodes 0..D, D >= deg P^k: as
-P^k = sum_y P^k(y) l_y, with l_y of degree D, 1 at y and 0 at the other
-nodes, a row sums to sum_y P^k(y) sum_X d[X] T_y(X) over d's few nonzero
-X, T_y(X) summing l_y over the kept x >= X.  That holds mod p^work too.
+integer tables, one per set of integral coordinates, each one
+`b1_L_z_fast` row of every level.  The values at s = -k are moments of
+one measure, so `padic_zetas` and `oov_integrals` take every k from one
+sweep (`powers`).  An integrand takes a row's live cells in one call.  A
+polynomial P takes the nodes 0..D, D >= deg P^k: as P^k = sum_y P^k(y)
+l_y, with l_y of degree D, 1 at y and 0 at the other nodes, a row sums to
+sum_y P^k(y) sum_X d[X] T_y(X) over d's few nonzero X, T_y(X) summing l_y
+over the kept x >= X.  That holds mod p^work too.  A sweep builds what its
+rows share once: the basis l_y, masked and suffix-summed once per keep
+pattern, and the node values P(v + prefix + (y,)), polynomials in the last
+prefix coordinate, stepped from row to row by forward differences.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from typing import Callable, Sequence
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
 from .exact import (Matrix, MultiPoly, _intval, _is_prime, coset_reps,
-                    lattice_hnf, mat_det, mat_inv, mat_mul, mat_vec)
+                    forward_extend, lattice_hnf, mat_det, mat_inv, mat_mul,
+                    mat_vec)
 from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
@@ -349,16 +354,17 @@ class MeasureHandle:
 
     def table(self, term: dict, J: int) -> list[int]:
         """T[t] = sign * mu_den * the term's value at level t where the bit
-        set J of coordinates is integral: b1_L_z_fast at x_J = 0 on J and
-        1/2 off J (all floors 0, so z = -t), memoized on the term."""
+        set J of coordinates is integral: at x_J = 0 on J and 1/2 off J all
+        floors are 0, so T[t] is entry z = -t of one `b1_L_z_fast` row,
+        scaled in integers and memoized on the term."""
         if J not in term["tables"]:
             x = [0 if J >> i & 1 else Fraction(1, 2) for i in range(self.n)]
-            vals = [term["sign"] * self.mu_den
-                    * b1_L_z_fast(term["L"], -t, x, term["signs"])
-                    for t in range(self.ell)]
-            if any(val.denominator != 1 for val in vals):
+            row = b1_L_z_fast(term["L"], x, term["signs"])
+            scale = term["sign"] * self.mu_den
+            if any(scale % val.denominator for val in row):
                 raise AssertionError("measure denominator bound violated")
-            term["tables"][J] = [int(val) for val in vals]
+            term["tables"][J] = [scale * val.numerator // val.denominator
+                                 for val in row[:1] + row[:0:-1]]
         return term["tables"][J]
 
     def measure_box(self, a: Sequence[int], r: int) -> Fraction:
@@ -390,7 +396,10 @@ class CellKernel:
     box value needs only the floors of y(j) and a table lookup.  As pi_ell
     scales the last coordinate by 1 and the level ignores it, coset
     (x', x_n) at cell j is (x', 0) at j + p^M x_n e_n: a term's cosets
-    sharing x' are one run, an affine row of p^M cells per coset.
+    sharing x' are one run, an affine row of p^M cells per coset.  Each run
+    is built once with what no row changes (`_kernel_run`): per coordinate
+    the slope along the row and the step and inverse that place its
+    sign-defect cells, so `diff` only substitutes the prefix.
     """
 
     def __init__(self, h: MeasureHandle, M: int):
@@ -416,7 +425,8 @@ class CellKernel:
                 if x[-1] != len(run):  # coset_reps: the box 0 <= x_i < H_ii
                     raise AssertionError("a run must be x_n = 0, 1, ...")
                 run.append(base)
-            self.runs += [(run[0], mat, abs(den), len(run), head[0] % h.ell, t)
+            self.runs += [_kernel_run(run[0], mat, abs(den), len(run),
+                                      head[0] % h.ell, t)
                           for head, run in runs.items()]
 
     def row(self, prefix: Sequence[int],
@@ -436,24 +446,20 @@ class CellKernel:
         h, ell = self.h, self.h.ell
         pl = h.p ** self.M
         diff = [0] * (pl + 1)
-        for base, mat, den, width, t0, term in self.runs:
+        for base, mat, den, width, t0, term, coords in self.runs:
             a = term["L"].a
             length = width * pl
             cs = [b + sum(m * jk for m, jk in zip(mrow, prefix))
                   for b, mrow in zip(base, mat)]
-            ss = [mrow[-1] for mrow in mat]
             t, steps, defects = t0, [], set()
-            for ai, c, s in zip(a, cs, ss):
+            for ai, (s, g, step, inv), c in zip(a, coords, cs):
                 t -= ai * (c // den)
                 # with c2 = -c - 1 for s < 0, floor(y / den) is -1 minus
                 # floor((c2 + |s| X) / den)
                 dt, c2, s2 = (-ai, c, s) if s >= 0 else (ai, -c - 1, -s)
                 steps += _floor_steps(c2, s2, den, length, dt)
-                g = gcd(s, den)  # s X = -c mod den
-                if c % g == 0:
-                    step = den // g
-                    x0 = -c // g * pow(s // g, -1, step) % step
-                    defects.update(range(x0, length, step))
+                if c % g == 0:  # s X = -c mod den
+                    defects.update(range(-c // g * inv % step, length, step))
             table = h.table(term, 0)
             val = table[t % ell]
             start = 0  # the next window start to add; every step has X > 0
@@ -469,13 +475,23 @@ class CellKernel:
             diff[0] += val * ((length - start) // pl)
             for X in defects:
                 if keep is None or keep[X % pl]:
-                    qr = [divmod(c + s * X, den) for c, s in zip(cs, ss)]
+                    qr = [divmod(c + co[0] * X, den)
+                          for c, co in zip(cs, coords)]
                     J = sum(1 << i for i, (_, r) in enumerate(qr) if r == 0)
                     t = (t0 - sum(ai * q for ai, (q, _) in zip(a, qr))) % ell
                     fix = h.table(term, J)[t] - table[t]
                     diff[X % pl] += fix
                     diff[X % pl + 1] -= fix
         return diff
+
+
+def _kernel_run(base, mat, den, width, t0, term) -> tuple:
+    """A run as `CellKernel.diff` reads it, with what no row changes: per
+    coordinate (s, g, den / g, (s / g)^-1 mod den / g), s = mat[i][-1] the
+    slope along the row and g = gcd(s, den)."""
+    gs = [(r[-1], gcd(r[-1], den)) for r in mat]
+    return base, mat, den, width, t0, term, [
+        (s, g, den // g, pow(s // g, -1, den // g)) for s, g in gs]
 
 
 def _floor_steps(c: int, s: int, den: int, n: int,
@@ -657,7 +673,10 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
     (region cells of nonzero measure) in increasing order, and g returns
     its values at those cells as a list.  Rows without a live cell get no
     call, and g is never called when every power is 0.  A polynomial, for
-    k >= 0, is summed in closed form (see the module docstring).
+    k >= 0, is summed in closed form (see the module docstring).  What no
+    row changes is built once per sweep: the Lagrange basis, masked and
+    suffix-summed once per keep pattern, and each polynomial's node values,
+    stepped from row to row (`_node_values`).
     """
     powers = list(powers)
     if not powers or not (integrands or polys):
@@ -670,17 +689,19 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
     mod = p ** work_prec
     pl = p ** level
     call = any(powers)
-    fns = [*integrands,
-           *(_poly_residue_evaluator(h, P, work_prec) for P in polys)]
-    acc = [0] * (len(fns) * len(powers))
+    acc = [0] * ((len(integrands) + len(polys)) * len(powers))
     degree = max(powers) * max((P.degree() for P in polys), default=0)
-    nodes = list(range(min(degree, pl - 1) + 1))
+    D = min(degree, pl - 1)
+    lagrange = _lagrange_tables(pl, D) if polys else None
     mask = region.mask if region is not None and region.t > 0 else None
     pt = p ** region.t if mask is not None else 1
     rows_in: dict[tuple, list[bool]] = {}  # prefix mod p^t -> membership
-    tables: dict = {}  # prefix mod p^t -> [T_y for y in nodes]
+    tables: dict = {}  # prefix mod p^t -> [T_y for y <= D]
     key = keep = None
-    for prefix in product(range(pl), repeat=h.n - 1):
+    # every row steps the node values, a row without kept cells too
+    for prefix, *node_vals in zip(
+            product(range(pl), repeat=h.n - 1),
+            *(_node_values(h, P, work_prec, range(D + 1), pl) for P in polys)):
         if mask is not None:
             key = tuple(ji % pt for ji in prefix)
             if key not in rows_in:
@@ -689,37 +710,56 @@ def integrate_cells(h: MeasureHandle, region: Region | None,
             if not any(keep):
                 continue
         diff = kernel.diff(prefix, keep)
-        sites = []  # (weights, points) of each integrand, then each poly
+        sites = []  # (weights, values) of each integrand, then each poly
         if integrands:
             row = list(accumulate(diff))
             cells = range(pl) if keep is None else compress(range(pl), keep)
             xs = [x for x in cells if row[x]]
-            sites += [([row[x] for x in xs], xs)] * len(integrands)
+            ws = [row[x] for x in xs]
+            sites += [(ws, g(prefix, xs) if xs and call else [])
+                      for g in integrands]
         if polys:
             if key not in tables:
-                tables[key] = _lagrange_sums(keep, pl, len(nodes) - 1)
+                tables[key] = lagrange(keep)
             steps = list(compress(range(pl + 1), diff))
             ds = [diff[X] for X in steps]
-            sites += [([sum(map(mul, ds, map(w.__getitem__, steps)))
-                        for w in tables[key]], nodes)] * len(polys)
-        for gi, (g, (ws, xs)) in enumerate(zip(fns, sites)):
-            if xs:
-                vals = g(prefix, xs) if call else []
+            ws = [sum(map(mul, ds, map(w.__getitem__, steps)))
+                  for w in tables[key]]
+            sites += [(ws, vals) for vals in node_vals]
+        for si, (ws, vals) in enumerate(sites):
+            if ws:
                 sums = _moment_sums(ws, vals, powers, mod)
-                for i, s in enumerate(sums, gi * len(powers)):
+                for i, s in enumerate(sums, si * len(powers)):
                     acc[i] += s
     inv_den = pow(h.mu_den % mod, -1, mod)
     return [a * inv_den % mod for a in acc]
 
 
-def _lagrange_sums(keep: Sequence[bool] | None, pl: int, D: int) -> list:
-    """[T_y for y <= D]: T_y[X] sums l_y(x) over the kept x in [X, pl), and
-    l_y(x) = (-1)^(D-y) C(D, y) (D + 1) C(x, D + 1) / (x - y) for x > D."""
+def _lagrange_tables(pl: int, D: int) -> Callable:
+    """keep -> [T_y for y <= D], T_y[X] summing l_y(x) over the kept x in
+    [X, pl), from one basis: l_y(x) = (-1)^(D-y) C(D, y) (D + 1) C(x, D + 1)
+    / (x - y) for x > D."""
     cs = [(D + 1) * comb(x, D + 1) for x in range(pl)]
-    cols = [[0 if keep is not None and not keep[x] else int(x == y) if x <= D
-             else (-1) ** (D - y) * comb(D, y) * cs[x] // (x - y)
-             for x in range(pl)] for y in range(D + 1)]
-    return [list(accumulate(reversed(col), initial=0))[::-1] for col in cols]
+    basis = [[int(x == y) if x <= D
+              else (-1) ** (D - y) * comb(D, y) * cs[x] // (x - y)
+              for x in range(pl)] for y in range(D + 1)]
+    return lambda keep: [list(accumulate(reversed([*map(
+        mul, col, keep or repeat(1))]), initial=0))[::-1] for col in basis]
+
+
+def _node_values(h: MeasureHandle, P: MultiPoly, work_prec: int,
+                 nodes: Sequence[int], pl: int):
+    """[P(v + prefix + (y,)) mod p^work for y in nodes] at each prefix of
+    the sweep, in order: polynomials of degree <= deg P in the last prefix
+    coordinate, so each head prefix[:-1] evaluates deg P + 1 rows and steps
+    every node's column from row to row by forward differences."""
+    mod = h.p ** work_prec
+    ev = _poly_residue_evaluator(h, P, work_prec)
+    for head in product(range(pl), repeat=h.n - 2):
+        cols = [forward_extend(col, pl, mod) for col in zip(
+            *(ev(head + (u,), nodes) for u in range(P.degree() + 1)))]
+        for _ in range(pl):
+            yield [next(col) % mod for col in cols]
 
 
 def _moment_sums(nums: list[int], vals: list[int], powers: Sequence[int],
@@ -742,8 +782,8 @@ def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int):
     p^work for x in xs], for xs increasing.
 
     Substituting the prefix leaves a polynomial q of degree d in the last
-    coordinate, once per row.  Its values at x = 0..d give its forward
-    differences at 0, and d running sums of those give q along the row.
+    coordinate, once per row, and its values at x = 0..d give q along the
+    row (`exact.forward_extend`).
     """
     mod = h.p ** work_prec
     *vhead, vlast = [_residue(vi, mod) for vi in h.z.v]
@@ -758,16 +798,9 @@ def _poly_residue_evaluator(h: MeasureHandle, P: MultiPoly, work_prec: int):
             for u, ei in zip(us, head):
                 c = c * pow(u, ei, mod)
             coeffs[e] += c
-        qs = [sum(c * (vlast + x) ** e for e, c in enumerate(coeffs))
-              for x in range(deg + 1)]
-        diffs = []  # diffs[i] = i-th forward difference of q at x = 0
-        while qs:
-            diffs.append(qs[0] % mod)
-            qs = [b - a for a, b in zip(qs, qs[1:])]
-        row = repeat(diffs.pop(), xs[-1] + 1)
-        while diffs:
-            row = accumulate(row, initial=diffs.pop())
-        row = list(row)
+        row = list(forward_extend(
+            [sum(c * (vlast + x) ** e for e, c in enumerate(coeffs))
+             for x in range(deg + 1)], xs[-1] + 1, mod))
         return [row[x] % mod for x in xs]
 
     return ev

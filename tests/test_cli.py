@@ -541,6 +541,39 @@ def test_config_shape_errors(command, cfg, tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("divisor, message", [
+    ({"factors": "-1", "norm": "9"}, "factors must be >= 1, got -1"),
+    ({"factors": "0", "norm": "1"}, "factors must be >= 1, got 0"),
+    ({"factors": "1", "norm": "-9"}, "norm must be a power of p = 3 above 1, "
+                                     "got -9"),
+    ({"factors": "1", "norm": "6"}, "norm must be a power of p = 3 above 1, "
+                                    "got 6"),
+    ({"factors": "1", "norm": "1"}, "norm must be a power of p = 3 above 1, "
+                                    "got 1"),
+], ids=["negative-factors", "trivial-divisor", "negative-norm",
+        "norm-not-a-power-of-p", "norm-one"])
+def test_divisor_entry_is_config_error(divisor, message, tmp_path, capsys):
+    # the CLI adds the trivial divisor itself, so an entry names a divisor
+    # with at least one prime factor and a norm p^f, f >= 1; anything else
+    # is refused by name, not summed into the cross-check
+    cfg = _with(padic__divisors=[{"factors": "1", "norm": "9", "a": "unit"},
+                                 dict(divisor, a="unit")])
+    path = write_cfg(tmp_path, cfg)
+    assert main(["padic-zeta", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: padic.divisors[1].{message}\n"
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([], "oov.levels must name at least one level"),
+    (["2", "2"], "oov.levels repeats a level: [2, 2]"),
+], ids=["empty", "repeated"])
+def test_oov_levels_is_config_error(levels, message, tmp_path, capsys):
+    path = write_cfg(tmp_path, _with(oov__levels=levels))
+    assert main(["oov", "--config", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("command, changes, p", [
     ("padic-zeta", {"padic__p": "4"}, 4),
     ("oov", {"oov__p": "9"}, 9),

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from eisenzeta.exact import (DegreeError, MultiPoly, SingularMatrix, _intval,
-                             _is_prime, coset_reps, hnf, identity, lattice_hnf,
+                             _is_prime, coset_reps, forward_extend, hnf,
+                             identity, lattice_hnf,
                              mat_det, mat_inv, mat_mul, mat_vec, poly_det,
                              reduce_mod_lattice, resultant_norm, snf)
 
@@ -270,3 +271,22 @@ def test_intval_and_is_prime():
             _intval(n, p)
     assert [n for n in range(-3, 30) if _is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_forward_extend_steps_a_polynomial(degree):
+    # from its values at 0..d, a polynomial of degree d is stepped through
+    # count values or more, each congruent to the direct evaluation, at
+    # counts below, at and above d + 1; the iterator is lazy
+    mod = 3 ** 7
+    coeffs = [rng.randint(-50, 50) for _ in range(degree + 1)]
+
+    def f(x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    for count in (1, degree + 1, 40):
+        got = forward_extend([f(x) for x in range(degree + 1)], count, mod)
+        assert iter(got) is got
+        got = list(got)
+        assert len(got) >= count
+        assert [g % mod for g in got] == [f(x) % mod for x in range(len(got))]

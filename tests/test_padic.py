@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm
+from itertools import accumulate, product
+from math import comb, lcm
 
 import pytest
 
@@ -12,6 +12,7 @@ from eisenzeta.exact import MultiPoly, mat_inv, mat_vec
 from eisenzeta.numberfield import Ideal, NumberField, adapted_basis, prime_over
 from eisenzeta.padic import (L_assemble, MeasureHandle, PadicInt,
                              PrecisionExhausted, Region, _intval,
+                             _kernel_run, _lagrange_tables, _node_values,
                              _poly_residue_evaluator, _series_loss,
                              _stabilized_lattice,
                              agreement_precision, frac_valuation,
@@ -902,18 +903,20 @@ def test_run_is_the_sum_of_its_cosets(last):
     # runs shifted by w p^M along the last coordinate, for any affine data;
     # with the last column replaced, steps are sparse or absent, so several
     # window starts in a row carry the value without a step between them
+    # (both built by the constructor the kernel uses, which gives each
+    # run its per-coordinate constants)
     h, level, _ = _row_kernel_handle("oov")
     kernel = h.cell_numerators(level)
     pl = h.p ** level
-    (base, mat, den, width, t0, term), = kernel.runs
+    (base, mat, den, width, t0, term, _), = kernel.runs
     if last is not None:
         mat = [mrow[:-1] + [s] for mrow, s in zip(mat, last)]
-    ones = [([b + mrow[-1] * pl * w for b, mrow in zip(base, mat)], mat, den,
-             1, t0, term) for w in range(width)]
+    ones = [_kernel_run([b + mrow[-1] * pl * w for b, mrow in zip(base, mat)],
+                        mat, den, 1, t0, term) for w in range(width)]
     keep = [x % 3 == 0 for x in range(pl)]
     for prefix in [(0,), (4,), (pl - 1,)]:
         rows = []
-        for runs in ([(base, mat, den, width, t0, term)], ones):
+        for runs in ([_kernel_run(base, mat, den, width, t0, term)], ones):
             kernel.runs = runs
             rows.append((kernel.row(prefix), kernel.row(prefix, keep)))
         (row, kept), (want, want_kept) = rows
@@ -948,11 +951,12 @@ def test_row_on_a_long_run(root, maps, defects):
 
 @pytest.mark.parametrize("case", ["sqrt5-p3", "oov", "cubic-p5"])
 def test_defect_tables(case):
-    # the table of a set J is sign * mu_den * b1_L_z_fast at any argument
-    # whose integral coordinates are J, with z set to give level t; every
-    # J, the empty set and the set of all coordinates included.  The
-    # direct level-set sum is the independent oracle: at every t for
-    # n = 2, at one t per (term, J) for n = 3, where it walks ell^2 points
+    # the table of a set J is sign * mu_den * the b1_L_z_fast row, read at
+    # the z that gives level t, at any argument whose integral coordinates
+    # are J; every J, the empty set and the set of all coordinates
+    # included.  The direct level-set sum is the independent oracle: at
+    # every t for n = 2, at one t per (term, J) for n = 3, where it walks
+    # ell^2 points
     from eisenzeta.dedekind import b1_L_z_fast, b_L_z_direct
     h = _row_kernel_handle(case)[0]
     for term in h.terms:
@@ -968,7 +972,8 @@ def test_defect_tables(case):
                              in zip(term["L"].a, x))
                 args = (term["L"], z, x, term["signs"])
                 val = Fraction(table[t], term["sign"] * h.mu_den)
-                assert b1_L_z_fast(*args) == val
+                assert b1_L_z_fast(term["L"], x, term["signs"])[
+                    z % h.ell] == val
                 if t in direct:
                     assert b_L_z_direct((1,) * h.n, *args) == val
 
@@ -1196,6 +1201,73 @@ def test_closed_form_matches_per_cell(case, monkeypatch):
     assert defects and (case != "cubic-p5" or any(dense))
     with pytest.raises(ValueError, match="powers k >= 0"):
         integrate_cells(h, None, [], 1, 4, [1, -1], polys[:1])
+
+
+def _lagrange_sums_per_pattern(keep, pl, D):
+    """[T_y for y <= D] built for one keep pattern, its basis with it: the
+    per-pattern tables that the per-sweep basis replaced, kept as the
+    oracle."""
+    cs = [(D + 1) * comb(x, D + 1) for x in range(pl)]
+    cols = [[0 if keep is not None and not keep[x] else int(x == y) if x <= D
+             else (-1) ** (D - y) * comb(D, y) * cs[x] // (x - y)
+             for x in range(pl)] for y in range(D + 1)]
+    return [list(accumulate(reversed(col), initial=0))[::-1] for col in cols]
+
+
+@pytest.mark.parametrize("pl, D", [(1, 0), (3, 2), (9, 0), (9, 4), (27, 8),
+                                   (243, 8)])
+def test_lagrange_tables_per_sweep(pl, D):
+    # one basis serves every keep pattern of a sweep, in any order: masking
+    # it for one pattern leaves it whole for the next
+    tables = _lagrange_tables(pl, D)
+    coin = random.Random(pl + D)
+    keeps = [None, [x % 3 == 1 for x in range(pl)], [True] * pl,
+             [coin.random() < 0.5 for _ in range(pl)], [False] * pl, None]
+    for keep in keeps:
+        assert tables(keep) == _lagrange_sums_per_pattern(keep, pl, D)
+
+
+@pytest.mark.parametrize("case", ["sqrt5-p3", "cubic-p5"])
+def test_node_values_step_rows(case):
+    # stepped from row to row by forward differences, the node values are
+    # the row evaluator's at every prefix of the sweep: across the heads
+    # prefix[:-1] of the cubic, and for a degree above the row count
+    h = _row_kernel_handle(case)[0]
+    n = h.n
+    X = [MultiPoly.variable(n, i) for i in range(n)]
+    polys = [h.norm_poly, h.z.P * h.z.P, MultiPoly.constant(n, Fraction(5, 7)),
+             X[0] ** 3 - X[-1] * X[-2] * Fraction(1, 2) + X[-2],
+             X[-2] ** 11 + X[0] * Fraction(3, 2)]
+    for M, P, work in product((1, 2), polys, (3, 11)):
+        pl = h.p ** M
+        nodes = list(range(min(8, pl - 1) + 1))
+        ev = _poly_residue_evaluator(h, P, work)
+        got = list(_node_values(h, P, work, nodes, pl))
+        assert got == [ev(prefix, nodes)
+                       for prefix in product(range(pl), repeat=n - 1)]
+
+
+def test_closed_form_steps_skipped_rows():
+    # the sweep steps the node values on every row, the rows it skips for
+    # want of a kept cell too: the cubic's units region at M = 2 without
+    # the rows whose last prefix coordinate is 2 mod 5, so that rows are
+    # skipped inside each head's run, and with only x = 0 mod 5 kept in the
+    # first row, so that the first keep pattern is not the others'; the
+    # patterns share one basis
+    h = _row_kernel_handle("cubic-p5")[0]
+    units = region_units(h, Ideal.unit_ideal(h.z.field))
+    region = Region(5, 1, frozenset(j for j in units.mask if j[-2] != 2
+                                    and j[:2] != (0, 0) or j == (0, 0, 0)),
+                    "units")
+    M, work, ks = 2, 11, [0, 1, 2, 3]
+    patterns = [tuple(region.contains(prefix + (x,)) for x in range(5))
+                for prefix in product(range(25), repeat=2)]
+    assert patterns.count((False,) * 5) == 125
+    assert patterns[0] == (True,) + (False,) * 4 and len(set(patterns)) >= 3
+    for P in (h.norm_poly, h.z.P):
+        ev = _poly_residue_evaluator(h, P, work)
+        assert integrate_cells(h, region, [], M, work, ks, [P]) \
+            == integrate_cells(h, region, [ev], M, work, ks)
 
 
 def _log_series_formula(y, p, prec, vy=1):

@@ -6,7 +6,8 @@ the exact irreducibility test (a named factor of every product of
 real-rooted polynomials, and biquadratic fields accepted though reducible
 mod every prime), logarithm bounds, the regulator sign under a change of
 units, the Bernoulli distribution relation, the integer
-Bernoulli rows and convolution behind the restricted distribution, the
+Bernoulli rows and convolution behind the restricted distribution (one
+level at a time and the whole row of levels), the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
 box values of the p-adic measure against its distribution relation and its
 row kernel, and the cells of the p-adic regions against the per-cell
@@ -33,8 +34,8 @@ from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
                                  periodic_B_row)
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
-from eisenzeta.dedekind import (LinearFormModL, RationalForms, b_L_z,
-                                b_L_z_direct)
+from eisenzeta.dedekind import (LinearFormModL, RationalForms, b1_L_z_fast,
+                                b_L_z, b_L_z_direct)
 from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
                              lattice_hnf, mat_det, mat_inv, mat_mul,
                              mat_solve, mat_vec, multiplication_matrix,
@@ -473,6 +474,41 @@ def restricted_args(draw):
           ((1, -1, 1), (-1, 1, 1), (1, -1, 1))))
 def test_b_L_z_conv_equals_direct(args):
     assert b_L_z(*args) == b_L_z_direct(*args)
+
+
+@st.composite
+def restricted_rows(draw):
+    n = draw(st.integers(2, 3))
+    ell = draw(st.sampled_from([3, 5, 7, 11]))
+    L = LinearFormModL(ell, draw(st.lists(st.integers(1, ell - 1),
+                                          min_size=n, max_size=n)))
+    # integral coordinates are the defect points of e = (1, ..., 1), and
+    # half-integral ones the arguments of the tables' off-J coordinates
+    coord = st.one_of(st.integers(-12, 12).map(Fraction),
+                      st.integers(-12, 12).map(lambda k: Fraction(2 * k + 1,
+                                                                  2)),
+                      st.builds(Fraction, st.integers(-12, 12),
+                                st.integers(3, 7)))
+    x = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    row = st.lists(st.sampled_from([1, -1]), min_size=n,
+                   max_size=n).map(tuple)
+    return L, x, tuple(draw(st.lists(row, min_size=1, max_size=3)))
+
+
+@PROPS
+@given(restricted_rows())
+# two defect coordinates and a repeated sign row
+@example((LinearFormModL(5, (1, 2, 3)), (Fraction(0), Fraction(1, 2),
+                                         Fraction(-3)),
+          ((1, -1, 1), (-1, 1, 1), (1, -1, 1))))
+def test_b1_row_equals_one_z_reads(args):
+    # the row from one full convolution per sign group is the one-z read
+    # at every level, and the direct level-set sum
+    L, x, signs = args
+    e = (1,) * len(x)
+    row = b1_L_z_fast(L, x, signs)
+    assert row == [b_L_z(e, L, z, x, signs) for z in range(L.ell)]
+    assert row == [b_L_z_direct(e, L, z, x, signs) for z in range(L.ell)]
 
 
 ELL = 5
