@@ -1,6 +1,12 @@
 """Bernoulli polynomials, periodic Bernoulli functions, and the
 sign-corrected Bernoulli products that evaluate Dedekind sums.
 
+The periodic functions have one integer evaluator: b_k's coefficients are
+scaled to integers once per k, and a homogenised Horner pass gives the
+numerators of a row of values over one common denominator
+(`periodic_B_row`); a single value (`periodic_B`) is the one entry of the
+ell = 1 row, so no call does Fraction arithmetic beyond its result.
+
 The sign correction takes only the sign data of the tuple of linear forms,
 not the forms themselves; extracting exact signs is the caller's job.
 """
@@ -9,10 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, lcm
+from math import comb, lcm
 from typing import Sequence
 
-from .exact import MultiPoly, poly_eval
+from .exact import MultiPoly
 
 _BERN_NUMS: list[Fraction] = [Fraction(1)]  # B_0 = 1
 _BERN_COEFFS: list[list[Fraction]] = []
@@ -38,16 +44,23 @@ def bernoulli_poly(k: int) -> MultiPoly:
     return MultiPoly(1, {(i,): c for i, c in enumerate(_bern_coeffs(k))})
 
 
+@lru_cache(maxsize=None)
+def _bern_ints(k: int) -> tuple[int, tuple[int, ...]]:
+    """b_k over a common denominator: c and the integers c C(k, i) B_(k-i)."""
+    coeffs = _bern_coeffs(k)
+    c = lcm(*(a.denominator for a in coeffs))
+    return c, tuple(int(a * c) for a in coeffs)
+
+
 # The Dedekind sums of one run ask for the same few (weight, value) pairs at
 # every weight, form tuple and k, so both evaluators keep a bounded memo.
 @lru_cache(maxsize=256)
 def periodic_B(k: int, x) -> Fraction:
-    """B_k(x) = b_k({x}) for k != 1; B_1 vanishes on the integers."""
-    x = Fraction(x)
-    frac = x - floor(x)
-    if k == 1:
-        return Fraction(0) if frac == 0 else frac - Fraction(1, 2)
-    return poly_eval(_bern_coeffs(k), frac)
+    """B_k(x) = b_k({x}) for k != 1; B_1 vanishes on the integers.  The
+    one entry of the ell = 1 row, read from the row's uncached evaluator so
+    that it takes no memo slot from the rows."""
+    den, (num,) = periodic_B_row.__wrapped__(k, x, 1)
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=256)
@@ -55,11 +68,10 @@ def periodic_B_row(k: int, x, ell: int) -> tuple[int, tuple[int, ...]]:
     """A common denominator d and the integers N_y with
     N_y / d = B_k((x + y) / ell) for y = 0, ..., ell - 1."""
     x = Fraction(x)
-    coeffs = _bern_coeffs(k)
+    c, ints = _bern_ints(k)
     den = x.denominator * ell
-    c = lcm(*(a.denominator for a in coeffs))
     # homogenised Horner: d * b_k(u / den) = sum_i (c a_i) u^i den^(k-i)
-    scaled = [int(a * c) * den ** (k - i) for i, a in enumerate(coeffs)]
+    scaled = [a * den ** (k - i) for i, a in enumerate(ints)]
     row = []
     for y in range(ell):
         u = (x.numerator + y * x.denominator) % den

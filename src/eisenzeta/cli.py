@@ -156,8 +156,11 @@ def parse_ideal(field: NumberField, cfg) -> Ideal:
 def parse_units(field: NumberField, cfg):
     if cfg is None:
         return None
-    return [field.element(_vector(u, "unit", field.n))
-            for u in _list(cfg, "units")]
+    units = _list(cfg, "units")
+    if len(units) != field.n - 1:
+        raise ConfigError(f"units needs n - 1 = {field.n - 1} entries, "
+                          f"got {len(units)}")
+    return [field.element(_vector(u, "unit", field.n)) for u in units]
 
 
 def load_config(path: str) -> dict:

@@ -6,20 +6,28 @@ first element divided by ell completes a basis of a^-1 c^-1 f, the norm
 polynomial scaled by N(a c), the dual-basis forms at the real embeddings,
 and the symmetrized unit chain carrying an orientation sign.  The basis has
 the least |N(w_1)| in the box of `_reduce_adapted`: the cocycle walks
-|N(w_1)| cosets times a factor fixed by the units.
+|N(w_1)| cosets times a factor fixed by the units.  That factor depends on
+the unit basis, not only on the group it generates, so the chain is built
+from the det +1 change of the supplied basis that walks the fewest cosets
+(`_change_costs`); a det +1 change keeps the regulator sign, so every
+value and rho are those of the supplied basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
 from math import lcm, prod
+from operator import add
 from typing import Sequence
 
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)
 from .dedekind import DedekindCache
-from .exact import (Matrix, MultiPoly, _intval, _is_prime, mat_det, mat_inv,
-                    mat_solve, resultant_norm)
+from .exact import (Matrix, MultiPoly, _intval, _is_prime,
+                    identity, mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
+                    resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
@@ -143,7 +151,6 @@ def _reduce_adapted(field: NumberField, ws, ell: int):
     as (w_1 + ell sum m_j w_j) X_1 + sum w_j X_j = w_1 X_1 + sum w_j (X_j +
     ell m_j X_1): one integer substitution, not a second resultant.
     """
-    from itertools import product
     n0 = norm_form(field, ws)
     den = lcm(*(c.denominator for c in n0.coeffs.values()))
     terms = [(int(c * den), mono[1:]) for mono, c in n0.coeffs.items()]
@@ -161,6 +168,93 @@ def _reduce_adapted(field: NumberField, ws, ell: int):
     return [w1] + list(ws[1:]), n0.compose_matrix(rows)
 
 
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small integer matrix, by expansion along row 1:
+    the unit search takes thousands of 2 x 2 and 3 x 3 ones, where this
+    costs less than `exact.mat_det`'s scaled Bareiss rows."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return sum((-1) ** j * x * _int_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@lru_cache(maxsize=None)
+def _unit_changes(m: int) -> tuple:
+    """The exponent changes E of a basis of m units that `_change_costs`
+    scores: every m x m integer matrix with det E = +1 and entries in
+    [-2, 2] for two units or [-1, 1] for three, nearest the identity first
+    (by the sum of |E - 1|, then in `product` order), so that the least
+    cost keeps as much of the supplied basis as it can.  Other counts get
+    the identity alone (one unit has no other basis of det +1).
+    """
+    eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    radius = {2: 2, 3: 1}.get(m, 0)
+    rows = list(product(range(-radius, radius + 1), repeat=m))
+    return (eye,) + tuple(sorted(
+        (e for e in product(rows, repeat=m) if _int_det(e) == 1 and e != eye),
+        key=lambda e: sum(abs(x - y) for r, s in zip(e, eye)
+                          for x, y in zip(r, s))))
+
+
+def _unit_steps(mats: Sequence[Matrix]) -> list[tuple[Matrix, Matrix]]:
+    """Each unit matrix with its inverse, its adjugate (det +1)."""
+    n = len(mats[0])
+    return [(u, tuple(tuple((-1) ** (i + j) * _int_det(
+        [r[:i] + r[i + 1:] for k, r in enumerate(u) if k != j])
+        for j in range(n)) for i in range(n))) for u in mats]
+
+
+def _unit_power(steps, a: Sequence[int]) -> Matrix:
+    """The integer matrix of prod_j eps_j^(a_j) from `_unit_steps`."""
+    out = identity(len(steps[0][0]))
+    for (up, down), aj in zip(steps, a):
+        for _ in range(abs(aj)):
+            out = mat_mul(out, up if aj > 0 else down)
+    return out
+
+
+def _change_costs(mats: Sequence[Matrix], ell: int) -> dict:
+    """K(E) for each change E of `_unit_changes` whose chain has no
+    singular tuple: the cosets the chain of the units E.eps walks, the
+    sum over orderings p of |det| of the first columns of (1, V_p1,
+    V_p1 V_p2, ...) over ell^(n-1), V_i = prod_j U_j^(E_ij).
+
+    The unit matrices commute, so a tuple's columns are the first columns
+    of U^a for the partial sums a of E's rows, memoized per a and stepped
+    from a neighbour by one U_j or its inverse.  The first column of the
+    tuple is e_1, so |det| is the minor of the other rows.
+    """
+    n, steps = len(mats[0]), _unit_steps(mats)
+    cols = {(0,) * len(mats): (1,) + (0,) * (n - 1)}
+
+    def col(a):
+        if a not in cols:
+            j = next(j for j, aj in enumerate(a) if aj)
+            up, down = steps[j]
+            back = a[:j] + (a[j] - 1 if a[j] > 0 else a[j] + 1,) + a[j + 1:]
+            cols[a] = mat_vec(up if a[j] > 0 else down, col(back))
+        return cols[a]
+
+    costs = {}
+    for e in _unit_changes(len(mats)):
+        total = 0
+        for perm in permutations(e):
+            acc, minor = (0,) * len(e), []
+            for row in perm:
+                acc = tuple(map(add, acc, row))
+                minor.append(col(acc)[1:])
+            det = _int_det(minor)
+            if det == 0:
+                break
+            total += abs(det)
+        else:
+            costs[e] = total // ell ** (n - 1)
+    return costs
+
+
 def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
                     ell: int, units: Sequence[FieldElement] | None = None,
                     ws: Sequence[FieldElement] | None = None) -> ZetaData:
@@ -170,7 +264,11 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     is derived from the Smith form of the index-ell inclusion, and its
     first element is moved to the least |N(w_1)| in the box of
     `_reduce_adapted`, which shrinks the coset systems the evaluator walks.
-    Either way the norm form is computed once.
+    Either way the norm form is computed once.  Once `validate_units` has
+    certified the units, the chain is built from the units E.eps of the
+    change E in `_unit_changes` of least `_change_costs`, the supplied
+    basis kept on ties; ZetaData.units are those units.  rho is computed
+    from the supplied basis, which det E = +1 leaves unchanged.
     """
     if not _is_prime(ell):
         raise ValueError(f"the smoothing ideal's norm ell = {ell} is not prime")
@@ -222,6 +320,15 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         if mat_det(g.mat) != 1:
             raise ChainDegenerate("unit matrix must have determinant +1")
         amats.append(g)
+    costs, eye = _change_costs(mats, ell), _unit_changes(len(eps))[0]
+    change = min(costs, key=costs.get, default=eye)
+    if change != eye:
+        steps = _unit_steps(mats)
+        mats = [_unit_power(steps, row) for row in change]
+        amats = [GammaEllMatrix(mat, ell) for mat in mats]
+        # eps = eps (w . v) = sum_i (U v)_i w_i for the matrix U of eps
+        eps = [sum((x * w for x, w in zip(mat_vec(u, v), ws)), field.zero())
+               for u in mats]
     rho = (-1) ** (n - 1) * embedding_matrix_det_sign(field, ws) * reg_sign
     chain = symmetrized_chain(amats).scale(rho)
     Qfull = EmbeddedForms(field, [(i, list(wstar)) for i in range(n)])

@@ -25,6 +25,8 @@ from eisenzeta.zeta import (build_zeta_data, combine_smoothing, zeta_minus_k,
                             zeta_star_minus_k)
 from eisenzeta.cocycle import psi_ell_chain
 
+from test_zeta import _walked_cosets
+
 rng = random.Random(0xE15E)
 
 
@@ -435,6 +437,9 @@ def test_criterion_10_cubic_zeta_oracle():
     units = [F.element(u) for u in ([0, 0, 1], [1, 2, 1])]
     for ell, expected in ((17, 32), (19, 40)):
         z = build_zeta_data(F, one, one, prime_over(F, ell), ell, units=units)
+        # the supplied basis (theta^2, (1 + theta)^2) walks 8 cosets; the
+        # chain is built from a det +1 change of it that walks 5
+        assert _walked_cosets(z) <= 5
         val = zeta_minus_k(z, 1)
         assert val == (1 - ell ** 2) * zF == expected
     report(10, f"cubic t^3-3t-1: smoothed zeta(-1) = 32 (ell=17) and 40 "
@@ -470,6 +475,13 @@ def test_criterion_13_quartic_zeta_oracle():
     assert val == (1 - ell ** 2) * zF == -448
     elapsed = time.time() - t0
     assert elapsed < 60
+    # the unreduced basis (eta, eps5^2, eps10^2) walks 2,388 cosets as it
+    # stands; the library reduces it to at most the 144 of the basis above
+    unreduced = [units[0] * units[1] * units[2], units[1], units[2]]
+    walked = _walked_cosets(build_zeta_data(F, one, one, prime_over(F, ell),
+                                            ell, units=unreduced))
+    assert walked <= 144
     report(13, f"biquadratic t^4-14t^2+9: smoothed zeta(-1) = -448 "
                f"(ell=31), matching (1-ell^2) * 7/15 from the three "
-               f"quadratic subfields ({elapsed:.1f}s)")
+               f"quadratic subfields ({elapsed:.1f}s); the unreduced unit "
+               f"basis walks {walked} cosets")

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
 from eisenzeta import bernoulli
 from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, bernoulli_poly,
                                  defect_set, periodic_B, periodic_B_row)
-from eisenzeta.exact import MultiPoly
+from eisenzeta.exact import MultiPoly, poly_eval
 
 rng = random.Random(99)
 
@@ -85,6 +86,34 @@ def test_periodic_B_periodicity():
         k = rng.randint(0, 5)
         x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         assert periodic_B(k, x + 1) == periodic_B(k, x)
+
+
+def horner_periodic_B(k, x):
+    """The Fraction-Horner form of B_k(x): b_k at the fractional part of x
+    from its Fraction coefficients, and B_1 = 0 on the integers."""
+    x = Fraction(x)
+    frac = x - floor(x)
+    if k == 1 and frac == 0:
+        return Fraction(0)
+    return poly_eval(bernoulli._bern_coeffs(k), frac)
+
+
+def test_integer_evaluator_matches_fraction_horner():
+    # periodic_B reads the one entry of the integer row at ell = 1, and both
+    # give exactly the Fraction-Horner values, at integers and at random
+    # rationals, for every weight up to 15
+    points = [(k, x) for k in range(16) for x in range(-4, 5)]
+    points += [(rng.randint(0, 15), Fraction(rng.randint(-10 ** 4, 10 ** 4),
+                                             rng.randint(1, 10 ** 3)))
+               for _ in range(3000)]
+    for k, x in points:
+        got = periodic_B(k, x)
+        assert type(got) is Fraction and got == horner_periodic_B(k, x)
+    for k, x in points[::10]:
+        ell = rng.choice([1, 2, 3, 5, 7, 11])
+        d, row = periodic_B_row(k, x, ell)
+        assert [Fraction(num, d) for num in row] == \
+            [horner_periodic_B(k, Fraction(x + y) / ell) for y in range(ell)]
 
 
 def test_negative_weight_rejected(monkeypatch):

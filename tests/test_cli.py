@@ -541,6 +541,23 @@ def test_config_shape_errors(command, cfg, tmp_path, capsys):
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("poly, units", [
+    (["-1", "-3", "0", "1"], [["0", "0", "1"]]),
+    (["-1", "-3", "0", "1"], [["0", "0", "1"], ["1", "2", "1"],
+                              ["0", "0", "1"]]),
+    (["-5", "0", "1"], [["7/2", "3/2"], ["7/2", "3/2"]]),
+], ids=["cubic-1", "cubic-3", "sqrt5-2"])
+def test_unit_count_is_config_error(poly, units, tmp_path, capsys):
+    # a units list names a basis of n - 1 units; any other length is a
+    # config error that names the key, refused before a unit is checked
+    cfg = {"field": {"poly": poly}, "units": units, "ell": "19"}
+    code = main(["zeta", "--config", write_cfg(tmp_path, cfg)])
+    assert code == EXIT_CONFIG
+    n = len(poly) - 1
+    assert capsys.readouterr().err == (f"config error: units needs n - 1 = "
+                                       f"{n - 1} entries, got {len(units)}\n")
+
+
 @pytest.mark.parametrize("divisor, message", [
     ({"factors": "-1", "norm": "9"}, "factors must be >= 1, got -1"),
     ({"factors": "0", "norm": "1"}, "factors must be >= 1, got 0"),

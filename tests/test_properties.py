@@ -5,7 +5,8 @@ determinants and its columns against reduction mod f, lattice membership,
 the exact irreducibility test (a named factor of every product of
 real-rooted polynomials, and biquadratic fields accepted though reducible
 mod every prime), logarithm bounds, the regulator sign under a change of
-units, the Bernoulli distribution relation, the integer
+units, zeta(-1), rho and the coset count under a change of unit basis,
+the Bernoulli distribution relation, the integer
 Bernoulli rows and convolution behind the restricted distribution (one
 level at a time and the whole row of levels), the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
@@ -45,9 +46,11 @@ from eisenzeta.numberfield import (DependentUnits, Ideal, NotIrreducible,
                                    real_root_count, regulator_det_sign)
 from eisenzeta.padic import (MeasureHandle, _poly_residue_evaluator,
                              integrate_cells, region_box)
-from eisenzeta.zeta import build_zeta_data
+from eisenzeta.zeta import build_zeta_data, zeta_minus_k
 
+from test_bernoulli import horner_periodic_B
 from test_padic import REGION_CASES, _row_kernel_handle, region_case
+from test_zeta import _chain_coset_cost, _walked_cosets
 
 PROPS = settings(database=None, derandomize=True, deadline=None,
                  max_examples=60)
@@ -406,6 +409,33 @@ def test_regulator_sign_transforms_by_exponent_det(exps, width):
         assert float(llo) - slack <= ref <= float(lhi) + slack
 
 
+_UNIT_CHANGES = [e for e in product(range(-2, 3), repeat=4)
+                 if abs(e[0] * e[3] - e[1] * e[2]) == 1]
+
+
+@lru_cache(maxsize=None)
+def _cubic_zeta_data(units):
+    F = FIELDS[1]
+    return build_zeta_data(F, Ideal.unit_ideal(F), Ideal.unit_ideal(F),
+                           prime_over(F, 17), 17, units=list(units))
+
+
+@PROPS
+@given(st.sampled_from(_UNIT_CHANGES))
+def test_zeta_invariant_under_a_change_of_unit_basis(exps):
+    # any basis E.eps of the cubic's units, det E = +-1, gives the same
+    # zeta(-1) and rho times det E (the regulator sign moves by det E and
+    # the library's own reduction by det +1 keeps it), and the chain built
+    # walks no more cosets than that basis itself would
+    a, b, c, d = exps
+    e1, e2 = _CUBIC_UNITS
+    units = (e1 ** a * e2 ** b, e1 ** c * e2 ** d)
+    z = _cubic_zeta_data(units)
+    assert zeta_minus_k(z, 1) == 32
+    assert z.rho == (a * d - b * c) * _cubic_zeta_data(_CUBIC_UNITS).rho
+    assert _walked_cosets(z) <= _chain_coset_cost(FIELDS[1], z.w, units, 17)
+
+
 @st.composite
 def distribution_args(draw):
     n = draw(st.integers(1, 3))
@@ -438,9 +468,12 @@ def test_bernoulli_distribution_relation(args):
                                     st.integers(1, 6)),
        st.sampled_from([2, 3, 5, 7, 11]))
 def test_periodic_B_row(k, x, ell):
+    # the row, and the single values (the same integer evaluator at
+    # ell = 1), against the Fraction-Horner form
     d, row = periodic_B_row(k, x, ell)
-    assert [Fraction(n, d) for n in row] == \
-        [periodic_B(k, (x + y) / ell) for y in range(ell)]
+    want = [horner_periodic_B(k, (x + y) / ell) for y in range(ell)]
+    assert [Fraction(n, d) for n in row] == want
+    assert [periodic_B(k, (x + y) / ell) for y in range(ell)] == want
 
 
 @st.composite

@@ -1,14 +1,17 @@
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
-from eisenzeta.exact import Matrix, identity, mat_det, mat_mul
-from eisenzeta.numberfield import (Ideal, NumberField, adapted_basis,
-                                   prime_over, totally_positive_unit,
-                                   unit_basis)
+from eisenzeta.cocycle import first_column_matrix
+from eisenzeta.dedekind import sigma_ell
+from eisenzeta.exact import Matrix, coset_reps, identity, mat_det, mat_mul
+from eisenzeta.numberfield import (DependentUnits, Ideal, NotTotallyPositive,
+                                   NumberField, adapted_basis, prime_over,
+                                   totally_positive_unit, unit_basis)
 from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
-                            _reduce_adapted, _unit_matrices, build_zeta_data,
+                            _change_costs, _reduce_adapted, _unit_changes,
+                            _unit_matrices, build_zeta_data,
                             combine_smoothing, norm_form, zeta_minus_k,
                             zeta_star_minus_k)
 
@@ -258,6 +261,13 @@ def _chain_coset_cost(field, ws, eps, ell):
     return total
 
 
+def _walked_cosets(z):
+    """The cosets d_ell walks for the chain of z: those of sigma_ell of
+    each chain term's first-column matrix."""
+    return sum(len(coset_reps(sigma_ell(first_column_matrix(tup), z.ell)))
+               for _, tup in z.chain.terms)
+
+
 def _reduce_by_rebuilding(field, ws, eps, ell, radius=8):
     """Oracle for _reduce_adapted: rebuild every candidate basis and its
     unit matrices from field arithmetic, and take the least coset count."""
@@ -361,3 +371,47 @@ def test_sign_matrix_memo_per_sigma():
         assert [q.sign_matrix(s) for s in reversed(sigmas)] == fresh[::-1]
         listed = [[Fraction(e) for e in row] for row in sigmas[2]]
         assert q.sign_matrix(listed) == fresh[2]
+
+
+@pytest.mark.parametrize("ell", [17, 19])
+def test_change_costs_match_rebuilding(ell):
+    # the units-only integer score of every det +1 change E equals the
+    # coset cost of the basis E.eps rebuilt from field arithmetic, and the
+    # least one is 5 where the supplied basis walks 8
+    F = NumberField(CUBIC[0])
+    eps = [F.element(u) for u in CUBIC[1]]
+    one = Ideal.unit_ideal(F)
+    ws = build_zeta_data(F, one, one, prime_over(F, ell), ell, units=eps).w
+    costs = _change_costs(_unit_matrices(F, ws, eps), ell)
+    assert list(costs) == list(_unit_changes(2))  # no singular tuple here
+    for e, cost in costs.items():
+        units = [prod((u ** k for u, k in zip(eps, row)), start=F.one())
+                 for row in e]
+        assert cost == _chain_coset_cost(F, ws, units, ell)
+    assert costs[((1, 0), (0, 1))] == 8 and min(costs.values()) == 5
+
+
+@pytest.mark.parametrize("units, error, message", [
+    ([[0, 0, -1], [1, 2, 1]], NotTotallyPositive,
+     "unit is not totally positive"),
+    ([[0, 0, 1], [0, 1, 3]], DependentUnits,
+     r"regulator sign undecided \(units may be dependent\)"),
+    ([[0, 0, 1]], DependentUnits, "need exactly n - 1 units"),
+    ([[0, 0, 1], [1, 2, 1], [0, 0, 1]], DependentUnits,
+     "need exactly n - 1 units"),
+], ids=["not-totally-positive", "dependent", "one-unit", "three-units"])
+def test_bad_unit_bases_fail_before_the_search(units, error, message,
+                                               monkeypatch):
+    # validate_units refuses these with the class and message it always
+    # had, before any change of basis is scored
+    import eisenzeta.zeta as zeta
+
+    def scorer(*args):
+        raise AssertionError("a change of basis was scored")
+
+    monkeypatch.setattr(zeta, "_change_costs", scorer)
+    F = NumberField(CUBIC[0])
+    one = Ideal.unit_ideal(F)
+    with pytest.raises(error, match=f"^{message}$"):
+        build_zeta_data(F, one, one, prime_over(F, 17), 17,
+                        units=[F.element(u) for u in units])
