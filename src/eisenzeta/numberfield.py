@@ -35,7 +35,8 @@ from typing import Sequence
 
 from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
                     mat_inv, mat_mul, mat_solve, mat_vec,
-                    multiplication_matrix, poly_eval, reduce_mod_lattice, snf)
+                    multiplication_matrix, poly_eval, power,
+                    reduce_mod_lattice, snf)
 
 
 class NotMonic(ValueError):
@@ -493,14 +494,7 @@ class FieldElement:
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k) if k else self.field.one()
 
     def mult_matrix(self) -> Matrix:
         """Matrix of multiplication by self on the power basis (columns are
@@ -700,28 +694,23 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     b, cc = field.f[1], field.f[0]
     D, m = _fundamental_discriminant(b * b - 4 * cc)
     # continued fraction of (P0 + sqrt(D)) / Q0 with the integer recurrence;
-    # the invariant Q | D - P^2 holds throughout
+    # Q | D - P^2 holds throughout, and Q > 0 as every complete quotient
+    # alpha = (P + sqrt(D)) / Q has alpha > 0 > alpha'
     sqD = isqrt(D)
-
-    def cf_floor(p: int, q: int) -> int:
-        num = p + sqD
-        if q > 0:
-            return num // q
-        return -(num // (-q)) - 1  # sqrt(D) irrational, never exact
-
     state = (1, 2) if D % 4 == 1 else (0, 2)
     seen: dict[tuple[int, int], int] = {}
     quotients: list[int] = []
     while state not in seen:
         seen[state] = len(quotients)
         P, Q = state
-        aq = cf_floor(P, Q)
+        aq = (P + sqD) // Q
         quotients.append(aq)
         P2 = aq * Q - P
         state = (P2, (D - P2 * P2) // Q)
     start = seen[state]
     # Moebius matrix of the cycle fixes alpha = (P + sqrt(D)) / Q at the
-    # cycle start; the unit is the denominator C*alpha + D0 of that action
+    # cycle start; the unit is the denominator C*alpha + D0 of that action,
+    # > 1 in the larger embedding as C >= 1, D0 >= 0 and alpha > 1 there
     A, B, C, D0_ = 1, 0, 0, 1
     for aq in quotients[start:]:
         A, B, C, D0_ = A * aq + B, A, C * aq + D0_, C
@@ -732,11 +721,6 @@ def fundamental_unit_quadratic(field: NumberField) -> FieldElement:
     unit = Fraction(C) * alpha + field.from_rational(D0_)
     assert abs(unit.norm()) == 1, "continued fraction did not produce a unit"
     assert Ideal.unit_ideal(field).contains(unit), "unit not in the order"
-    # normalize to be > 1 in the larger embedding
-    if field.sign_at(unit, field.n - 1) < 0:
-        unit = -unit
-    if field.sign_at(unit - field.one(), field.n - 1) < 0:
-        unit = unit.inverse()
     return unit
 
 

@@ -8,23 +8,24 @@ precision; every reported precision is a worst-case lower bound, and
 claims derived from truncation are certified by two-level agreement rather
 than by an a-priori epsilon.
 
-Each concept has one implementation: `MeasureHandle.measure_box` is the
-one exact box value, the cocycle at P = 1, and the fast `CellKernel.row`
-is tested against it; `_log_series` sums the logarithm of a list of
-arguments, one for `iwasawa_log`, a row for the sweeps; `_series_loss` is
-the worst-case digit loss of a per-cell log; `_disc_values` evaluates a
-polynomial in y from its three Taylor terms at y mod p^ceil(work / 3),
-kept once per residue disc: the log series' polynomial part and the weight
-character <N(ac) Nx>^(-s) of `padic_zeta_weight`, the polynomial
-(1 + y)^e in y = <N(ac) Nx> - 1, go through it, and there is no p-adic
-exp; `teichmuller` is one modular power;
-`exact._intval` takes every valuation and `_residue` every rational residue;
-`integrate_cells` is the one Riemann loop, `_poly_residue_evaluator` the
-one polynomial evaluator (the sweeps' norm residues, and the norm mod p
-that `_unit_norm_cells` reads once on (Z/p)^n); and `_region` builds every
-region, testing each lattice as one integer congruence in the cell index.
-That test works in the completion at p, since for a class representative
-a != O the points x = w . (v + j) carry denominators prime to p.
+Each concept has one implementation: `MeasureHandle.measure_box` is the one
+exact box value, the cocycle at P = 1, and the fast `CellKernel.row` is
+tested against it; `_log_series` sums the logarithm of a list of arguments,
+one for `iwasawa_log`, a row for the sweeps; `_series_loss` is the
+worst-case digit loss of a per-cell log; `_disc_values` evaluates a
+polynomial in y from its three Taylor terms at y mod p^ceil(work / 3), kept
+once per residue disc: the log series' polynomial part and the weight
+character <N(ac) Nx>^(-s) of `padic_zeta_weight`, the polynomial (1 + y)^e
+in y = <N(ac) Nx> - 1, go through it, and there is no p-adic exp;
+`teichmuller` is one modular power; `exact._intval` takes every valuation
+and `_residue` every rational residue; `_norm_units` strips p from the
+sweeps' norm residues; `integrate_cells` is the one Riemann loop,
+`_poly_residue_evaluator` the one polynomial evaluator (the sweeps' norm
+residues, and the norm mod p that `_unit_norm_cells` reads once on
+(Z/p)^n); and `_region` builds every region, testing each lattice as one
+integer congruence in the cell index.  That test works in the completion at
+p, since for a class representative a != O the points x = w . (v + j) carry
+denominators prime to p.
 
 The loop runs row by row.  `CellKernel.diff` walks each chain term's
 cosets that differ only in the last coordinate as one long affine row,
@@ -53,9 +54,9 @@ from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
-from .exact import (Matrix, MultiPoly, _intval, _is_prime, coset_reps,
+from .exact import (MultiPoly, _intval, _is_prime, adjugate, coset_reps,
                     forward_extend, lattice_hnf, mat_det, mat_inv, mat_mul,
-                    mat_vec)
+                    mat_vec, power)
 from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
@@ -127,15 +128,7 @@ class PadicInt:
             raise ValueError("negative exponent")
         if k == 0:  # exactly 1, reported at this base's precision
             return PadicInt(self.p, self.prec, 1)
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k)
 
     def valuation(self) -> int:
         """Largest v <= prec with p^v | residue (= prec when res = 0)."""
@@ -350,7 +343,7 @@ class MeasureHandle:
                 "sign": coeff * (-1) ** self.n * (1 if det > 0 else -1),
                 "L": LinearFormModL(self.ell, [int(t) for t in sigma[0]]),
                 "signs": self.Q.sign_matrix(sigma), "cosets": coset_reps(sl),
-                "adj": _adjugate(sl), "det": int(mat_det(sl)), "tables": {}})
+                "adj": adjugate(sl), "det": int(mat_det(sl)), "tables": {}})
 
     def table(self, term: dict, J: int) -> list[int]:
         """T[t] = sign * mu_den * the term's value at level t where the bit
@@ -380,11 +373,6 @@ class MeasureHandle:
 
     def cell_numerators(self, M: int) -> "CellKernel":
         return CellKernel(self, M)
-
-
-def _adjugate(m: Matrix) -> Matrix:
-    det = mat_det(m)
-    return tuple(tuple(int(e * det) for e in row) for row in mat_inv(m))
 
 
 class CellKernel:
@@ -820,16 +808,25 @@ def integrate_poly(h: MeasureHandle, P: MultiPoly, M: int,
     return PadicInt(h.p, work_prec, res)
 
 
-def _unit_parts(rs: list[int], p: int,
-                message: str) -> tuple[list[int], int]:
-    """([u], v) with each r = p^v(r) * u, u prime to p, and v the largest
-    v(r); PrecisionExhausted(message) when some residue r is 0."""
-    if all(map(p.__rmod__, rs)):
-        return rs, 0
-    if 0 in rs:
-        raise PrecisionExhausted(message)
-    vs = [_intval(r, p) for r in rs]
-    return [r // p ** v for r, v in zip(rs, vs)], max(vs)
+def _norm_units(h: MeasureHandle, work: int, message: str):
+    """Row integrand (prefix, xs) -> [u] for the norm residues r mod
+    p^work of the row, r = p^v u with u prime to p; it keeps the deepest v
+    met as its `stratum`, and raises PrecisionExhausted(message) when some
+    r is 0."""
+    p, nx = h.p, _poly_residue_evaluator(h, h.norm_poly, work)
+
+    def units(prefix, xs):
+        rs = nx(prefix, xs)
+        if all(map(p.__rmod__, rs)):
+            return rs
+        if 0 in rs:
+            raise PrecisionExhausted(message)
+        vs = [_intval(r, p) for r in rs]
+        units.stratum = max(units.stratum, *vs)
+        return [r // p ** v for r, v in zip(rs, vs)]
+
+    units.stratum = 0
+    return units
 
 
 def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
@@ -846,16 +843,7 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     p = h.p
     guard = 2 * work_prec
     mod = p ** guard
-    nx = _poly_residue_evaluator(h, h.norm_poly, guard)
-    stratum = 0
-
-    def unit(prefix, xs):
-        nonlocal stratum
-        us, v = _unit_parts(nx(prefix, xs), p,
-                            "norm residue vanished at working precision")
-        stratum = max(stratum, v)
-        return us
-
+    unit = _norm_units(h, guard, "norm residue vanished at working precision")
     # ks all 0 still takes the unit part at every cell (the extra moment),
     # so a vanishing norm residue raises for any ks; where every cell of a
     # region of level >= 1 has a p-unit norm, the unit part is the norm
@@ -864,7 +852,7 @@ def padic_zetas(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
         and len(_unit_norm_cells(h, region.mask)) == len(region.mask)
     res = integrate_cells(h, region, [] if poly else [unit], M, guard,
                           powers, [h.norm_poly] if poly else [])
-    digits = min(work_prec, guard - stratum)
+    digits = min(work_prec, guard - unit.stratum)
     return [PadicInt(p, work_prec if k == 0 else digits,
                      r * _residue(h.nac ** k, mod)) for k, r in zip(ks, res)]
 
@@ -919,21 +907,16 @@ def oov_integrals(h: MeasureHandle, region: Region, ks: Sequence[int], M: int,
     if work_prec is None:
         work_prec = M + 6
     p = h.p
-    nx = _poly_residue_evaluator(h, h.norm_poly, work_prec)
+    units = _norm_units(h, work_prec,
+                        "norm vanished at working precision; raise work_prec")
     teich_inv = _log_tables(p, work_prec)
-    stratum = 0
 
     def row_log(prefix, xs):
-        nonlocal stratum
-        us, v = _unit_parts(
-            nx(prefix, xs), p,
-            "norm vanished at working precision; raise work_prec")
-        stratum = max(stratum, v)
-        return _log_unit_residues(us, p, work_prec, teich_inv)
+        return _log_unit_residues(units(prefix, xs), p, work_prec, teich_inv)
 
     res = integrate_cells(h, region, [row_log], M, work_prec, powers=ks)
     loss = _series_loss(p, work_prec)
-    return [PadicInt(p, work_prec - k * loss - stratum, r)
+    return [PadicInt(p, work_prec - k * loss - units.stratum, r)
             for k, r in zip(ks, res)]
 
 

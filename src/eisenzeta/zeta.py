@@ -25,9 +25,8 @@ from typing import Sequence
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)
 from .dedekind import DedekindCache
-from .exact import (Matrix, MultiPoly, _intval, _is_prime,
-                    identity, mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
-                    resultant_norm)
+from .exact import (Matrix, MultiPoly, _intval, _is_prime, adjugate,
+                    mat_det, mat_inv, mat_solve, mat_vec, resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
@@ -199,23 +198,6 @@ def _unit_changes(m: int) -> tuple:
                           for x, y in zip(r, s))))
 
 
-def _unit_steps(mats: Sequence[Matrix]) -> list[tuple[Matrix, Matrix]]:
-    """Each unit matrix with its inverse, its adjugate (det +1)."""
-    n = len(mats[0])
-    return [(u, tuple(tuple((-1) ** (i + j) * _int_det(
-        [r[:i] + r[i + 1:] for k, r in enumerate(u) if k != j])
-        for j in range(n)) for i in range(n))) for u in mats]
-
-
-def _unit_power(steps, a: Sequence[int]) -> Matrix:
-    """The integer matrix of prod_j eps_j^(a_j) from `_unit_steps`."""
-    out = identity(len(steps[0][0]))
-    for (up, down), aj in zip(steps, a):
-        for _ in range(abs(aj)):
-            out = mat_mul(out, up if aj > 0 else down)
-    return out
-
-
 def _change_costs(mats: Sequence[Matrix], ell: int) -> dict:
     """K(E) for each change E of `_unit_changes` whose chain has no
     singular tuple: the cosets the chain of the units E.eps walks, the
@@ -224,10 +206,10 @@ def _change_costs(mats: Sequence[Matrix], ell: int) -> dict:
 
     The unit matrices commute, so a tuple's columns are the first columns
     of U^a for the partial sums a of E's rows, memoized per a and stepped
-    from a neighbour by one U_j or its inverse.  The first column of the
-    tuple is e_1, so |det| is the minor of the other rows.
+    from a neighbour by one U_j or its inverse, adj U_j (det +1).  The
+    first column of the tuple is e_1, so |det| is the minor of the others.
     """
-    n, steps = len(mats[0]), _unit_steps(mats)
+    n, steps = len(mats[0]), [(u, adjugate(u)) for u in mats]
     cols = {(0,) * len(mats): (1,) + (0,) * (n - 1)}
 
     def col(a):
@@ -311,6 +293,14 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     mats = _unit_matrices(field, ws, eps)
     if mats is None:
         raise ChainDegenerate("unit does not preserve the adapted lattice")
+    costs, eye = _change_costs(mats, ell), _unit_changes(len(eps))[0]
+    change = min(costs, key=costs.get, default=eye)
+    if change != eye:
+        # E.eps generates the group eps does (det E = 1): its matrices are
+        # integral, and in Gamma_ell exactly when those of eps are
+        eps = [prod((u ** k for u, k in zip(eps, row)), start=field.one())
+               for row in change]
+        mats = _unit_matrices(field, ws, eps)
     amats = []
     for mat in mats:
         try:
@@ -320,15 +310,6 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         if mat_det(g.mat) != 1:
             raise ChainDegenerate("unit matrix must have determinant +1")
         amats.append(g)
-    costs, eye = _change_costs(mats, ell), _unit_changes(len(eps))[0]
-    change = min(costs, key=costs.get, default=eye)
-    if change != eye:
-        steps = _unit_steps(mats)
-        mats = [_unit_power(steps, row) for row in change]
-        amats = [GammaEllMatrix(mat, ell) for mat in mats]
-        # eps = eps (w . v) = sum_i (U v)_i w_i for the matrix U of eps
-        eps = [sum((x * w for x, w in zip(mat_vec(u, v), ws)), field.zero())
-               for u in mats]
     rho = (-1) ** (n - 1) * embedding_matrix_det_sign(field, ws) * reg_sign
     chain = symmetrized_chain(amats).scale(rho)
     Qfull = EmbeddedForms(field, [(i, list(wstar)) for i in range(n)])

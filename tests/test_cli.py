@@ -284,6 +284,27 @@ def test_padic_zeta_class_representative(tmp_path, capsys):
         ["11", "5", "3"]
 
 
+def test_padic_zeta_divisor_by_another_representative(tmp_path, capsys,
+                                                      monkeypatch):
+    # a divisor whose a is not the config's gets zeta data of its own; Q(sqrt
+    # 5) has narrow class number 1, so (19, theta - 9) names the class of O
+    # and the report is the golden one
+    built = []
+    build = eisenzeta.cli.build_zeta_data
+    monkeypatch.setattr(eisenzeta.cli, "build_zeta_data",
+                        lambda *args, **kw: built.append(args[2])
+                        or build(*args, **kw))
+    cfg = json.loads((GOLDEN / "golden_config.json").read_text())
+    cfg["padic"]["divisors"][0]["a"] = A19
+    code, report = run(["padic-zeta", "--config", write_cfg(tmp_path, cfg)],
+                       capsys)
+    assert code == 0
+    assert [a.norm() for a in built] == [1, 19]
+    report.pop("timestamp")
+    expected = json.loads((GOLDEN / "golden_reports.json").read_text())
+    assert report == expected["padic-zeta"]
+
+
 def test_padic_zeta_below_cap_is_crosscheck_failure(capsys, monkeypatch):
     # a value certified below M - 1 is an alarm while the cross-check is on
     sweep = eisenzeta.cli.padic_zetas

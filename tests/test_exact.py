@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from eisenzeta.exact import (DegreeError, MultiPoly, SingularMatrix, _intval,
-                             _is_prime, coset_reps, forward_extend, hnf,
-                             identity, lattice_hnf,
+                             _is_prime, adjugate, coset_reps, forward_extend,
+                             hnf, identity, lattice_hnf,
                              mat_det, mat_inv, mat_mul, mat_vec, poly_det,
                              reduce_mod_lattice, resultant_norm, snf)
 
@@ -14,6 +14,23 @@ rng = random.Random(20240817)
 
 def rand_mat(n, lo=-6, hi=6):
     return tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
+
+
+def test_adjugate_is_det_times_inverse():
+    # adj(m) m = m adj(m) = det(m) I, in integers, on nonsingular matrices
+    # of sizes 2 to 4
+    for n in (2, 3, 4):
+        done = 0
+        while done < 25:
+            m = rand_mat(n)
+            det = mat_det(m)
+            if det == 0:
+                continue
+            adj = adjugate(m)
+            scaled = tuple(tuple(det * x for x in row) for row in identity(n))
+            assert all(type(x) is int for row in adj for x in row)
+            assert mat_mul(adj, m) == mat_mul(m, adj) == scaled
+            done += 1
 
 
 def test_hnf_identity_fixed_point():

@@ -268,6 +268,22 @@ def test_fundamental_unit_cf_vs_pell():
         assert u == expected or u == -expected or u.inverse() in (expected, -expected)
 
 
+def test_fundamental_unit_is_a_unit_above_one():
+    # every monic t^2 + bt + c, |b| <= 3, -40 <= c <= -1, of non-square
+    # discriminant: the continued fraction's unit has norm +-1, lies in the
+    # maximal order and exceeds 1 at the larger root, with no sign or
+    # inverse taken afterwards
+    fields = [[c, b, 1] for b in range(-3, 4) for c in range(-40, 0)
+              if isqrt(b * b - 4 * c) ** 2 != b * b - 4 * c]
+    assert len(fields) == 244
+    for f in fields:
+        F = NumberField(f)
+        u = fundamental_unit_quadratic(F)
+        assert abs(u.norm()) == 1
+        assert Ideal.unit_ideal(F).contains(u)
+        assert F.sign_at(u - F.one(), F.n - 1) > 0
+
+
 def test_totally_positive_unit_values():
     F5 = sqrt5()
     one5 = Ideal.unit_ideal(F5)

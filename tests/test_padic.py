@@ -93,6 +93,38 @@ def test_padic_exact_zero_and_zeroth_power():
         x ** -1
 
 
+def _square_and_multiply(x, k):
+    # the oracle loop, written out: multiply in each set bit from the
+    # lowest, and square only while a bit is left
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
+def test_padic_power_matches_the_square_and_multiply_loop():
+    # the residue and the worst-case precision of x ** k, bit for bit, at
+    # every valuation of x, also where x is 0 to its precision
+    sample = random.Random(2505)
+    for p in (2, 3, 5, 7):
+        for prec in range(7):
+            mod = p ** prec
+            residues = {p ** v * u % mod for v in range(prec + 1)
+                        for u in (1, 2, p - 1, p + 1)}
+            residues |= set(range(min(mod, 30)))
+            residues |= {sample.randrange(mod) for _ in range(10)}
+            for res in residues:
+                x = PadicInt(p, prec, res)
+                for k in range(1, 10):
+                    want = _square_and_multiply(x, k)
+                    got = x ** k
+                    assert (got.res, got.prec) == (want.res, want.prec)
+
+
 def test_padic_from_fraction_and_valuation():
     x = PadicInt.from_fraction(Fraction(7, 3), 5, 4)
     assert (x * PadicInt(5, 4, 3)).res == 7
