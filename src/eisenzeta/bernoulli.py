@@ -4,18 +4,20 @@ sign-corrected Bernoulli products that evaluate Dedekind sums.
 The periodic functions have one integer evaluator: b_k's coefficients are
 scaled to integers once per k, and a homogenised Horner pass gives the
 numerators of a row of values over one common denominator
-(`periodic_B_row`); a single value (`periodic_B`) is the one entry of the
+(`periodic_B_row`, unmemoized: `dedekind._factor_row` keeps rows); a
+single value (`periodic_B`, memoized per (k, x)) is the one entry of the
 ell = 1 row, so no call does Fraction arithmetic beyond its result.
 
-The sign correction takes only the sign data of the tuple of linear forms,
-not the forms themselves; extracting exact signs is the caller's job.
+The sign correction (`B_e_Q`, in integers up to its one Fraction) takes
+only the sign data of the tuple of linear forms, not the forms themselves;
+extracting exact signs is the caller's job.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .exact import MultiPoly
@@ -53,17 +55,15 @@ def _bern_ints(k: int) -> tuple[int, tuple[int, ...]]:
 
 
 # The Dedekind sums of one run ask for the same few (weight, value) pairs at
-# every weight, form tuple and k, so both evaluators keep a bounded memo.
+# every weight, form tuple and k, so single values keep a bounded memo.
 @lru_cache(maxsize=256)
 def periodic_B(k: int, x) -> Fraction:
     """B_k(x) = b_k({x}) for k != 1; B_1 vanishes on the integers.  The
-    one entry of the ell = 1 row, read from the row's uncached evaluator so
-    that it takes no memo slot from the rows."""
-    den, (num,) = periodic_B_row.__wrapped__(k, x, 1)
+    one entry of the ell = 1 row."""
+    den, (num,) = periodic_B_row(k, x, 1)
     return Fraction(num, den)
 
 
-@lru_cache(maxsize=256)
 def periodic_B_row(k: int, x, ell: int) -> tuple[int, tuple[int, ...]]:
     """A common denominator d and the integers N_y with
     N_y / d = B_k((x + y) / ell) for y = 0, ..., ell - 1."""
@@ -110,28 +110,23 @@ def defect_set(e: Sequence[int], v: Sequence) -> tuple[int, ...]:
 
 def B_e_Q(e: Sequence[int], v: Sequence, s: Sequence[Sequence[int]]) -> Fraction:
     """Bernoulli product corrected at integral coordinates by half the
-    signs of the linear forms, averaged over the m forms."""
+    signs of the linear forms, averaged over the m forms; one Fraction of
+    the integer numerators and denominators multiplied."""
     n = len(e)
     if any(ej < 1 for ej in e):
         raise ValueError("exponents must be positive")
     _validate_signs(s, n)
     J = defect_set(e, v)
-    rest = Fraction(1)
+    num = den = 1
     for j in range(n):
         if j not in J:
-            rest *= periodic_B(e[j], v[j])
-    if not J:
-        return rest
-    if rest == 0:
-        return rest
-    m = len(s)
-    total = Fraction(0)
-    for row in s:
-        prod = Fraction(1)
-        for j in J:
-            prod *= Fraction(row[j], 2)
-        total += prod
-    return total * rest / m
+            b = periodic_B(e[j], v[j])
+            num *= b.numerator
+            den *= b.denominator
+    if not J or not num:
+        return Fraction(num, den)
+    signed = sum(prod(row[j] for j in J) for row in s)
+    return Fraction(signed * num, den * 2 ** len(J) * len(s))
 
 
 def B_e_Q_plus(e: Sequence[int], v: Sequence, s: Sequence[Sequence[int]]) -> Fraction:

@@ -4,12 +4,14 @@ equivariance checks.
 
 The cocycle value depends on a tuple of matrices only through the square
 matrix sigma of their first columns; a tuple with det(sigma) = 0 evaluates
-to 0, matching the zero-measure convention downstream.
+to 0, matching the zero-measure convention downstream.  Memos: a term's
+sign per sigma (`_orientation`), its d_ell weights per (P, sigma, ell).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm, prod
 from typing import Sequence
@@ -148,6 +150,27 @@ def first_column_matrix(tup: Sequence) -> Matrix:
     return tuple(tuple(mats[j][i][0] for j in range(n)) for i in range(n))
 
 
+@lru_cache(maxsize=64)
+def _orientation(sigma: Matrix) -> int:
+    """(-1)^n sgn det sigma, 0 when sigma is singular: a term's sign."""
+    det = mat_det(sigma)
+    return (-1) ** len(sigma) * ((det > 0) - (det < 0))
+
+
+@lru_cache(maxsize=128)
+def _weights(P: MultiPoly, sigma: Matrix, ell: int) -> tuple:
+    """(e, P_r(sigma) / (e! ell^|r|)), e = r + 1, for each nonzero P_r
+    of each homogeneous part of P: psi_ell's terms, shared by every form
+    tuple and plus half that evaluates P on sigma."""
+    out = []
+    for part in P.homogeneous_components().values():
+        for r, pr in pr_coefficients(part, sigma).items():
+            if pr:
+                e = tuple(rj + 1 for rj in r)
+                out.append((e, pr / (prod(map(factorial, e)) * ell ** sum(r))))
+    return tuple(out)
+
+
 def psi_ell(tup: Sequence, args: CocycleArgs, ell: int, *,
             plus: bool = False, cache=None) -> Fraction:
     """Evaluate the smoothed cocycle on an n-tuple at (P, Q, v).
@@ -155,19 +178,10 @@ def psi_ell(tup: Sequence, args: CocycleArgs, ell: int, *,
     The plus variant averages the form tuple with its negative.
     """
     sigma = first_column_matrix(tup)
-    det = int(mat_det(sigma))
-    if det == 0:
-        return Fraction(0)
-    sign = (-1) ** len(sigma) * (1 if det > 0 else -1)
-    total = Fraction(0)
-    for _deg, part in args.P.homogeneous_components().items():
-        for r, pr in pr_coefficients(part, sigma).items():
-            if pr == 0:
-                continue
-            e = tuple(rj + 1 for rj in r)
-            dval = d_ell(sigma, e, args.Q, args.v, ell, plus=plus, cache=cache)
-            total += pr / (prod(map(factorial, e)) * ell ** sum(r)) * dval
-    return sign * total
+    sign = _orientation(sigma)
+    terms = _weights(args.P, sigma, ell) if sign else ()
+    return sign * sum((w * d_ell(sigma, e, args.Q, args.v, ell, plus=plus,
+                                 cache=cache) for e, w in terms), Fraction(0))
 
 
 def psi_ell_chain(chain: CocycleChain, args: CocycleArgs, ell: int, *,

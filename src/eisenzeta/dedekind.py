@@ -1,9 +1,13 @@
 """Generalized Dedekind sums, their prime smoothings, and the restricted
 Bernoulli distributions: one cyclic convolution over F_ell at every
 weight, e = (1, ..., 1) included, with the direct level-set sum kept as
-its oracle.  One factor build (`_level_factors`) serves both reads: `b_L_z`
-at one level z, for the smoothed sums, and `b1_L_z_fast` at every level
-from one full convolution per sign group, for the p-adic measure's tables.
+its oracle.  One factor build (`_level_factors`) serves both reads: one
+per-coset evaluator in integers at one level z (`_level_value`), which
+`b_L_z` makes a Fraction and `d_ell` sums over its cosets into one, and
+`b1_L_z_fast` at every level from one full convolution per sign group, for
+the p-adic measure's tables.  Bounded memos, each keyed by all it reads:
+`_smoothing` per (sigma, ell), `_sigma_walk` per (sigma_ell, ell, pi v),
+`_factor_row` per (k, x, a, ell) and `_key_tail` per (v, signs, ell, plus).
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -17,7 +21,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import floor, gcd, prod
 from operator import mul
 from typing import Sequence
 
@@ -127,13 +131,24 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     return lead - Fraction(ell) ** (1 - n + ebar) * total
 
 
+@lru_cache(maxsize=512)
+def _factor_row(k: int, x: Fraction, a: int, ell: int) -> tuple:
+    """d and the integers g(t), t in F_ell, with g(a y) / d =
+    B_k((x + y) / ell): `periodic_B_row` permuted by the form value a."""
+    d, row = periodic_B_row(k, x, ell)
+    vec = [0] * ell
+    for y, val in enumerate(row):
+        vec[a * y % ell] = val
+    return d, tuple(vec)
+
+
 def _level_factors(e: Sequence[int], L: LinearFormModL, x: Sequence,
                    signs: Sequence[Sequence[int]]) -> tuple:
     """(lead, scale, den, groups): the restricted distribution at z is
     lead - scale * total(z) / den, where total sums count * (acc * last)(z)
     over the groups (count, acc, last), * the cyclic convolution over F_ell
-    (last(z) alone when acc is None).  `b_L_z` reads one z of it, and
-    `b1_L_z_fast` every z.
+    (last(z) alone when acc is None).  `_level_value` reads one z of it,
+    and `b1_L_z_fast` every z.
 
     B_e_Q at (x + y)/ell is the average over the sign rows of a product of
     one-coordinate factors, so the level-set sum is, row by row, the value
@@ -151,10 +166,7 @@ def _level_factors(e: Sequence[int], L: LinearFormModL, x: Sequence,
     free, defect, dpos, den = [], [], [], 1
     for j, (ej, aj) in enumerate(zip(e, L.a)):
         xj = Fraction(x[j])
-        d, row = periodic_B_row(ej, xj, ell)
-        vec = [0] * ell
-        for y, val in enumerate(row):
-            vec[aj * y % ell] += val
+        d, vec = _factor_row(ej, xj, aj, ell)
         den *= d
         if ej == 1 and xj.denominator == 1:
             # at the integral point the factor is row[j]/2, not B_1 = 0;
@@ -183,11 +195,11 @@ def _level_factors(e: Sequence[int], L: LinearFormModL, x: Sequence,
     return lead, ell ** (1 - len(e) + sum(e)), den * len(signs), out
 
 
-def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
-          signs: Sequence[Sequence[int]]) -> Fraction:
-    """Restricted distribution at any weight, e = (1, ..., 1) included, as
-    a cyclic convolution over F_ell (`_level_factors`), read at the one
-    level z; agrees exactly with b_L_z_direct."""
+def _level_value(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
+                 signs: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """The restricted distribution at the level z as the integers
+    lead * den - scale * total(z) * lead_den and lead_den * den: the one
+    per-coset evaluator, which `b_L_z` and `d_ell` read."""
     ell = L.ell
     z %= ell
     lead, scale, den, groups = _level_factors(e, L, x, signs)
@@ -195,7 +207,16 @@ def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     for count, acc, last in groups:
         total += count * (last[z] if acc is None else
                           sum(acc[t] * last[(z - t) % ell] for t in range(ell)))
-    return lead - Fraction(scale * total, den)
+    return (lead.numerator * den - scale * total * lead.denominator,
+            lead.denominator * den)
+
+
+def b_L_z(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
+          signs: Sequence[Sequence[int]]) -> Fraction:
+    """Restricted distribution at any weight, e = (1, ..., 1) included, as
+    a cyclic convolution over F_ell (`_level_factors`), read at the one
+    level z; agrees exactly with b_L_z_direct."""
+    return Fraction(*_level_value(e, L, z, x, signs))
 
 
 def b1_L_z_fast(L: LinearFormModL, x: Sequence,
@@ -272,17 +293,23 @@ def _sigma_walk(sl: Matrix, ell: int, pv: tuple) -> tuple:
         for x in coset_reps(sl))
 
 
+@lru_cache(maxsize=64)
+def _smoothing(sigma: Matrix, ell: int) -> tuple:
+    """(sigma_ell, det sigma), raising as `sigma_ell` does."""
+    return sigma_ell(sigma, ell), mat_det(sigma)
+
+
 def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
           plus: bool = False, cache: "DedekindCache | None" = None) -> Fraction:
     """ell-smoothed Dedekind sum.
 
     Equals D(sigma_ell, e, pi Q, pi v) - ell^(1-n+ebar) D(sigma, e, Q, v);
-    evaluated through the level-set decomposition, one b_L_z (a cyclic
-    convolution at every weight) per coset of sigma_ell over the shared
-    `_sigma_walk`.
+    evaluated through the level-set decomposition, one `_level_value` (a
+    cyclic convolution at every weight) per coset of sigma_ell over the
+    shared `_sigma_walk`, summed in integers over one common denominator.
     """
-    sl = sigma_ell(sigma, ell)  # validates the shape even for det 0
-    if mat_det(sigma) == 0:
+    sl, det = _smoothing(tuple(map(tuple, sigma)), ell)  # even for det 0
+    if det == 0:
         return Fraction(0)
     signs = Q.sign_matrix(sigma)
     key = None
@@ -292,11 +319,13 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
         if got is not None:
             return got
     L, cosets = _sigma_walk(sl, ell, _pi_ell_vec(v, ell))
-    # b_L_z averages over the sign rows, so the mean of the two halves of
-    # the plus value is one call on the rows of both
+    # the level value averages over the sign rows, so the mean of the two
+    # halves of the plus value is one call on the rows of both
     rows = signs + tuple(tuple(-s for s in row) for row in signs) \
         if plus else signs
-    val = sum((b_L_z(e, L, z, x, rows) for z, x in cosets), Fraction(0))
+    pairs = [_level_value(e, L, z, x, rows) for z, x in cosets]
+    den = prod(b for _, b in pairs)
+    val = Fraction(sum(a * (den // b) for a, b in pairs), den)
     if cache is not None:
         cache.put(key, val)
     return val
@@ -317,6 +346,14 @@ def d_ell_direct(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     return first - Fraction(ell) ** (1 - n + ebar) * second
 
 
+@lru_cache(maxsize=64, typed=True)
+def _key_tail(v: tuple, signs, ell: int, plus: bool) -> str:
+    """The cache key's repr after e; v enters reduced mod Z, so the entries'
+    types do not show, and plus and ell are keyed by type too."""
+    vred = tuple(Fraction(t) - floor(t) for t in v)
+    return f", {vred!r}, {signs!r}, {ell!r}, {plus!r})"
+
+
 class DedekindCache:
     """Memo for smoothed Dedekind sums, persistable as versioned
     line-delimited records "digest<TAB>num/den".
@@ -335,8 +372,9 @@ class DedekindCache:
             self.load(path)
 
     def key(self, sigma, e, v, signs, ell: int, plus: bool) -> str:
-        vred = tuple(Fraction(t) - floor(t) for t in v)
-        raw = repr((tuple(map(tuple, sigma)), tuple(e), vred, signs, ell, plus))
+        """sha256 of repr((sigma, e, v mod Z, signs, ell, plus))."""
+        raw = f"({tuple(map(tuple, sigma))!r}, {tuple(e)!r}" \
+            f"{_key_tail(tuple(v), signs, ell, plus)}"
         return self._sha256(raw.encode()).hexdigest()
 
     def get(self, key: str) -> Fraction | None:

@@ -657,8 +657,9 @@ def adapted_basis(a: Ideal, f: Ideal, c: Ideal, ell: int) -> list[FieldElement]:
     a^-1 c^-1 f, from the Smith form of the index-ell inclusion."""
     field = a.field
     n = field.n
-    L1 = a.inverse() * f
-    L2 = a.inverse() * c.inverse() * f
+    ainv = a.inverse()
+    L1 = ainv * f
+    L2 = ainv * c.inverse() * f
     rel = mat_solve(L2.basis, L1.basis)
     relz = tuple(tuple(int(x) if Fraction(x).denominator == 1 else None
                        for x in row) for row in rel)

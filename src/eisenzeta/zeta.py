@@ -90,7 +90,7 @@ class ZetaData:
     """All data of the zeta specialization for one ideal class."""
 
     __slots__ = ("field", "f", "a", "c", "ell", "w", "wstar", "P", "Qfull",
-                 "Qsingle", "v", "units", "rho", "chain")
+                 "Qsingle", "v", "units", "rho", "chain", "_power")
 
     def __init__(self, field, f, a, c, ell, w, wstar, P, Qfull, Qsingle, v,
                  units, rho, chain):
@@ -108,6 +108,16 @@ class ZetaData:
         self.units = units
         self.rho = rho
         self.chain = chain
+        self._power = P, 0, P ** 0
+
+    def power(self, k: int) -> MultiPoly:
+        """P^k, one product from the last power asked for when k follows
+        it; one entry, keyed by k and P (by identity: it is immutable)."""
+        base, last, pk = self._power
+        if base is not self.P or k != last:
+            step = base is self.P and k == last + 1
+            self._power = self.P, k, pk * self.P if step else self.P ** k
+        return self._power[2]
 
 
 def norm_form(field: NumberField, ws: Sequence[FieldElement]) -> MultiPoly:
@@ -269,7 +279,8 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         ws, form = _reduce_adapted(field, adapted_basis(a, f, c, ell), ell)
     else:
         ws = list(ws)
-        _check_adapted(ws, a.inverse() * f, a.inverse() * c.inverse() * f, ell)
+        ainv = a.inverse()
+        _check_adapted(ws, ainv * f, ainv * c.inverse() * f, ell)
         form = norm_form(field, ws)
     wstar = dual_basis(ws)
     nac = a.norm() * c.norm()
@@ -330,7 +341,7 @@ def zeta_minus_k(z: ZetaData, k: int, *, crosscheck: bool | None = None,
         raise ValueError("k must be >= 0")
     if crosscheck is None:
         crosscheck = k <= 2
-    P = z.P ** k if k else MultiPoly.constant(z.field.n, 1)
+    P = z.power(k)
     val = psi_ell_chain(z.chain, CocycleArgs(P, z.Qsingle[0], z.v), z.ell,
                         cache=cache)
     if crosscheck:

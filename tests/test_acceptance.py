@@ -202,7 +202,8 @@ def test_criterion_3_cocycle_relation_and_equivariance():
 
 
 def test_criterion_4_cyclotomic_fast_path():
-    from eisenzeta.bernoulli import periodic_B, periodic_B_row
+    from eisenzeta.bernoulli import periodic_B
+    from eisenzeta.dedekind import _factor_row
     t0 = time.time()
     checked = 0
     for ell in (3, 5, 7):
@@ -231,8 +232,9 @@ def test_criterion_4_cyclotomic_fast_path():
                   for _ in range(3))
         s = ((rng.choice([1, -1]),) * 3,)
         inputs.append((L, z, x, s))
-    # the memos the convolution reads start empty for the timed pass
-    periodic_B_row.cache_clear()
+    # the memos the convolution reads start empty for the timed pass: the
+    # permuted factor rows and the single values of the lead
+    _factor_row.cache_clear()
     periodic_B.cache_clear()
     t1 = time.perf_counter()
     fast = [b_L_z((1, 1, 1), L, z, x, s) for L, z, x, s in inputs]

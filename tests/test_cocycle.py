@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import eisenzeta.cocycle as cocycle
 from eisenzeta.cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix,
                                bar_tuple, first_column_matrix, module_action,
                                pr_coefficients, psi_ell, psi_ell_chain,
@@ -265,6 +266,30 @@ def test_q_linearity_in_P():
     v2 = psi_ell(g, CocycleArgs(P2, q, v), ell)
     comb = psi_ell(g, CocycleArgs(2 * P1 + P2, q, v), ell)
     assert comb == 2 * v1 + v2
+
+
+def test_term_memos_keep_ell_and_P_apart():
+    # the matrices lie in Gamma_3 and in Gamma_5; each (P, ell) read in
+    # either order after the others equals its value on empty memos, which a
+    # weight table kept for another ell or P would not give
+    mats = ([[1, 2], [15, 31]], [[2, 1], [15, 8]])
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    cases = [(P, ell) for P in (x1 * x1 + 3 * x2 * x2, x1 * x2)
+             for ell in (3, 5)]
+
+    def value(P, ell):
+        tup = tuple(GammaEllMatrix(m, ell) for m in mats)
+        return psi_ell(tup, CocycleArgs(P, q, v), ell)
+
+    want = []
+    for P, ell in cases:
+        cocycle._weights.cache_clear()
+        cocycle._orientation.cache_clear()
+        want.append(value(P, ell))
+    assert len(set(want)) == len(want)
+    for order in (1, -1):
+        assert [value(P, ell) for P, ell in cases[::order]] == want[::order]
 
 
 def test_integrality_sweep_small():

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import eisenzeta.bernoulli
 import eisenzeta.dedekind
 from eisenzeta.bernoulli import B_e_Q
 from eisenzeta.cli import main
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
-                                ShapeError, _sigma_walk, b1_L_z_fast,
+                                ShapeError, _sigma_walk, b1_L_z_fast, b_L_z,
                                 b_L_z_direct, d_ell, d_ell_direct, d_plus,
                                 sigma_ell)
 from eisenzeta.exact import mat_det
@@ -269,14 +270,21 @@ def test_shared_walk_every_weight_equals_direct(ell, n):
     assert _sigma_walk.cache_info().misses == len(vs)
 
 
-# sha256 of dedekind.tsv after `zeta --cache` on tests/data/golden_config.json;
-# keys and values must not depend on how the sums share their coset walks
-GOLDEN_CACHE_SHA256 = \
-    "3350c8c2c0150d4ee644a22c01092d8bc2fcaefebbbc0133b2bfafb20468202a"
+# sha256 of dedekind.tsv after `zeta --cache` on each golden config; keys and
+# values must not depend on how the sums share their coset walks, factor rows
+# and key parts.  The cubic config (88 records) has n = 3 and defect rows
+GOLDEN_CACHE_SHA256 = {
+    "golden_config.json":
+        "3350c8c2c0150d4ee644a22c01092d8bc2fcaefebbbc0133b2bfafb20468202a",
+    "golden_config_cubic.json":
+        "936385fc3bbeb89837ddc4aa461b4e9bfe6a1a2783bd15dd5613004d438cfe03",
+}
 
 
-def test_golden_cache_records_and_warm_rerun(tmp_path, capsys, monkeypatch):
-    cfg = str(Path(__file__).parent / "data" / "golden_config.json")
+@pytest.mark.parametrize("config", sorted(GOLDEN_CACHE_SHA256))
+def test_golden_cache_records_and_warm_rerun(config, tmp_path, capsys,
+                                             monkeypatch):
+    cfg = str(Path(__file__).parent / "data" / config)
     argv = ["zeta", "--config", cfg, "--cache", str(tmp_path / "cache")]
     walked = []
     real = eisenzeta.dedekind.coset_reps
@@ -285,7 +293,7 @@ def test_golden_cache_records_and_warm_rerun(tmp_path, capsys, monkeypatch):
     _sigma_walk.cache_clear()
     assert main(argv) == 0
     data = (tmp_path / "cache" / "dedekind.tsv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_CACHE_SHA256
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CACHE_SHA256[config]
     assert walked  # the patched name is the one d_ell walks through
     # on the warm cache every d_ell returns its record before any walk
     walked.clear()
@@ -293,6 +301,62 @@ def test_golden_cache_records_and_warm_rerun(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert walked == []
     capsys.readouterr()
+
+
+# sigma has the congruence shape at ell = 3 and at ell = 5, and v is
+# integral where e_j = 1, so the level sums read the defect rows; at these
+# v the sums differ between the two ell, the two sign tuples and plus
+MEMO_CASES = {
+    2: (((1, 2), (15, -15)), (1, 2), (0, Fraction(1, 2)),
+        RationalForms([[1, Fraction(1, 2)]]), [(1, 2), (2, 1)]),
+    3: (((1, 2, 4), (15, 0, 15), (0, 15, -15)), (1, 2, 1),
+        (0, Fraction(1, 3), 0), RationalForms([[1, Fraction(1, 2), -3]]),
+        [(1, 1, 2), (2, 1, 1)]),
+}
+
+
+def _with_negated(signs):
+    return signs + tuple(tuple(-s for s in row) for row in signs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_memos_keep_their_keys_apart(n):
+    # d_ell at two ell, under the forms and their negation, plus on and
+    # off; b_L_z at one (e, x) under two form coefficient vectors, at both
+    # ell and under each sign tuple d_ell passes.  Every order, on empty
+    # and on warm memos, with and without a cache, gives the oracle's values
+    sigma, e, v, q, coeffs = MEMO_CASES[n]
+    sums = [(ell, form, plus) for ell in (3, 5) for form in (q, q.negate())
+            for plus in (False, True)]
+    signs = q.sign_matrix(sigma)
+    tuples = [signs, _with_negated(signs)[len(signs):], _with_negated(signs)]
+    levels = [(LinearFormModL(ell, a), z, s) for ell in (3, 5)
+              for a in coeffs for s in tuples for z in range(ell)]
+    want_d = [d_ell_direct(sigma, e, form, v, ell, plus=plus)
+              for ell, form, plus in sums]
+    want_b = [b_L_z_direct(e, L, z, v, s) for L, z, s in levels]
+    assert len(set(want_d)) == {2: 5, 3: 6}[n]
+    # each sum is its walk's cosets read one by one with b_L_z
+    for (ell, form, plus), want in zip(sums, want_d):
+        s = form.sign_matrix(sigma)
+        L, cosets = _sigma_walk(sigma_ell(sigma, ell), ell,
+                                eisenzeta.dedekind._pi_ell_vec(v, ell))
+        assert sum(b_L_z(e, L, z, x, _with_negated(s) if plus else s)
+                   for z, x in cosets) == want
+    cache = DedekindCache()
+    for clear, order in ((True, 1), (False, -1), (True, -1), (False, 1)):
+        if clear:
+            for memo in (eisenzeta.dedekind._smoothing, _sigma_walk,
+                         eisenzeta.dedekind._factor_row,
+                         eisenzeta.dedekind._key_tail,
+                         eisenzeta.bernoulli.periodic_B):
+                memo.cache_clear()
+        for store in (None, cache):
+            assert [d_ell(sigma, e, form, v, ell, plus=plus, cache=store)
+                    for ell, form, plus in sums[::order]] == want_d[::order]
+        assert [b_L_z(e, L, z, v, s) for L, z, s in levels[::order]] == \
+            want_b[::order]
+    assert len(cache.data) == len(sums)
 
 
 def test_d_ell_plus_cubic_mixed_weights():

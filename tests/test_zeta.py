@@ -66,6 +66,16 @@ def test_smoothed_zeta_sqrt5_exact():
         (1 - 11 ** 4) * siegel_zeta_minus3(5)
 
 
+def test_norm_powers_in_any_order():
+    # ZetaData.power steps P^k from the last power when k follows it, and
+    # takes P ** k otherwise, or after P is replaced
+    F, one, z = sqrt5_data(11)
+    for k in (0, 1, 2, 5, 4, 5, 6, 0, 3):
+        assert z.power(k) == z.P ** k
+    z.P = 2 * z.P
+    assert z.power(4) == z.P ** 4 and z.power(5) == z.P ** 5
+
+
 def test_smoothed_zeta_sqrt2_exact():
     F = NumberField([-2, 0, 1])
     one = Ideal.unit_ideal(F)
