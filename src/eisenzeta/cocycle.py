@@ -4,8 +4,8 @@ equivariance checks.
 
 The cocycle value depends on a tuple of matrices only through the square
 matrix sigma of their first columns; a tuple with det(sigma) = 0 evaluates
-to 0, matching the zero-measure convention downstream.  Memos: a term's
-sign per sigma (`_orientation`), its d_ell weights per (P, sigma, ell).
+to 0, matching the zero-measure convention downstream.  A term's sign is
+`dedekind.chain_term`'s; its d_ell weights are memoized per (P, sigma, ell).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import permutations
 from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
-from .dedekind import d_ell
+from .dedekind import chain_term, d_ell
 from .exact import Matrix, MultiPoly, NotHomogeneous, mat_det, mat_inv, mat_mul, mat_vec
 
 
@@ -150,13 +150,6 @@ def first_column_matrix(tup: Sequence) -> Matrix:
     return tuple(tuple(mats[j][i][0] for j in range(n)) for i in range(n))
 
 
-@lru_cache(maxsize=64)
-def _orientation(sigma: Matrix) -> int:
-    """(-1)^n sgn det sigma, 0 when sigma is singular: a term's sign."""
-    det = mat_det(sigma)
-    return (-1) ** len(sigma) * ((det > 0) - (det < 0))
-
-
 @lru_cache(maxsize=128)
 def _weights(P: MultiPoly, sigma: Matrix, ell: int) -> tuple:
     """(e, P_r(sigma) / (e! ell^|r|)), e = r + 1, for each nonzero P_r
@@ -178,7 +171,7 @@ def psi_ell(tup: Sequence, args: CocycleArgs, ell: int, *,
     The plus variant averages the form tuple with its negative.
     """
     sigma = first_column_matrix(tup)
-    sign = _orientation(sigma)
+    sign = chain_term(sigma, ell)[0]
     terms = _weights(args.P, sigma, ell) if sign else ()
     return sign * sum((w * d_ell(sigma, e, args.Q, args.v, ell, plus=plus,
                                  cache=cache) for e, w in terms), Fraction(0))

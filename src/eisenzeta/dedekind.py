@@ -6,7 +6,7 @@ per-coset evaluator in integers at one level z (`_level_value`), which
 `b_L_z` makes a Fraction and `d_ell` sums over its cosets into one, and
 `b1_L_z_fast` at every level from one full convolution per sign group, for
 the p-adic measure's tables.  Bounded memos, each keyed by all it reads:
-`_smoothing` per (sigma, ell), `_sigma_walk` per (sigma_ell, ell, pi v),
+`chain_term` per (sigma, ell), `_sigma_walk` per (sigma_ell, ell, pi v),
 `_factor_row` per (k, x, a, ell) and `_key_tail` per (v, signs, ell, plus).
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
@@ -21,7 +21,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd, prod
+from math import floor, gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -260,21 +260,14 @@ def d_plus(sigma: Matrix, e: Sequence[int], Q, v: Sequence, *,
 def sigma_ell(sigma: Matrix, ell: int) -> Matrix:
     """Divide rows 2..n of sigma by ell; ShapeError if not integral or the
     first row is not prime to ell."""
-    n = len(sigma)
-    if n < 2:
+    if len(sigma) < 2:
         raise ShapeError("need n >= 2")
-    for j in range(n):
-        if gcd(int(sigma[0][j]), ell) != 1:
-            raise ShapeError("first row must be prime to ell")
-    out = [list(sigma[0])]
-    for i in range(1, n):
-        row = []
-        for x in sigma[i]:
-            if x % ell:
-                raise ShapeError("rows 2..n must be divisible by ell")
-            row.append(x // ell)
-        out.append(row)
-    return tuple(tuple(r) for r in out)
+    if any(gcd(int(x), ell) != 1 for x in sigma[0]):
+        raise ShapeError("first row must be prime to ell")
+    if any(x % ell for row in sigma[1:] for x in row):
+        raise ShapeError("rows 2..n must be divisible by ell")
+    return (tuple(sigma[0]),
+            *(tuple(x // ell for x in row) for row in sigma[1:]))
 
 
 def _pi_ell_vec(v: Sequence, ell: int) -> tuple:
@@ -282,21 +275,24 @@ def _pi_ell_vec(v: Sequence, ell: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _sigma_walk(sl: Matrix, ell: int, pv: tuple) -> tuple:
-    """What the smoothed sum needs of sigma and v at every weight and for
-    every form tuple: the level-set form L of the first row (row 1 of
-    sigma_ell is row 1 of sigma) and, per coset x of sigma_ell, the level
-    z = -x_1 mod ell with the argument sigma_ell^-1 (x + pi v)."""
-    inv = mat_inv(sl)
-    return LinearFormModL(ell, [int(t) for t in sl[0]]), tuple(
-        ((-x[0]) % ell, mat_vec(inv, [xi + vi for xi, vi in zip(x, pv)]))
-        for x in coset_reps(sl))
+def chain_term(sigma: Matrix, ell: int) -> tuple:
+    """(sign, sigma_ell, det sigma_ell, L) of the chain term with first
+    columns sigma, for the cocycle, `d_ell` and the p-adic measure: sign =
+    (-1)^n sgn det sigma, 0 if singular, and L the form of row 1."""
+    sl = sigma_ell(sigma, ell)  # raises for a singular sigma too
+    det = int(mat_det(sl))
+    sign = (-1) ** len(sl) * ((det > 0) - (det < 0))
+    return sign, sl, det, LinearFormModL(ell, sl[0])
 
 
 @lru_cache(maxsize=64)
-def _smoothing(sigma: Matrix, ell: int) -> tuple:
-    """(sigma_ell, det sigma), raising as `sigma_ell` does."""
-    return sigma_ell(sigma, ell), mat_det(sigma)
+def _sigma_walk(sl: Matrix, ell: int, pv: tuple) -> tuple:
+    """Per coset x of sigma_ell, the level z = -x_1 mod ell and the argument
+    sigma_ell^-1 (x + pi v): all that the smoothed sum reads of v."""
+    inv = mat_inv(sl)
+    return tuple(((-x[0]) % ell,
+                  mat_vec(inv, [xi + vi for xi, vi in zip(x, pv)]))
+                 for x in coset_reps(sl))
 
 
 def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
@@ -306,10 +302,10 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
     Equals D(sigma_ell, e, pi Q, pi v) - ell^(1-n+ebar) D(sigma, e, Q, v);
     evaluated through the level-set decomposition, one `_level_value` (a
     cyclic convolution at every weight) per coset of sigma_ell over the
-    shared `_sigma_walk`, summed in integers over one common denominator.
+    shared `_sigma_walk`, summed in integers over their denominators' lcm.
     """
-    sl, det = _smoothing(tuple(map(tuple, sigma)), ell)  # even for det 0
-    if det == 0:
+    sign, sl, _, L = chain_term(tuple(map(tuple, sigma)), ell)
+    if not sign:
         return Fraction(0)
     signs = Q.sign_matrix(sigma)
     key = None
@@ -318,13 +314,13 @@ def d_ell(sigma: Matrix, e: Sequence[int], Q, v: Sequence, ell: int, *,
         got = cache.get(key)
         if got is not None:
             return got
-    L, cosets = _sigma_walk(sl, ell, _pi_ell_vec(v, ell))
+    cosets = _sigma_walk(sl, ell, _pi_ell_vec(v, ell))
     # the level value averages over the sign rows, so the mean of the two
     # halves of the plus value is one call on the rows of both
     rows = signs + tuple(tuple(-s for s in row) for row in signs) \
         if plus else signs
     pairs = [_level_value(e, L, z, x, rows) for z, x in cosets]
-    den = prod(b for _, b in pairs)
+    den = lcm(*(b for _, b in pairs))
     val = Fraction(sum(a * (den // b) for a, b in pairs), den)
     if cache is not None:
         cache.put(key, val)

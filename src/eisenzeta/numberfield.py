@@ -91,7 +91,7 @@ class ZeroIdeal(ValueError):
     pass
 
 
-class RefinementBudgetExceeded(RuntimeError):
+class RefinementBudgetExceeded(ArithmeticError):
     pass
 
 

@@ -10,8 +10,9 @@ than by an a-priori epsilon.
 
 Each concept has one implementation: `MeasureHandle.measure_box` is the one
 exact box value, the cocycle at P = 1, and the fast `CellKernel.row` is
-tested against it; `_log_series` sums the logarithm of a list of arguments,
-one for `iwasawa_log`, a row for the sweeps; `_series_loss` is the
+tested against it, both reading each chain term from `dedekind.chain_term`;
+`_log_series` sums the logarithm of a list of arguments, one for
+`iwasawa_log`, a row for the sweeps; `_series_loss` is the
 worst-case digit loss of a per-cell log; `_disc_values` evaluates a
 polynomial in y from its three Taylor terms at y mod p^ceil(work / 3), kept
 once per residue disc: the log series' polynomial part and the weight
@@ -53,10 +54,10 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
-from .dedekind import LinearFormModL, b1_L_z_fast, sigma_ell
+from .dedekind import b1_L_z_fast, chain_term
 from .exact import (MultiPoly, _intval, _is_prime, adjugate, coset_reps,
-                    forward_extend, lattice_hnf, mat_det, mat_inv, mat_mul,
-                    mat_vec, power)
+                    forward_extend, lattice_hnf, mat_inv, mat_mul, mat_vec,
+                    power)
 from .numberfield import FieldElement, Ideal
 from .zeta import MissingClassData, ZetaData
 
@@ -335,15 +336,12 @@ class MeasureHandle:
         self.terms = []
         for coeff, tup in z.chain.terms:
             sigma = first_column_matrix(tup)
-            det = int(mat_det(sigma))
-            if det == 0:
-                continue
-            sl = sigma_ell(sigma, self.ell)
-            self.terms.append({
-                "sign": coeff * (-1) ** self.n * (1 if det > 0 else -1),
-                "L": LinearFormModL(self.ell, [int(t) for t in sigma[0]]),
-                "signs": self.Q.sign_matrix(sigma), "cosets": coset_reps(sl),
-                "adj": adjugate(sl), "det": int(mat_det(sl)), "tables": {}})
+            sign, sl, det, L = chain_term(sigma, self.ell)
+            if sign:
+                self.terms.append({
+                    "sign": coeff * sign, "L": L, "det": det,
+                    "adj": adjugate(sl), "cosets": coset_reps(sl),
+                    "signs": self.Q.sign_matrix(sigma), "tables": {}})
 
     def table(self, term: dict, J: int) -> list[int]:
         """T[t] = sign * mu_den * the term's value at level t where the bit

@@ -8,7 +8,6 @@ and for the p-adic criteria a fixed epsilon cap stated in each test.
 import random
 import time
 from fractions import Fraction
-from math import isqrt
 
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
@@ -26,25 +25,13 @@ from eisenzeta.zeta import (build_zeta_data, combine_smoothing, zeta_minus_k,
 from eisenzeta.cocycle import psi_ell_chain
 
 from test_zeta import _walked_cosets
+from zeta_oracles import zagier_zeta_minus1
 
 rng = random.Random(0xE15E)
 
 
 def report(num, text):
     print(f"\nACCEPTANCE {num}: PASS - {text}")
-
-
-def sigma1(n):
-    return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
-def zagier_zeta_minus1(D):
-    """Independent Siegel/Zagier oracle for zeta_F(-1), disc D."""
-    total = 0
-    for b in range(-isqrt(D), isqrt(D) + 1):
-        if b * b < D and (D - b * b) % 4 == 0:
-            total += sigma1((D - b * b) // 4)
-    return Fraction(total, 60)
 
 
 def sqrt5_data(ell=11):

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 import eisenzeta.cli
+import eisenzeta.dedekind
 import eisenzeta.padic
 import eisenzeta.zeta
 from eisenzeta.cli import EXIT_CONFIG, EXIT_CROSSCHECK, EXIT_PRECONDITION, main
+from eisenzeta.numberfield import NumberField
 from eisenzeta.padic import PadicInt
 from eisenzeta.dedekind import DedekindCache
 
@@ -305,6 +307,40 @@ def test_padic_zeta_divisor_by_another_representative(tmp_path, capsys,
     assert report == expected["padic-zeta"]
 
 
+def eps_power(k):
+    """The units entry naming eps^k, eps = (3 + sqrt5)/2."""
+    eps = NumberField([-5, 0, 1]).element(["3/2", "1/2"])
+    return [[str(c) for c in (eps ** k).coords]]
+
+
+@pytest.mark.parametrize("command, changes, cosets, limit", [
+    ("zeta", {"units": eps_power(100)},
+     "280571172992510140037611932413038677189525", 10 ** 4),
+    ("padic-zeta", {"padic__divisors": [
+        {"factors": "1", "norm": "9", "a": A19}]}, "179", 100),
+], ids=["zeta-eps100", "padic-zeta-divisor"])
+def test_chain_over_budget_is_config_error(command, changes, cosets, limit,
+                                           tmp_path, capsys, monkeypatch):
+    # each chain is priced from its terms' |det sigma_ell| and refused
+    # before any coset is walked: listing eps^100's cosets would exhaust
+    # memory.  The divisor's chain (a above 19) walks 179 cosets, the
+    # config's 1, so a limit between them refuses it in the divisor loop
+    import time
+
+    def walk(mat):
+        raise AssertionError("a coset walk started")
+
+    monkeypatch.setattr(eisenzeta.dedekind, "coset_reps", walk)
+    monkeypatch.setattr(eisenzeta.cli, "MAX_CHAIN_COSETS", limit)
+    path = write_cfg(tmp_path, _with(**changes))
+    start = time.monotonic()
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == (
+        f"config error: the unit chain walks {cosets} cosets, above the "
+        f"limit of {limit}\n")
+
+
 def test_padic_zeta_below_cap_is_crosscheck_failure(capsys, monkeypatch):
     # a value certified below M - 1 is an alarm while the cross-check is on
     sweep = eisenzeta.cli.padic_zetas
@@ -424,6 +460,15 @@ def test_precondition_error_exit(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg, "nop.json")
     assert main(["zeta", "--config", path]) == EXIT_PRECONDITION
     capsys.readouterr()
+
+
+def test_sign_refinement_budget_is_precondition_error(tmp_path, capsys):
+    # the conjugate eps^-300 of eps^300 is too close to 0 for 400 root
+    # refinements to give its sign: the units are refused, not a traceback
+    path = write_cfg(tmp_path, _with(units=eps_power(300)))
+    assert main(["zeta", "--config", path]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition error: sign refinement did not separate from 0\n")
 
 
 @pytest.mark.parametrize("ell", ["0", "1", "12", "-11"])

@@ -8,7 +8,7 @@ from eisenzeta.cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix,
                                bar_tuple, first_column_matrix, module_action,
                                pr_coefficients, psi_ell, psi_ell_chain,
                                symmetrized_chain)
-from eisenzeta.dedekind import RationalForms
+from eisenzeta.dedekind import RationalForms, ShapeError, chain_term, d_ell
 from eisenzeta.exact import (MultiPoly, NotHomogeneous, identity, mat_det,
                              mat_mul)
 
@@ -120,6 +120,22 @@ def test_degenerate_sigma_is_zero():
     q, v = sample_args(2, [])
     args = CocycleArgs(MultiPoly.constant(2, 1), q, v)
     assert psi_ell((g, g), args, ell) == 0  # repeated entry: parallel columns
+
+
+@pytest.mark.parametrize("sigma", [((1, 1), (1, 3)), ((1, 1), (1, 1)),
+                                   ((3, 1), (3, 3)), ((3, 3), (3, 3))],
+                         ids=["row2", "row2-singular", "row1",
+                              "row1-singular"])
+def test_shape_error_singular_or_not(sigma):
+    # sigma is not of the Gamma_3 shape (row 2 not divisible by 3, or row 1
+    # not prime to 3): psi_ell and d_ell raise alike, whatever det sigma is
+    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    tup = tuple(((sigma[0][j], 0), (sigma[1][j], 1)) for j in range(2))
+    assert first_column_matrix(tup) == sigma
+    with pytest.raises(ShapeError):
+        psi_ell(tup, CocycleArgs(MultiPoly.constant(2, 1), q, v), 3)
+    with pytest.raises(ShapeError):
+        d_ell(sigma, (1, 1), q, v, 3)
 
 
 def test_cocycle_relation_n2():
@@ -285,7 +301,7 @@ def test_term_memos_keep_ell_and_P_apart():
     want = []
     for P, ell in cases:
         cocycle._weights.cache_clear()
-        cocycle._orientation.cache_clear()
+        chain_term.cache_clear()
         want.append(value(P, ell))
     assert len(set(want)) == len(want)
     for order in (1, -1):

@@ -12,8 +12,8 @@ from eisenzeta.bernoulli import B_e_Q
 from eisenzeta.cli import main
 from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
                                 ShapeError, _sigma_walk, b1_L_z_fast, b_L_z,
-                                b_L_z_direct, d_ell, d_ell_direct, d_plus,
-                                sigma_ell)
+                                b_L_z_direct, chain_term, d_ell, d_ell_direct,
+                                d_plus, sigma_ell)
 from eisenzeta.exact import mat_det
 
 rng = random.Random(1234)
@@ -229,6 +229,16 @@ def test_sigma_ell_shape_errors():
     assert sigma_ell(((1, 2), (3, 6)), 3) == ((1, 2), (1, 2))
 
 
+def test_d_ell_of_a_singular_gamma_ell_shape_is_zero():
+    # ((1, 2), (3, 6)) has the Gamma_3 shape and det 0: its record's sign is
+    # 0, and d_ell is 0 before any form is asked for a sign at sigma
+    sigma = ((1, 2), (3, 6))
+    assert chain_term(sigma, 3)[0] == 0
+    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    for plus, cache in product((False, True), (None, DedekindCache())):
+        assert d_ell(sigma, (1, 1), q, v, 3, plus=plus, cache=cache) == 0
+
+
 def test_decomposition_identity():
     # the decomposition of the smoothed sum over level sets agrees with the
     # literal two-sum definition, for e = 1 and e != 1
@@ -339,14 +349,15 @@ def test_memos_keep_their_keys_apart(n):
     # each sum is its walk's cosets read one by one with b_L_z
     for (ell, form, plus), want in zip(sums, want_d):
         s = form.sign_matrix(sigma)
-        L, cosets = _sigma_walk(sigma_ell(sigma, ell), ell,
-                                eisenzeta.dedekind._pi_ell_vec(v, ell))
+        L = chain_term(sigma, ell)[3]
+        cosets = _sigma_walk(sigma_ell(sigma, ell), ell,
+                             eisenzeta.dedekind._pi_ell_vec(v, ell))
         assert sum(b_L_z(e, L, z, x, _with_negated(s) if plus else s)
                    for z, x in cosets) == want
     cache = DedekindCache()
     for clear, order in ((True, 1), (False, -1), (True, -1), (False, 1)):
         if clear:
-            for memo in (eisenzeta.dedekind._smoothing, _sigma_walk,
+            for memo in (chain_term, _sigma_walk,
                          eisenzeta.dedekind._factor_row,
                          eisenzeta.dedekind._key_tail,
                          eisenzeta.bernoulli.periodic_B):

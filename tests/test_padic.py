@@ -178,22 +178,25 @@ def test_log_exhausted():
 
 # --- measure ---------------------------------------------------------------------
 
-def _box_by_two_sums(h, a, r):
-    """The box value from the two-sum smoothing d_ell_direct, which shares
-    no code with the coset decomposition behind measure_box."""
+def _oracle_terms(h):
+    """(coeff * (-1)^n sgn det sigma, sigma) for each nonsingular chain term
+    of h, the sign worked out here from det sigma, apart from the handle."""
     from eisenzeta.cocycle import first_column_matrix
-    from eisenzeta.dedekind import d_ell_direct
     from eisenzeta.exact import mat_det
-    w = [(Fraction(vi) + ai) / h.p ** r for vi, ai in zip(h.z.v, a)]
-    total = Fraction(0)
     for coeff, tup in h.z.chain.terms:
         sigma = first_column_matrix(tup)
         det = mat_det(sigma)
         if det:
-            sign = (-1) ** h.n * (1 if det > 0 else -1)
-            total += coeff * sign * d_ell_direct(sigma, (1,) * h.n, h.Q, w,
-                                                 h.ell)
-    return total
+            yield coeff * (-1) ** h.n * (1 if det > 0 else -1), sigma
+
+
+def _box_by_two_sums(h, a, r):
+    """The box value from the two-sum smoothing d_ell_direct, which shares
+    no code with the coset decomposition behind measure_box."""
+    from eisenzeta.dedekind import d_ell_direct
+    w = [(Fraction(vi) + ai) / h.p ** r for vi, ai in zip(h.z.v, a)]
+    return sum((sign * d_ell_direct(sigma, (1,) * h.n, h.Q, w, h.ell)
+                for sign, sigma in _oracle_terms(h)), Fraction(0))
 
 
 def test_measure_box_matches_oracle_and_kernel():
@@ -928,6 +931,15 @@ def test_kernel_runs(case, runs):
     kernel = h.cell_numerators(level)
     assert len(kernel.maps) == maps and len(kernel.runs) == runs
     assert sum(run[3] for run in kernel.runs) == maps
+
+
+@pytest.mark.parametrize("case", ["sqrt5-p3", "unreduced", "oov", "a19",
+                                  "cubic-p5"])
+def test_term_signs_match_the_oracle(case):
+    # the handle's terms take their signs from dedekind.chain_term; each is
+    # the sign the two-sum oracle works out from det sigma by itself
+    h = _row_kernel_handle(case)[0]
+    assert [t["sign"] for t in h.terms] == [s for s, _ in _oracle_terms(h)]
 
 
 @pytest.mark.parametrize("last", [None, (0, -1), (0, 0), (3, 0)])

@@ -15,23 +15,11 @@ from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
                             combine_smoothing, norm_form, zeta_minus_k,
                             zeta_star_minus_k)
 
-
-def sigma1(n):
-    return sum(d for d in range(1, n + 1) if n % d == 0)
+from zeta_oracles import zagier_zeta_minus1
 
 
 def sigma3(n):
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
-
-
-def zagier_zeta_minus1(D):
-    """Siegel/Zagier closed form for zeta_F(-1) of the real quadratic field
-    of discriminant D (independent oracle)."""
-    total = 0
-    for b in range(-isqrt(D), isqrt(D) + 1):
-        if b * b < D and (D - b * b) % 4 == 0:
-            total += sigma1((D - b * b) // 4)
-    return Fraction(total, 60)
 
 
 def siegel_zeta_minus3(D):
