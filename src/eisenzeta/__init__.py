@@ -13,7 +13,7 @@ from .exact import (DegreeError, MultiPoly, NotHomogeneous, SingularMatrix,
                     resultant_norm, snf)
 from .cyclotomic import CycloElement, MismatchedField
 from .bernoulli import B_e, B_e_Q, B_e_Q_plus, bernoulli_poly, periodic_B
-from .dedekind import (DedekindCache, LinearFormModL, RationalForms,
+from .dedekind import (DedekindCache, LinearFormModL, LinearForms,
                        ShapeError, b1_L_z_fast, b_L_z_direct, d_ell, d_plus)
 from .cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix, bar_tuple,
                       module_action, pr_coefficients, psi_ell, psi_ell_chain,
@@ -25,10 +25,9 @@ from .numberfield import (DependentUnits, FieldElement, Ideal, IndexDivisor,
                           adapted_basis, dual_basis, prime_over,
                           totally_positive_generator,
                           totally_positive_unit, unit_basis)
-from .zeta import (ChainDegenerate, CrossCheckFailure, EmbeddedForms,
-                   MissingClassData, ZetaData, build_zeta_data,
-                   combine_smoothing, norm_form, zeta_minus_k,
-                   zeta_star_minus_k)
+from .zeta import (ChainDegenerate, CrossCheckFailure, MissingClassData,
+                   ZetaData, build_zeta_data, combine_smoothing, norm_form,
+                   zeta_minus_k, zeta_star_minus_k)
 from .padic import (L_assemble, MeasureHandle, PadicInt, PrecisionExhausted,
                     Region, agreement_precision, integrate_poly, iwasawa_log,
                     oov_integrals, padic_zeta, padic_zeta_weight,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cocycle import CocycleArgs, GammaEllMatrix, first_column_matrix, \
     module_action, psi_ell
-from .dedekind import DedekindCache, RationalForms, chain_term
+from .dedekind import DedekindCache, LinearForms, chain_term
 from .exact import MultiPoly, _intval, _is_prime, mat_det
 from .numberfield import (DependentUnits, Ideal, NumberField, prime_over,
                           regulator_det_sign)
@@ -186,6 +186,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     return _obj(cfg, "config")
 
 
@@ -193,15 +195,15 @@ def build_common(cfg, override=None):
     field = parse_field(cfg.get("field"))
     f = parse_ideal(field, cfg.get("f", "unit"))
     a = parse_ideal(field, cfg.get("a", "unit"))
-    src = dict(cfg)
-    if override:  # a subcommand section may use its own smoothing ideal
-        for key in ("c", "ell"):
-            if key in override:
-                src[key] = override[key]
-                src.pop("c" if key == "ell" else "ell", None)
+    # a subcommand section may name its own smoothing ideal, by c or ell
+    src = override if override and ("c" in override or "ell" in override) \
+        else cfg
     if "c" in src:
         c = parse_ideal(field, src["c"])
         ell = int(c.norm())
+        if "ell" in src and _int(src["ell"], "ell") != c.norm():
+            raise ConfigError(f"c of norm {c.norm()} and ell = {src['ell']} "
+                              "name different smoothing ideals")
     elif "ell" in src:
         ell = _prime(src["ell"], "ell")
         c = prime_over(field, ell)
@@ -351,8 +353,8 @@ def cmd_cocycle_check(cfg, args, cache) -> dict:
                   for i in range(n + 1)]
         if any(mat_det(first_column_matrix(t)) == 0 for t in tuples):
             continue
-        q = RationalForms([[Fraction(rng.randint(-7, 7), rng.randint(1, 4))
-                            for _ in range(n)]])
+        q = LinearForms([[Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                          for _ in range(n)]])
         try:
             for t in tuples:
                 q.sign_matrix(first_column_matrix(t))

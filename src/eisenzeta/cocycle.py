@@ -17,7 +17,8 @@ from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
 from .dedekind import chain_term, d_ell
-from .exact import Matrix, MultiPoly, NotHomogeneous, mat_det, mat_inv, mat_mul, mat_vec
+from .exact import (Matrix, MultiPoly, NotHomogeneous, coset_reps, identity,
+                    mat_det, mat_inv, mat_mul, mat_vec)
 
 
 class GammaEllMatrix:
@@ -92,7 +93,6 @@ def bar_tuple(mats: Sequence[GammaEllMatrix]) -> tuple[GammaEllMatrix, ...]:
         raise ValueError("need at least one matrix")
     n = mats[0].n
     ell = mats[0].ell
-    from .exact import identity
     out = [GammaEllMatrix(identity(n), ell)]
     for m in mats:
         out.append(out[-1] @ m)
@@ -190,11 +190,8 @@ def module_action(gamma: Matrix, evaluator, args: CocycleArgs) -> Fraction:
     sgn(det) * sum over r in Z^n / gamma Z^n of
     evaluator(gamma^t P, gamma^-1 Q, gamma^-1 (r + v))."""
     g = gamma.mat if isinstance(gamma, GammaEllMatrix) else gamma
-    for row in g:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValueError("gamma must be integral")
-    from .exact import coset_reps
+    if any(Fraction(x).denominator != 1 for row in g for x in row):
+        raise ValueError("gamma must be integral")
     det = int(mat_det(g))
     if det == 0:
         raise ValueError("gamma must be nonsingular")

@@ -5,9 +5,12 @@ its oracle.  One factor build (`_level_factors`) serves both reads: one
 per-coset evaluator in integers at one level z (`_level_value`), which
 `b_L_z` makes a Fraction and `d_ell` sums over its cosets into one, and
 `b1_L_z_fast` at every level from one full convolution per sign group, for
-the p-adic measure's tables.  Bounded memos, each keyed by all it reads:
+the p-adic measure's tables.  One class of form tuples, `LinearForms`,
+rational or at real embeddings of a field, serves the cocycle, the zeta
+data and the measure.  Bounded memos, each keyed by all it reads:
 `chain_term` per (sigma, ell), `_sigma_walk` per (sigma_ell, ell, pi v),
-`_factor_row` per (k, x, a, ell) and `_key_tail` per (v, signs, ell, plus).
+`_factor_row` per (k, x, a, ell), `_key_tail` per (v, signs, ell, plus) and
+`_row_signs` per (field, embedding, coefficients, sigma).
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -21,6 +24,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import floor, gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -47,51 +51,66 @@ class LinearFormModL:
         self.a = a
 
 
-class RationalForms:
-    """m x n tuple of linear forms with rational coefficients.
+class LinearForms:
+    """m x n tuple of linear forms with exact coefficients and an exact sign
+    test per row: Fractions by their sign, or, with a field, rows (i, cs)
+    for tau_i(c_1) X_1 + ... + tau_i(c_n) X_n by `NumberField.sign_at` at
+    embedding i.  A sign asked for must be of a nonzero entry: a zero entry
+    means the tuple is inadmissible for that matrix, and raises."""
 
-    Every sign the computation requests must be of a nonzero entry; a zero
-    entry means the form tuple is inadmissible for that matrix and raises.
-    """
+    __slots__ = ("field", "rows")
 
-    __slots__ = ("rows",)
+    def __init__(self, rows: Sequence[Sequence], field=None):
+        self.field = field
+        self.rows = tuple((None, tuple(map(Fraction, r))) for r in rows) \
+            if field is None else tuple((i, tuple(cs)) for i, cs in rows)
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    def _with_rows(self, rows) -> "LinearForms":
+        out = object.__new__(LinearForms)
+        out.field, out.rows = self.field, tuple(rows)
+        return out
 
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-    def transform(self, m: Matrix) -> "RationalForms":
+    def transform(self, m: Matrix) -> "LinearForms":
         """The action of m on the tuple: matrix becomes Q * m^t."""
-        return RationalForms(
-            [[sum(row[k] * m[j][k] for k in range(self.n)) for j in range(self.n)]
-             for row in self.rows])
+        return self._with_rows((i, _image(m, cs)) for i, cs in self.rows)
 
-    def negate(self) -> "RationalForms":
-        return RationalForms([[-x for x in row] for row in self.rows])
+    def negate(self) -> "LinearForms":
+        return self._with_rows((i, tuple(-x for x in cs))
+                               for i, cs in self.rows)
 
-    def scale_row(self, i: int, c) -> "RationalForms":
+    def scale_row(self, i: int, c) -> "LinearForms":
         c = Fraction(c)
         if c <= 0:
             raise ValueError("row scaling must be positive")
-        rows = [list(r) for r in self.rows]
-        rows[i] = [c * x for x in rows[i]]
-        return RationalForms(rows)
+        rows = list(self.rows)
+        rows[i] = rows[i][0], tuple(c * x for x in rows[i][1])
+        return self._with_rows(rows)
 
     def sign_matrix(self, sigma: Matrix | None = None) -> tuple[tuple[int, ...], ...]:
-        """Signs of sigma^-1 Q (of Q itself when sigma is None)."""
-        q = self if sigma is None else self.transform(mat_inv(sigma))
-        out = []
-        for row in q.rows:
-            srow = []
-            for x in row:
-                if x == 0:
-                    raise ValueError("form vanishes on a lattice direction")
-                srow.append(1 if x > 0 else -1)
-            out.append(tuple(srow))
-        return tuple(out)
+        """Signs of sigma^-1 Q (of Q itself when sigma is None), each row's
+        from the one memo `_row_signs`, shared by equal rows of two tuples."""
+        key = None if sigma is None else tuple(map(tuple, sigma))
+        return tuple(_row_signs(self.field, i, cs, key) for i, cs in self.rows)
+
+
+def _image(m: Matrix, cs: tuple) -> tuple:
+    """The coefficients of the form under m: sum over k of m[j][k] c_k."""
+    zero = cs[0] * 0  # in the coefficients' ring: a Fraction or field element
+    return tuple(sum((x * c for x, c in zip(mj, cs) if x), zero) for mj in m)
+
+
+@lru_cache(maxsize=1024)
+def _row_signs(field, i, cs: tuple, sigma) -> tuple[int, ...]:
+    """Signs of the row (i, cs) of sigma^-1 Q, keyed by all they read.  A
+    field sign costs certified root refinements, and a chain asks for the
+    same few many times."""
+    if sigma is not None:
+        cs = _image(mat_inv(sigma), cs)
+    signs = tuple((c > 0) - (c < 0) if field is None else field.sign_at(c, i)
+                  for c in cs)
+    if 0 in signs:
+        raise ValueError("form vanishes on a lattice direction")
+    return signs
 
 
 # --- restricted distributions ----------------------------------------------
@@ -114,20 +133,10 @@ def b_L_z_direct(e: Sequence[int], L: LinearFormModL, z: int, x: Sequence,
     ebar = sum(e)
     a1_inv = pow(L.a[0], -1, ell)
     total = Fraction(0)
-    free = [0] * (n - 1)
-    while True:
-        y1 = (a1_inv * (z - sum(L.a[j + 1] * free[j] for j in range(n - 1)))) % ell
-        y = (y1, *free)
-        total += B_e_Q(e, [Fraction(xj + yj, ell) for xj, yj in zip(x, y)],
-                       signs)
-        # odometer over the free coordinates
-        for pos in range(n - 1):
-            free[pos] += 1
-            if free[pos] < ell:
-                break
-            free[pos] = 0
-        else:
-            break
+    for free in product(range(ell), repeat=n - 1):
+        y1 = (a1_inv * (z - sum(map(mul, L.a[1:], free)))) % ell
+        total += B_e_Q(e, [Fraction(xj + yj, ell)
+                           for xj, yj in zip(x, (y1, *free))], signs)
     return lead - Fraction(ell) ** (1 - n + ebar) * total
 
 

@@ -10,7 +10,9 @@ the least |N(w_1)| in the box of `_reduce_adapted`: the cocycle walks
 the unit basis, not only on the group it generates, so the chain is built
 from the det +1 change of the supplied basis that walks the fewest cosets
 (`_change_costs`); a det +1 change keeps the regulator sign, so every
-value and rho are those of the supplied basis.
+value and rho are those of the supplied basis.  The dual-basis forms are
+`dedekind.LinearForms` rows: row i of the full tuple is the single form at
+embedding i, so the cross-check certifies each sign once.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 from typing import Sequence
 
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)
-from .dedekind import DedekindCache
+from .dedekind import DedekindCache, LinearForms
 from .exact import (Matrix, MultiPoly, _intval, _is_prime, adjugate,
-                    mat_det, mat_inv, mat_solve, mat_vec, resultant_norm)
+                    mat_det, mat_solve, mat_vec, resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
@@ -40,50 +42,8 @@ class CrossCheckFailure(ArithmeticError):
     pass
 
 
-class EmbeddedForms:
-    """Tuple of linear forms tau_i(c_1) X_1 + ... + tau_i(c_n) X_n with
-    exact field-element coefficients and a certified sign oracle.  Sign
-    matrices are memoized per sigma: each one costs certified root
-    refinements, and a chain asks for the same few many times."""
-
-    __slots__ = ("field", "rows", "_signs")
-
-    def __init__(self, field: NumberField,
-                 rows: Sequence[tuple[int, Sequence[FieldElement]]]):
-        self.field = field
-        self.rows = tuple((i, tuple(cs)) for i, cs in rows)
-        self._signs: dict = {}
-
-    def transform(self, m: Matrix) -> "EmbeddedForms":
-        n = self.field.n
-        out = []
-        for i, cs in self.rows:
-            new = []
-            for j in range(n):
-                acc = self.field.zero()
-                for k in range(n):
-                    if m[j][k]:
-                        acc = acc + Fraction(m[j][k]) * cs[k]
-                new.append(acc)
-            out.append((i, new))
-        return EmbeddedForms(self.field, out)
-
-    def sign_matrix(self, sigma: Matrix | None = None):
-        key = None if sigma is None else tuple(map(tuple, sigma))
-        if key in self._signs:
-            return self._signs[key]
-        q = self if sigma is None else self.transform(mat_inv(sigma))
-        out = []
-        for i, cs in q.rows:
-            srow = []
-            for c in cs:
-                s = self.field.sign_at(c, i)
-                if s == 0:
-                    raise ValueError("form vanishes on a lattice direction")
-                srow.append(s)
-            out.append(tuple(srow))
-        self._signs[key] = out = tuple(out)
-        return out
+# perfbench/tracer.py wraps the forms' sign_matrix under this name
+EmbeddedForms = LinearForms
 
 
 class ZetaData:
@@ -323,8 +283,8 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         amats.append(g)
     rho = (-1) ** (n - 1) * embedding_matrix_det_sign(field, ws) * reg_sign
     chain = symmetrized_chain(amats).scale(rho)
-    Qfull = EmbeddedForms(field, [(i, list(wstar)) for i in range(n)])
-    Qsingle = [EmbeddedForms(field, [(i, list(wstar))]) for i in range(n)]
+    Qfull = LinearForms([(i, wstar) for i in range(n)], field)
+    Qsingle = [LinearForms([(i, wstar)], field) for i in range(n)]
     return ZetaData(field, f, a, c, ell, ws, wstar, P, Qfull, Qsingle, v,
                     eps, rho, chain)
 
@@ -369,7 +329,6 @@ def combine_smoothing(field: NumberField, f: Ideal, a: Ideal, b: Ideal,
     nb, nc = b.norm(), c.norm()
     if nb.denominator != 1 or nc.denominator != 1:
         raise ValueError("b and c must be integral")
-    from math import gcd
     if gcd(int(nb), int(nc)) != 1:
         raise ValueError("norms of b and c must be coprime")
     ellb, ellc = int(nb), int(nc)

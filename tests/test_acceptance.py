@@ -12,7 +12,7 @@ from fractions import Fraction
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
 from eisenzeta.cyclotomic import CycloElement
-from eisenzeta.dedekind import (LinearFormModL, RationalForms, b1_L_z_fast,
+from eisenzeta.dedekind import (LinearFormModL, LinearForms, b1_L_z_fast,
                                 b_L_z, b_L_z_direct)
 from eisenzeta.exact import MultiPoly, mat_det, mat_inv, mat_vec
 from eisenzeta.numberfield import Ideal, NumberField, prime_over
@@ -76,8 +76,8 @@ def _rand_gamma(n, ell, entry=3):
 
 def _admissible_forms(n, sigmas, m=1):
     while True:
-        q = RationalForms([[Fraction(rng.randint(-7, 7), rng.randint(1, 4))
-                            for _ in range(n)] for _ in range(m)])
+        q = LinearForms([[Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                          for _ in range(n)] for _ in range(m)])
         try:
             q.sign_matrix()
             for s in sigmas:

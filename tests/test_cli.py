@@ -454,6 +454,39 @@ def test_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["zeta", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("command, section",
+                         [("zeta", None), ("padic-zeta", "padic"),
+                          ("oov", "oov")], ids=["top", "padic", "oov"])
+def test_c_and_ell_at_one_level(command, section, tmp_path, capsys):
+    # c and ell named at one level must name one prime: a c whose norm is
+    # not ell exits 2 naming both, and a c of norm ell runs as c alone
+    def config(**smoothing):
+        cfg = json.loads(json.dumps(SQRT5))
+        level = cfg if section is None else cfg[section]
+        level.pop("ell", None)
+        level.update(smoothing)
+        return write_cfg(tmp_path, cfg, f"{'-'.join(smoothing)}.json")
+
+    c11, c19 = {"gens": ["11", ["-4", "1"]]}, {"gens": ["19", ["-9", "1"]]}
+    code = main([command, "--config", config(c=c11, ell="19")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: c of norm 11 and "
+                                       "ell = 19 name different smoothing "
+                                       "ideals\n")
+    code, both = run([command, "--config", config(c=c19, ell="19")], capsys)
+    assert code == 0
+    code, alone = run([command, "--config", config(c=c19)], capsys)
+    assert code == 0 and both["result"] == alone["result"]
+
+
 def test_precondition_error_exit(tmp_path, capsys):
     cfg = dict(SQRT5)
     cfg["ell"] = "3"  # 5 is not a square mod 3: no degree-one prime

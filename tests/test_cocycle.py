@@ -8,7 +8,7 @@ from eisenzeta.cocycle import (CocycleArgs, CocycleChain, GammaEllMatrix,
                                bar_tuple, first_column_matrix, module_action,
                                pr_coefficients, psi_ell, psi_ell_chain,
                                symmetrized_chain)
-from eisenzeta.dedekind import RationalForms, ShapeError, chain_term, d_ell
+from eisenzeta.dedekind import LinearForms, ShapeError, chain_term, d_ell
 from eisenzeta.exact import (MultiPoly, NotHomogeneous, identity, mat_det,
                              mat_mul)
 
@@ -33,8 +33,8 @@ def sample_args(n, tuples, m=1, numer=6):
     """Forms and v valid for every sigma arising from the given tuples."""
     sigmas = [first_column_matrix(t) for t in tuples]
     while True:
-        q = RationalForms([[Fraction(rng.randint(-numer, numer), rng.randint(1, 4))
-                            for _ in range(n)] for _ in range(m)])
+        q = LinearForms([[Fraction(rng.randint(-numer, numer), rng.randint(1, 4))
+                          for _ in range(n)] for _ in range(m)])
         try:
             q.sign_matrix()
             for s in sigmas:
@@ -129,7 +129,7 @@ def test_degenerate_sigma_is_zero():
 def test_shape_error_singular_or_not(sigma):
     # sigma is not of the Gamma_3 shape (row 2 not divisible by 3, or row 1
     # not prime to 3): psi_ell and d_ell raise alike, whatever det sigma is
-    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    q, v = LinearForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
     tup = tuple(((sigma[0][j], 0), (sigma[1][j], 1)) for j in range(2))
     assert first_column_matrix(tup) == sigma
     with pytest.raises(ShapeError):
@@ -290,7 +290,7 @@ def test_term_memos_keep_ell_and_P_apart():
     # weight table kept for another ell or P would not give
     mats = ([[1, 2], [15, 31]], [[2, 1], [15, 8]])
     x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    q, v = LinearForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
     cases = [(P, ell) for P in (x1 * x1 + 3 * x2 * x2, x1 * x2)
              for ell in (3, 5)]
 

@@ -10,7 +10,7 @@ import eisenzeta.bernoulli
 import eisenzeta.dedekind
 from eisenzeta.bernoulli import B_e_Q
 from eisenzeta.cli import main
-from eisenzeta.dedekind import (DedekindCache, LinearFormModL, RationalForms,
+from eisenzeta.dedekind import (DedekindCache, LinearFormModL, LinearForms,
                                 ShapeError, _sigma_walk, b1_L_z_fast, b_L_z,
                                 b_L_z_direct, chain_term, d_ell, d_ell_direct,
                                 d_plus, sigma_ell)
@@ -27,8 +27,8 @@ def rand_forms(m, n, sigma=None):
     """Random rational forms, resampled until all signs the sums need are
     defined (no zero entries after the sigma transform)."""
     while True:
-        q = RationalForms([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                            for _ in range(n)] for _ in range(m)])
+        q = LinearForms([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(n)] for _ in range(m)])
         try:
             q.sign_matrix()
             if sigma is not None:
@@ -211,7 +211,7 @@ def test_d_plus_brute_force_coset_sum():
     from eisenzeta.bernoulli import B_e_Q_plus
     from eisenzeta.exact import coset_reps, mat_inv, mat_vec
     sigma = ((2, 0), (0, 1))
-    q = RationalForms([[Fraction(1), Fraction(3, 2)]])
+    q = LinearForms([[Fraction(1), Fraction(3, 2)]])
     v = (Fraction(1, 3), Fraction(1, 3))
     expected = Fraction(0)
     inv = mat_inv(sigma)
@@ -234,7 +234,7 @@ def test_d_ell_of_a_singular_gamma_ell_shape_is_zero():
     # 0, and d_ell is 0 before any form is asked for a sign at sigma
     sigma = ((1, 2), (3, 6))
     assert chain_term(sigma, 3)[0] == 0
-    q, v = RationalForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
+    q, v = LinearForms([[1, Fraction(1, 2)]]), (Fraction(1, 3), 0)
     for plus, cache in product((False, True), (None, DedekindCache())):
         assert d_ell(sigma, (1, 1), q, v, 3, plus=plus, cache=cache) == 0
 
@@ -318,9 +318,9 @@ def test_golden_cache_records_and_warm_rerun(config, tmp_path, capsys,
 # v the sums differ between the two ell, the two sign tuples and plus
 MEMO_CASES = {
     2: (((1, 2), (15, -15)), (1, 2), (0, Fraction(1, 2)),
-        RationalForms([[1, Fraction(1, 2)]]), [(1, 2), (2, 1)]),
+        LinearForms([[1, Fraction(1, 2)]]), [(1, 2), (2, 1)]),
     3: (((1, 2, 4), (15, 0, 15), (0, 15, -15)), (1, 2, 1),
-        (0, Fraction(1, 3), 0), RationalForms([[1, Fraction(1, 2), -3]]),
+        (0, Fraction(1, 3), 0), LinearForms([[1, Fraction(1, 2), -3]]),
         [(1, 1, 2), (2, 1, 1)]),
 }
 
@@ -374,8 +374,8 @@ def test_d_ell_plus_cubic_mixed_weights():
     # three forms (two with equal signs) on a cubic sigma; v = 0 puts
     # integral coordinates at e_j = 1, so the defect rows are exercised
     sigma = ((1, 2, -3), (5, -5, 0), (0, 5, 10))
-    q = RationalForms([[1, Fraction(1, 2), -2], [-3, 1, Fraction(2, 3)],
-                       [2, -1, 1]])
+    q = LinearForms([[1, Fraction(1, 2), -2], [-3, 1, Fraction(2, 3)],
+                     [2, -1, 1]])
     for v in ((0, 0, 0), (Fraction(1, 2), 0, Fraction(2, 3))):
         for e in ((2, 1, 1), (1, 3, 2), (1, 1, 4)):
             assert d_ell(sigma, e, q, v, 5, plus=True) == \

@@ -35,7 +35,7 @@ from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
                                  periodic_B_row)
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
-from eisenzeta.dedekind import (LinearFormModL, RationalForms, b1_L_z_fast,
+from eisenzeta.dedekind import (LinearFormModL, LinearForms, b1_L_z_fast,
                                 b_L_z, b_L_z_direct)
 from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
                              lattice_hnf, mat_det, mat_inv, mat_mul,
@@ -570,8 +570,8 @@ def homogeneous_polys(draw):
 def _forms_and_v(draw, m, sigmas):
     """m rational forms whose signs at every sigma are defined, and v."""
     nonzero = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
-    q = RationalForms([[draw(nonzero) * draw(st.sampled_from([1, -1]))
-                        for _ in range(2)] for _ in range(m)])
+    q = LinearForms([[draw(nonzero) * draw(st.sampled_from([1, -1]))
+                      for _ in range(2)] for _ in range(m)])
     try:
         for s in sigmas:
             q.sign_matrix(s)

@@ -4,7 +4,7 @@ from math import isqrt, prod
 import pytest
 
 from eisenzeta.cocycle import first_column_matrix
-from eisenzeta.dedekind import sigma_ell
+from eisenzeta.dedekind import LinearForms, sigma_ell
 from eisenzeta.exact import Matrix, coset_reps, identity, mat_det, mat_mul
 from eisenzeta.numberfield import (DependentUnits, Ideal, NotTotallyPositive,
                                    NumberField, adapted_basis, prime_over,
@@ -354,21 +354,56 @@ def test_one_norm_form_per_build(field, ell, index, a_over, f, monkeypatch):
 
 def test_sign_matrix_memo_per_sigma():
     # the memo keys on sigma: every sigma gets its own sign matrix, the one
-    # a fresh instance computes, also when it is asked for a second time
-    # or given as lists of Fractions
-    from eisenzeta.cocycle import first_column_matrix
-    from eisenzeta.zeta import EmbeddedForms
+    # computed with the memo empty, also when it is asked for a second time
+    # or given as lists of Fractions; for the zeta tuples and rational forms
+    from eisenzeta.dedekind import _row_signs
     F, one, z = sqrt5_data()
     sigmas = [None, ((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)),
               ((2, 1), (1, -1))]
     sigmas += [first_column_matrix(tup) for _, tup in z.chain.terms]
-    for q in (z.Qfull, *z.Qsingle):
-        fresh = [EmbeddedForms(q.field, q.rows).sign_matrix(s) for s in sigmas]
+    rational = LinearForms([[1, Fraction(-2, 7)], [Fraction(-3, 2), 5]])
+    for q in (z.Qfull, *z.Qsingle, rational):
+        fresh = []
+        for s in sigmas:
+            _row_signs.cache_clear()
+            fresh.append(q.sign_matrix(s))
+        _row_signs.cache_clear()
         assert len(set(fresh)) > 1
         assert [q.sign_matrix(s) for s in sigmas] == fresh
         assert [q.sign_matrix(s) for s in reversed(sigmas)] == fresh[::-1]
         listed = [[Fraction(e) for e in row] for row in sigmas[2]]
         assert q.sign_matrix(listed) == fresh[2]
+
+
+def test_full_tuple_reads_the_single_forms_signs(monkeypatch):
+    # Qfull's row i is Qsingle[i]'s row: once the single forms have their
+    # signs at sigma, the full tuple certifies no sign of its own
+    from eisenzeta.dedekind import _row_signs
+    F, one, z = sqrt5_data()
+    calls = []
+    sign_at = NumberField.sign_at
+    monkeypatch.setattr(NumberField, "sign_at",
+                        lambda *args: calls.append(args) or sign_at(*args))
+    _row_signs.cache_clear()
+    for _, tup in z.chain.terms:
+        sigma = first_column_matrix(tup)
+        singles = tuple(q.sign_matrix(sigma)[0] for q in z.Qsingle)
+        assert calls
+        calls.clear()
+        assert z.Qfull.sign_matrix(sigma) == singles
+        assert not calls
+
+
+def test_equal_rows_at_two_embeddings_keep_their_signs():
+    # the memo keys on the embedding: theta = sqrt 5 is negative at the
+    # first root and positive at the second, with the same coefficients
+    F = NumberField([-5, 0, 1])
+    cs = (F.theta(), F.one())
+    both = LinearForms([(0, cs), (1, cs)], F)
+    assert both.sign_matrix() == ((-1, 1), (1, 1))
+    assert LinearForms([(0, cs)], F).sign_matrix() == ((-1, 1),)
+    assert LinearForms([(1, cs)], F).sign_matrix() == ((1, 1),)
+    assert LinearForms([(0, cs)], F).sign_matrix() == ((-1, 1),)
 
 
 @pytest.mark.parametrize("ell", [17, 19])
