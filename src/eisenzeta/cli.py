@@ -36,13 +36,11 @@ EXIT_PRECONDITION = 3
 EXIT_CROSSCHECK = 4
 
 
-# Most cells a command may visit, each checked before the work starts: the
-# sum of (p^max(M, t))^n over its Riemann sweeps at levels M (10^7 take
-# about 35 s on the 19-coset oov kernel, and 0.5 s where padic-zeta sums
-# the norm in closed form), and the (p^t)^n cells of its region at level t
-# (a cell costs about 5 us in the integer congruences, so 10^6 take 5 s).
+# Most cells a command's Riemann sweeps may visit, checked before the work
+# starts: the sum of (p^max(M, t))^n over its levels M (10^7 take about
+# 35 s on the 19-coset oov kernel, and 0.5 s where padic-zeta sums the norm
+# in closed form); `padic.MAX_REGION_CELLS` bounds the region itself.
 MAX_SWEEP_CELLS = 10 ** 7
-MAX_REGION_CELLS = 10 ** 6
 # Most cosets a unit chain may walk, the sum of |det sigma_ell| over its
 # terms, checked after each `build_zeta_data`: 3,759 cosets take 0.9 s for
 # the exact zeta(0) and zeta(-1) (2-core Xeon, Python 3.11), so 10^4 take
@@ -200,10 +198,14 @@ def build_common(cfg, override=None):
         else cfg
     if "c" in src:
         c = parse_ideal(field, src["c"])
-        ell = int(c.norm())
-        if "ell" in src and _int(src["ell"], "ell") != c.norm():
-            raise ConfigError(f"c of norm {c.norm()} and ell = {src['ell']} "
+        norm = c.norm()
+        if "ell" in src and _int(src["ell"], "ell") != norm:
+            raise ConfigError(f"c of norm {norm} and ell = {src['ell']} "
                               "name different smoothing ideals")
+        if norm.denominator != 1:
+            raise ValueError(f"the smoothing ideal's norm N(c) = {norm} "
+                             "is not an integer")
+        ell = int(norm)
     elif "ell" in src:
         ell = _prime(src["ell"], "ell")
         c = prime_over(field, ell)
@@ -240,7 +242,7 @@ def cmd_padic_zeta(cfg, args, cache) -> dict:
                  else pcfg.get("precision", "4"), "precision", 1)
     kmax = _k_max(pcfg, "2")
     h = MeasureHandle(z, p)
-    region = region_units(h, f, max_cells=MAX_REGION_CELLS)
+    region = region_units(h, f)
     _check_sweeps(h, region, [M])
     divisors = [(0, 1, z)]  # the trivial divisor
     for i, d in enumerate(_list(pcfg.get("divisors", []), "padic.divisors")):
@@ -301,7 +303,7 @@ def cmd_oov(cfg, args, cache) -> dict:
     r = len(pis)
     kmax = _k_max(ocfg, str(r))
     h = MeasureHandle(z, p)
-    region = region_oov(h, f, pis, other, max_cells=MAX_REGION_CELLS)
+    region = region_oov(h, f, pis, other)
     _check_sweeps(h, region, levels)
     # after the budget, which counts the cells a repeated level sweeps again
     if len(set(levels)) != len(levels):

@@ -1,12 +1,13 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_ell), ell prime.
 
-Elements are stored in the power basis 1, z, ..., z^(ell-2); reduction by
-the ell-th cyclotomic polynomial happens on every write, so coordinates
-are always canonical.
+Elements are stored in the power basis 1, z, ..., z^(ell-2), so
+coordinates are always canonical.
 
-`CycloElement.inverse` solves the system of `exact.multiplication_matrix`
-for the ell-th cyclotomic polynomial 1 + t + ... + t^(ell-1) with
-`exact.mat_solve`; the primality test is `exact._is_prime`.
+Products and inverses read `exact.multiplication_matrix` for the ell-th
+cyclotomic polynomial 1 + t + ... + t^(ell-1): a product is that matrix
+times the other factor's coordinates, and `CycloElement.inverse` solves
+its system with `exact.mat_solve`.  The primality test is
+`exact._is_prime`; the one univariate remainder is `numberfield._poly_rem`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import _is_prime, mat_solve, multiplication_matrix
+from .exact import _is_prime, mat_solve, mat_vec, multiplication_matrix
 
 
 class MismatchedField(ValueError):
@@ -85,16 +86,8 @@ class CycloElement:
         if not isinstance(other, CycloElement):
             return CycloElement(self.ell, [a * Fraction(other) for a in self.coords])
         self._check(other)
-        ell = self.ell
-        # convolve mod (zeta^ell - 1), then fold zeta^(ell-1) into the basis
-        raw = [Fraction(0)] * ell
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        raw[(i + j) % ell] += a * b
-        top = raw[ell - 1]
-        return CycloElement(ell, [raw[i] - top for i in range(ell - 1)])
+        m = multiplication_matrix((1,) * self.ell, self.coords, Fraction(0))
+        return CycloElement(self.ell, mat_vec(m, other.coords))
 
     __rmul__ = __mul__
 

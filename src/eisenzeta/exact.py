@@ -17,9 +17,11 @@ takes any spanning columns, and `coset_reps` reads the diagonal of
 in HNF (membership, as in `Ideal.contains`, is a zero reduction),
 `poly_eval` the only Horner evaluation of a dense univariate polynomial
 and `forward_extend` the only extension of one from its values at 0..d,
-`multiplication_matrix` the only multiplication matrix in Q[t]/(f) (norms,
-traces, inverses, and the norm forms: `resultant_norm` is its `poly_det`),
-`_is_prime` the only primality test and `_intval` the only valuation.
+`multiplication_matrix` the only multiplication matrix and product in
+Q[t]/(f) (field and cyclotomic products, norms, traces, inverses, and the
+norm forms: `resultant_norm` is its `poly_det`; the one univariate
+remainder is `numberfield._poly_rem`), `_is_prime` the only primality test
+and `_intval` the only valuation.
 
 Two cofactor expansions stay beside `_bareiss`: `numberfield._interval_det`,
 since Bareiss divides and intervals cannot be divided exactly, and

@@ -22,8 +22,9 @@ logarithm series, `Ideal.contains` the only ideal-membership test (a zero
 it), `_check_adapted` the only adapted-basis check, `validate_units` the
 only check of units (`build_zeta_data` calls it on given and computed
 units alike), and `totally_positive_unit` the only unit-power search.
-An element's norm, trace and inverse read `FieldElement.mult_matrix`,
-which is `exact.multiplication_matrix` for f.
+An element's products, norm, trace and inverse read
+`FieldElement.mult_matrix`, which is `exact.multiplication_matrix` for f,
+and `_poly_rem` is the one univariate remainder (Sturm and factor tests).
 """
 
 from __future__ import annotations
@@ -103,19 +104,16 @@ def poly_deriv(coeffs: Sequence) -> list[Fraction]:
 
 def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = list(a)
-    while len(a) >= len(b) and any(a):
+    while True:
         while a and a[-1] == 0:
             a.pop()
         if len(a) < len(b):
-            break
+            return a
         q = a[-1] / b[-1]
         shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[shift + i] -= q * c
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
@@ -253,16 +251,6 @@ class NumberField:
                 else f"the factor {_poly_str(g)}"))
         if len(self._roots) != n:
             raise NotTotallyReal("polynomial does not have n real roots")
-        # reduction table: theta^(n+k) in the power basis, k = 0..n-2
-        red = []
-        cur = [Fraction(-c) for c in f[:-1]]
-        red.append(tuple(cur))
-        for _ in range(n - 2):
-            cur = [Fraction(0)] + cur
-            top = cur.pop()
-            cur = [c + top * r for c, r in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self._reduction = red
         if integral_basis is not None:
             ob = tuple(tuple(Fraction(x) for x in col) for col in integral_basis)
             self.order_basis = lattice_hnf(ob)
@@ -333,7 +321,7 @@ class NumberField:
         tried by exact division.  A factor of degree n / 2 or its cofactor
         holds root 0, so with n simple real roots only those sets are tried.
         """
-        f, n, roots = self.f, self.n, self._roots
+        n, roots = self.n, self._roots
         m = len(roots)
         for d in range(1, n // 2 + 1):
             sets = (((0,) + s for s in combinations(range(1, m), d - 1))
@@ -352,11 +340,8 @@ class NumberField:
                 g = [ceil(lo) for lo, _ in box]
                 if any(c > hi for c, (_, hi) in zip(g, box)):
                     continue  # no integer polynomial fits
-                rem = list(f)
-                for k in range(n - d, -1, -1):  # divide f by the monic g
-                    rem[k:k + d + 1] = [r - rem[k + d] * c
-                                        for r, c in zip(rem[k:], g)]
-                if not any(rem):
+                # _sturm[0] is f in Fractions, as _poly_rem divides with /
+                if not _poly_rem(self._sturm[0], g):
                     return g
         return None
 
@@ -443,7 +428,7 @@ def _interval_det(entries: Sequence[Sequence[Interval]]) -> Interval:
 class FieldElement:
     """Element in the power basis 1, theta, ..., theta^(n-1)."""
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "coords", "_hash")
 
     def __init__(self, field: NumberField, coords: Sequence):
         if len(coords) != field.n:
@@ -459,7 +444,11 @@ class FieldElement:
                 and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        try:  # cached: memos rehash rows, and a Fraction hash takes an inverse
+            return self._hash
+        except AttributeError:
+            self._hash = hash((id(self.field), self.coords))
+            return self._hash
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         return FieldElement(self.field, [a + b for a, b in zip(self.coords, other.coords)])
@@ -474,20 +463,7 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             c = Fraction(other)
             return FieldElement(self.field, [a * c for a in self.coords])
-        n = self.field.n
-        raw = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        raw[i + j] += a * b
-        out = raw[:n]
-        for k in range(n - 1):
-            c = raw[n + k]
-            if c:
-                red = self.field._reduction[k]
-                out = [o + c * r for o, r in zip(out, red)]
-        return FieldElement(self.field, out)
+        return FieldElement(self.field, mat_vec(self.mult_matrix(), other.coords))
 
     __rmul__ = __mul__
 

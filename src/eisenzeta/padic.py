@@ -74,6 +74,12 @@ class TooManyCells(ValueError):
     pass
 
 
+# Most cells a region may have at its level t, (p^t)^n, checked before any
+# cell is tested: a cell costs about 5 us in the integer congruences, so
+# 10^6 take 5 s.
+MAX_REGION_CELLS = 10 ** 6
+
+
 class ResidueFieldMismatch(ValueError):
     pass
 
@@ -537,14 +543,13 @@ def _stabilized_lattice(I: Ideal, p: int):
 
 
 def _region(h: MeasureHandle, tag: str, f: Ideal, *,
-            inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = (),
-            max_cells: int | None = None) -> Region:
+            inside: Sequence[Ideal] = (), avoid: Sequence[Ideal] = ()) -> Region:
     """The cells j whose x(j) = w . (v + j) lies in every ideal of `inside`
     and in none of `avoid`, and is congruent to 1 modulo f.  Each ideal is
     replaced by its stabilised lattice q, between p^t O and O, and tested
     in the completion at p; the region's level is the deepest stabilisation
-    level.  A level with more than `max_cells` cells raises TooManyCells
-    before any cell is tested.
+    level.  A level with more than MAX_REGION_CELLS cells raises
+    TooManyCells before any cell is tested.
 
     Each lattice test is one integer congruence in j, built once.  Let D be
     the prime-to-p part of the common denominator of wmat and wmat v, so
@@ -560,9 +565,9 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
     n = field.n
     stable = [_stabilized_lattice(I, p) for I in [f, *inside, *avoid]]
     t = max(1, *(tI for tI, _ in stable))
-    if max_cells is not None and (p ** t) ** n > max_cells:
+    if (p ** t) ** n > MAX_REGION_CELLS:
         raise TooManyCells(f"the region's level {t} has {(p ** t) ** n} "
-                           f"cells, above the limit of {max_cells}")
+                           f"cells, above the limit of {MAX_REGION_CELLS}")
     flat, *lats = [lat for _, lat in stable]
     wmat = tuple(tuple(h.z.w[j].coords[i] for j in range(n)) for i in range(n))
     wv = mat_vec(wmat, h.z.v)
@@ -599,10 +604,9 @@ def _region(h: MeasureHandle, tag: str, f: Ideal, *,
     return Region(p, t, mask, tag)
 
 
-def region_units(h: MeasureHandle, f: Ideal, *,
-                 max_cells: int | None = None) -> Region:
+def region_units(h: MeasureHandle, f: Ideal) -> Region:
     """O*_{p,f}: units congruent to 1 modulo the p-part of f."""
-    region = _region(h, "units", f, max_cells=max_cells)
+    region = _region(h, "units", f)
     mask = frozenset(_unit_norm_cells(h, region.mask))
     return Region(h.p, region.t, mask, region.tag)
 
@@ -625,16 +629,14 @@ def region_b_units(h: MeasureHandle, f: Ideal, b: Ideal,
 
 
 def region_oov(h: MeasureHandle, f: Ideal, pis: Sequence[FieldElement],
-               other_primes: Sequence[Ideal] = (),
-               *, max_cells: int | None = None) -> Region:
+               other_primes: Sequence[Ideal] = ()) -> Region:
     """The order-of-vanishing region: the cells whose x avoids the ideal
     (pi_i) of each generator of `pis` and each ideal of `other_primes`, and
     is congruent to 1 mod f.  With (pi_i) = p_i^(e_i), avoiding (pi_i) is
     v_(p_i)(x) < e_i, so the generator fixes e_i."""
     field = h.z.field
     avoid = [Ideal.from_generators(field, [pi]) for pi in pis]
-    return _region(h, "oov", f, avoid=avoid + list(other_primes),
-                   max_cells=max_cells)
+    return _region(h, "oov", f, avoid=avoid + list(other_primes))
 
 
 def region_box(h: MeasureHandle, a: Sequence[int], r: int) -> Region:

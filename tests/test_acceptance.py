@@ -24,7 +24,7 @@ from eisenzeta.zeta import (build_zeta_data, combine_smoothing, zeta_minus_k,
                             zeta_star_minus_k)
 from eisenzeta.cocycle import psi_ell_chain
 
-from test_zeta import _walked_cosets
+from test_zeta import _walked_cosets, sqrt5_data
 from zeta_oracles import zagier_zeta_minus1
 
 rng = random.Random(0xE15E)
@@ -32,13 +32,6 @@ rng = random.Random(0xE15E)
 
 def report(num, text):
     print(f"\nACCEPTANCE {num}: PASS - {text}")
-
-
-def sqrt5_data(ell=11):
-    F = NumberField([-5, 0, 1])
-    one = Ideal.unit_ideal(F)
-    c = prime_over(F, ell)
-    return F, one, build_zeta_data(F, one, one, c, ell)
 
 
 def test_criterion_1_exact_zeta_real_quadratic():

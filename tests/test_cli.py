@@ -517,11 +517,16 @@ def test_non_prime_ell_is_config_error(ell, tmp_path, capsys, monkeypatch):
         f"config error: ell must be a prime, got {int(ell)}\n"
 
 
-@pytest.mark.parametrize("c", [{"gens": ["1"]}, {"gens": ["2"]}],
-                         ids=["norm-1", "norm-4"])
-def test_smoothing_ideal_of_non_prime_norm(c, tmp_path, capsys):
+@pytest.mark.parametrize("c, message", [
+    ({"gens": ["1"]}, "norm ell = 1 is not prime"),
+    ({"gens": ["2"]}, "norm ell = 4 is not prime"),
+    ({"gens": ["11"]}, "norm ell = 121 is not prime"),
+    ({"gens": ["1/2"]}, "norm N(c) = 1/4 is not an integer"),
+], ids=["norm-1", "norm-4", "norm-121", "fractional-norm"])
+def test_smoothing_ideal_of_non_prime_norm(c, message, tmp_path, capsys):
     # c = O has norm 1; refused before any loop over powers of ell, which
-    # never ended at ell = 1; the alarm ends work that was not refused
+    # never ended at ell = 1; the alarm ends work that was not refused.  A
+    # fractional norm is named as it is, not truncated to an ell
     import signal
     import time
 
@@ -539,10 +544,8 @@ def test_smoothing_ideal_of_non_prime_norm(c, tmp_path, capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == EXIT_PRECONDITION
-    norm = 1 if c == {"gens": ["1"]} else 4
-    assert capsys.readouterr().err == ("precondition error: the smoothing "
-                                       f"ideal's norm ell = {norm} is not "
-                                       "prime\n")
+    assert capsys.readouterr().err == \
+        f"precondition error: the smoothing ideal's {message}\n"
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -122,6 +122,22 @@ def test_element_ops():
         F.zero().inverse()
 
 
+def test_element_hash_is_cached(monkeypatch):
+    # the sign memos key rows by their elements: an element hashed once
+    # keeps its hash, so its Fraction coordinates are not hashed again
+    F = NumberField([-1, -3, 0, 1])
+    x = F.element((Fraction(1, 3), -2, Fraction(5, 7)))
+    h = hash(x)
+    assert hash(F.element(x.coords)) == h
+
+    def refuse(self):
+        raise AssertionError("a Fraction coordinate was hashed again")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    assert hash(x) == h
+    assert {x: 1}[x] == 1
+
+
 def test_norm_trace_homomorphisms():
     F = NumberField([-1, -3, 0, 1])
     for _ in range(10):

@@ -1,7 +1,8 @@
 """Property tests: exact linear algebra (determinants against cofactor
 expansion), integer polynomial substitution against a naive expansion,
 norm forms of the multiplication matrix in Q[t]/(f) against Sylvester
-determinants and its columns against reduction mod f, lattice membership,
+determinants and its columns against reduction mod f, field and
+cyclotomic products against the schoolbook product mod f, lattice membership,
 the exact irreducibility test (a named factor of every product of
 real-rooted polynomials, and biquadratic fields accepted though reducible
 mod every prime), logarithm bounds, the regulator sign under a change of
@@ -35,6 +36,7 @@ from eisenzeta.bernoulli import (B_e, B_e_Q, B_e_Q_plus, periodic_B,
                                  periodic_B_row)
 from eisenzeta.cocycle import (CocycleArgs, GammaEllMatrix,
                                first_column_matrix, module_action, psi_ell)
+from eisenzeta.cyclotomic import CycloElement
 from eisenzeta.dedekind import (LinearFormModL, LinearForms, b1_L_z_fast,
                                 b_L_z, b_L_z_direct)
 from eisenzeta.exact import (MultiPoly, SingularMatrix, hnf, identity,
@@ -208,14 +210,19 @@ def _sylvester_resultant(f, g):
     return mat_det(rows)
 
 
-def _times_power_mod(f, g, j):
-    """The coefficients of g t^j mod the monic f, n of them."""
-    n, out = len(f) - 1, [0] * j + list(g)
+def _poly_mod(f, g):
+    """The coefficients of g mod the monic f by long division, n of them."""
+    n, out = len(f) - 1, list(g)
     while len(out) > n:
         top = out.pop()
         for i in range(n):
             out[len(out) - n + i] -= top * f[i]
     return out + [0] * (n - len(out))
+
+
+def _times_power_mod(f, g, j):
+    """The coefficients of g t^j mod the monic f, n of them."""
+    return _poly_mod(f, [0] * j + list(g))
 
 
 @PROPS
@@ -229,6 +236,33 @@ def test_multiplication_matrix_norms_and_columns(case):
     m = multiplication_matrix(f, h, 0)
     for j in range(len(f) - 1):
         assert [row[j] for row in m] == _times_power_mod(f, h, j)
+
+
+@lru_cache(maxsize=None)
+def _product_ring(f):
+    """Elements of Q[t]/(f) from coordinates: a field, or Q(zeta_ell) when
+    f is the ell-th cyclotomic polynomial 1 + t + ... + t^(ell-1)."""
+    if set(f) == {1}:
+        return lambda coords: CycloElement(len(f), coords)
+    return NumberField(f).element
+
+
+@pytest.mark.parametrize("f", [
+    (-5, 0, 1), (-1, -3, 0, 1), (9, 0, -14, 0, 1),
+    (1,) * 3, (1,) * 5, (1,) * 7,
+], ids=["sqrt5", "cubic", "biquadratic", "ell3", "ell5", "ell7"])
+@PROPS
+@given(data=st.data())
+def test_products_are_polynomial_products_mod_f(f, data):
+    # field and cyclotomic products read exact.multiplication_matrix; here
+    # the product is the schoolbook one, reduced mod f by long division
+    n = len(f) - 1
+    a, b = (data.draw(st.lists(rationals, min_size=n, max_size=n))
+            for _ in range(2))
+    raw = [sum(a[i] * b[k - i] for i in range(n) if 0 <= k - i < n)
+           for k in range(2 * n - 1)]
+    element = _product_ring(f)
+    assert (element(a) * element(b)).coords == tuple(_poly_mod(f, raw))
 
 
 def _integral_solution(h, x):

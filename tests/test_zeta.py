@@ -38,6 +38,8 @@ def test_zagier_oracle_values():
 
 
 def sqrt5_data(ell=11, a=None):
+    """Q(sqrt 5), its unit ideal and the zeta data of f = O and c above
+    ell; the acceptance tests share it."""
     F = NumberField([-5, 0, 1])
     one = Ideal.unit_ideal(F)
     c = prime_over(F, ell)
