@@ -15,10 +15,10 @@ extracting exact signs is the caller's job.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from typing import Sequence
 
 from .exact import MultiPoly
 

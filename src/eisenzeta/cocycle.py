@@ -10,11 +10,11 @@ to 0, matching the zero-measure convention downstream.  A term's sign is
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm, prod
-from typing import Sequence
 
 from .dedekind import chain_term, d_ell
 from .exact import (Matrix, MultiPoly, NotHomogeneous, coset_reps, identity,

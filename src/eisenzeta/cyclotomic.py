@@ -12,8 +12,8 @@ its system with `exact.mat_solve`.  The primality test is
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import _is_prime, mat_solve, mat_vec, multiplication_matrix
 

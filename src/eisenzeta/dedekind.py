@@ -10,7 +10,9 @@ rational or at real embeddings of a field, serves the cocycle, the zeta
 data and the measure.  Bounded memos, each keyed by all it reads:
 `chain_term` per (sigma, ell), `_sigma_walk` per (sigma_ell, ell, pi v),
 `_factor_row` per (k, x, a, ell), `_key_tail` per (v, signs, ell, plus) and
-`_row_signs` per (field, embedding, coefficients, sigma).
+`_row_signs` per (field, embedding, coefficients, sigma).  Between runs,
+`DedekindCache` keeps the smoothed sums as records keyed by their exact
+text (format v2), written with `os` alone.
 
 Conventions: sigma is an integer n x n matrix of first columns; forms enter
 only through the exact signs of the transformed matrix (sigma^-1 applied to
@@ -20,14 +22,13 @@ the tuple of forms); v is a rational column vector.
 from __future__ import annotations
 
 import os
-import tempfile
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import floor, gcd, lcm
 from operator import mul
-from typing import Sequence
 
 from .bernoulli import B_e_Q, B_e_Q_plus, periodic_B_row
 from .exact import Matrix, coset_reps, mat_det, mat_inv, mat_vec
@@ -361,26 +362,22 @@ def _key_tail(v: tuple, signs, ell: int, plus: bool) -> str:
 
 class DedekindCache:
     """Memo for smoothed Dedekind sums, persistable as versioned
-    line-delimited records "digest<TAB>num/den".
+    line-delimited records "key<TAB>num/den", keyed by their exact text
+    (format v2), and written with `os` alone."""
 
-    Only the cache loads `hashlib`, and OpenSSL's libcrypto with it, when it
-    is constructed: a run without a cache never imports it."""
-
-    FORMAT = "eisenzeta-dedekind-cache-v1"
+    FORMAT = "eisenzeta-dedekind-cache-v2"
 
     def __init__(self, path: str | None = None):
-        from hashlib import sha256
-        self._sha256 = sha256
         self.path = path
         self.data: dict[str, Fraction] = {}
         if path and os.path.exists(path):
             self.load(path)
 
     def key(self, sigma, e, v, signs, ell: int, plus: bool) -> str:
-        """sha256 of repr((sigma, e, v mod Z, signs, ell, plus))."""
-        raw = f"({tuple(map(tuple, sigma))!r}, {tuple(e)!r}" \
+        """repr((sigma, e, v mod Z, signs, ell, plus)): exact and canonical,
+        so the text itself is the key."""
+        return f"({tuple(map(tuple, sigma))!r}, {tuple(e)!r}" \
             f"{_key_tail(tuple(v), signs, ell, plus)}"
-        return self._sha256(raw.encode()).hexdigest()
 
     def get(self, key: str) -> Fraction | None:
         return self.data.get(key)
@@ -392,7 +389,8 @@ class DedekindCache:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().strip()
             if header != self.FORMAT:
-                raise ValueError(f"unknown cache format: {header!r}")
+                raise ValueError(f"{path}: cache header {header!r} is not "
+                                 f"{self.FORMAT!r}; delete the file")
             for lineno, line in enumerate(fh, 2):
                 k, _, frac = line.strip().partition("\t")
                 num, _, den = frac.partition("/")
@@ -409,10 +407,10 @@ class DedekindCache:
             raise ValueError("no cache path configured")
         # write a sibling file, then rename it over the cache, so that a
         # reader never sees a partly written cache
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   suffix=".tmp")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        fh = open(tmp, "w", encoding="ascii")
         try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
+            with fh:
                 fh.write(self.FORMAT + "\n")
                 for k, val in sorted(self.data.items()):
                     fh.write(f"{k}\t{val.numerator}/{val.denominator}\n")

@@ -33,11 +33,11 @@ units took 170 ms, not 80, and the quartic's scoring 0.27 s, not 0.22).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import isqrt, lcm
 from operator import floordiv
-from typing import Iterator, Sequence
 
 
 class SingularMatrix(ValueError):

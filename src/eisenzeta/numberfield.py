@@ -29,10 +29,10 @@ and `_poly_rem` is the one univariate remainder (Sturm and factor tests).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import ceil, isqrt
-from typing import Sequence
 
 from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
                     mat_inv, mat_mul, mat_solve, mat_vec,
@@ -254,6 +254,16 @@ class NumberField:
         if integral_basis is not None:
             ob = tuple(tuple(Fraction(x) for x in col) for col in integral_basis)
             self.order_basis = lattice_hnf(ob)
+            # a lattice that is not closed under products is no order
+            for i, j in combinations_with_replacement(range(len(ob)), 2):
+                w = mat_vec(multiplication_matrix(f, ob[i], Fraction(0)),
+                            ob[j])
+                if any(reduce_mod_lattice(w, self.order_basis)):
+                    raise ValueError(
+                        "integral basis is not a ring: the product of its "
+                        f"elements {i + 1} and {j + 1}, "
+                        f"({', '.join(map(str, w))}) on the power basis, is "
+                        "not in its span")
         elif n == 2:
             self.order_basis = self._quadratic_maximal_order()
         else:

@@ -46,12 +46,12 @@ prefix coordinate, stepped from row to row by forward differences.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress, product, repeat
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
 
 from .cocycle import CocycleArgs, first_column_matrix, psi_ell_chain
 from .dedekind import b1_L_z_fast, chain_term

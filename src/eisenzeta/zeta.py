@@ -17,12 +17,12 @@ embedding i, so the cross-check certifies each sign once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, lcm, prod
 from operator import add
-from typing import Sequence
 
 from .cocycle import (CocycleArgs, GammaEllMatrix, psi_ell_chain,
                       symmetrized_chain)

@@ -82,10 +82,24 @@ def test_cache_corrupt_is_config_error(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     (cache_dir / "dedekind.tsv").write_text(
-        "eisenzeta-dedekind-cache-v1\n" + "0" * 64 + "\tnot-a-number\n")
+        "eisenzeta-dedekind-cache-v2\n(((1, 0), (0, 1)),)\tnot-a-number\n")
     assert main(["selftest", "--cache", str(cache_dir)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "dedekind.tsv:2" in err
+
+
+def test_cache_v1_is_config_error(tmp_path, capsys):
+    # a v1 file keys its records by sha256 digests, which no run computes
+    # now: it is refused, with the header found and the one expected
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "dedekind.tsv").write_text(
+        "eisenzeta-dedekind-cache-v1\n" + "0" * 64 + "\t1/2\n")
+    assert main(["selftest", "--cache", str(cache_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unusable cache {cache_dir}:")
+    assert "'eisenzeta-dedekind-cache-v1'" in err
+    assert "'eisenzeta-dedekind-cache-v2'" in err and "delete" in err
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -112,46 +126,40 @@ def test_golden_report(case, capsys):
     assert report == expected[case]
 
 
-# a CLI run in a fresh interpreter without site: whether OpenSSL's
-# `_hashlib` is loaded when build_common returns and when main returns
+# a CLI run in a fresh interpreter without site: which modules that no
+# command executes are loaded when main returns
 FOOTPRINT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from eisenzeta import cli
-seen = {}
-build = cli.build_common
-
-def marked(*args, **kwargs):
-    out = build(*args, **kwargs)
-    seen.setdefault("after_build", "_hashlib" in sys.modules)
-    return out
-
-cli.build_common = marked
 rc = cli.main(sys.argv[3:])
-seen.update(rc=rc, at_exit="_hashlib" in sys.modules)
+loaded = sorted({"hashlib", "_hashlib", "tempfile", "typing"}
+                & set(sys.modules))
 with open(sys.argv[2], "w") as fh:
-    json.dump(seen, fh)
+    json.dump({"rc": rc, "loaded": loaded}, fh)
 """
 
 
-@pytest.mark.parametrize("argv, hashlib_loaded", [
-    (["padic-zeta", "--config", "golden_config.json"], False),
-    (["oov", "--config", "golden_config.json"], False),
-    (["zeta", "--config", "golden_config_cubic.json", "--no-crosscheck",
-      "--cache", "CACHE"], True),
-], ids=["padic-zeta", "oov", "zeta-cache"])
-def test_import_footprint(argv, hashlib_loaded, tmp_path):
-    # only the Dedekind cache loads hashlib: a cache-less run never maps
-    # OpenSSL, and a cached run has it loaded within set-up
+@pytest.mark.parametrize("argv", [
+    ["padic-zeta", "--config", "golden_config.json"],
+    ["oov", "--config", "golden_config.json"],
+    ["zeta", "--config", "golden_config_cubic.json", "--no-crosscheck",
+     "--cache", "CACHE"],
+    ["cocycle-check"],
+], ids=["padic-zeta", "oov", "zeta-cache", "cocycle-check"])
+def test_import_footprint(argv, tmp_path):
+    # no run imports what it does not execute: the cache keys its records
+    # by their text and writes them with os alone (no hashlib, OpenSSL or
+    # tempfile), and annotations name collections.abc, not typing
     src = Path(eisenzeta.cli.__file__).parents[1]
+    cache = tmp_path / "cache"
     argv = [str(GOLDEN / a) if a.endswith(".json")
-            else str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
+            else str(cache) if a == "CACHE" else a for a in argv]
     out = tmp_path / "seen.json"
     subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, str(src), str(out),
                     *argv], check=True, capture_output=True, timeout=120)
-    seen = json.loads(out.read_text())
-    assert seen == {"rc": 0, "after_build": hashlib_loaded,
-                    "at_exit": hashlib_loaded}
+    assert json.loads(out.read_text()) == {"rc": 0, "loaded": []}
+    assert (cache / "dedekind.tsv").exists() == ("--cache" in argv)
 
 
 def test_json_out(tmp_path, capsys):
@@ -734,6 +742,24 @@ def test_reducible_cubic_names_its_root(trusted, tmp_path, capsys):
     assert capsys.readouterr().err == ("precondition error: polynomial is "
                                        "not irreducible: it has the integer "
                                        "root 1\n")
+
+
+@pytest.mark.parametrize("c", [None, {"gens": ["11", ["-4", "1"]]}],
+                         ids=["ell", "c"])
+def test_integral_basis_not_a_ring(c, tmp_path, capsys):
+    # Z + Z (1 + theta)/3 holds Z[theta] but not ((1 + theta)/3)^2: the
+    # product is named, where the prime search or N(c) failed before
+    cfg = {"field": {"poly": ["-5", "0", "1"],
+                     "integral_basis": [["1", "0"], ["1/3", "1/3"]]},
+           "ell": "11"}
+    if c is not None:
+        cfg["c"] = c
+    assert main(["zeta", "--config", write_cfg(tmp_path, cfg)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition error: integral basis is not a ring: the product of "
+        "its elements 2 and 2, (2/3, 2/9) on the power basis, is not in its "
+        "span\n")
 
 
 def test_json_out_missing_directory(tmp_path, capsys):

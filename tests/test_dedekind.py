@@ -280,18 +280,19 @@ def test_shared_walk_every_weight_equals_direct(ell, n):
     assert _sigma_walk.cache_info().misses == len(vs)
 
 
-# sha256 of dedekind.tsv after `zeta --cache` on each golden config; keys and
-# values must not depend on how the sums share their coset walks, factor rows
-# and key parts.  The cubic config (88 records) has n = 3 and defect rows
-GOLDEN_CACHE_SHA256 = {
-    "golden_config.json":
-        "3350c8c2c0150d4ee644a22c01092d8bc2fcaefebbbc0133b2bfafb20468202a",
-    "golden_config_cubic.json":
-        "936385fc3bbeb89837ddc4aa461b4e9bfe6a1a2783bd15dd5613004d438cfe03",
+# record count and sha256 of dedekind.tsv after `zeta --cache` on each golden
+# config; keys and values must not depend on how the sums share their coset
+# walks, factor rows and key parts.  The cubic config has n = 3 and defect
+# rows
+GOLDEN_CACHE = {
+    "golden_config.json": (
+        34, "3216aa6283807125b95dd42281b4749d1c6f966a853f1ee4d1be75231236e870"),
+    "golden_config_cubic.json": (
+        88, "8d2e63328fa26db4b2913798866e5213cd5994c07a945b08d7a6abda414815f3"),
 }
 
 
-@pytest.mark.parametrize("config", sorted(GOLDEN_CACHE_SHA256))
+@pytest.mark.parametrize("config", sorted(GOLDEN_CACHE))
 def test_golden_cache_records_and_warm_rerun(config, tmp_path, capsys,
                                              monkeypatch):
     cfg = str(Path(__file__).parent / "data" / config)
@@ -303,7 +304,9 @@ def test_golden_cache_records_and_warm_rerun(config, tmp_path, capsys,
     _sigma_walk.cache_clear()
     assert main(argv) == 0
     data = (tmp_path / "cache" / "dedekind.tsv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_CACHE_SHA256[config]
+    records, digest = GOLDEN_CACHE[config]
+    assert data.count(b"\n") == 1 + records
+    assert hashlib.sha256(data).hexdigest() == digest
     assert walked  # the patched name is the one d_ell walks through
     # on the warm cache every d_ell returns its record before any walk
     walked.clear()
@@ -422,9 +425,13 @@ def test_cache_round_trip(tmp_path):
     a = d_ell(sigma, (1, 1), q, v, ell, cache=cache)
     b = d_ell(sigma, (1, 1), q, v, ell, cache=cache)
     assert a == b and len(cache.data) == 1
-    path = str(tmp_path / "cache.tsv")
-    cache.save(path)
-    reloaded = DedekindCache(path)
+    path = tmp_path / "cache.tsv"
+    cache.save(str(path))
+    # the key is the record's exact text, not a digest of it
+    key = cache.key(sigma, (1, 1), v, q.sign_matrix(sigma), ell, False)
+    assert path.read_text().splitlines() == [
+        DedekindCache.FORMAT, f"{key}\t{a.numerator}/{a.denominator}"]
+    reloaded = DedekindCache(str(path))
     assert reloaded.data == cache.data
     assert d_ell(sigma, (1, 1), q, v, ell, cache=reloaded) == a
 

@@ -180,6 +180,19 @@ def test_maximal_order_detection():
         F2.element((Fraction(1, 2), Fraction(1, 2))))
 
 
+def test_integral_basis_must_be_a_ring():
+    # Z + Z (1 + sqrt5)/3 holds Z[sqrt5] but not ((1 + sqrt5)/3)^2
+    q = Fraction
+    with pytest.raises(ValueError) as err:
+        NumberField([-5, 0, 1], integral_basis=[[1, 0], [q(1, 3), q(1, 3)]])
+    assert str(err.value) == (
+        "integral basis is not a ring: the product of its elements 2 and 2, "
+        "(2/3, 2/9) on the power basis, is not in its span")
+    # the maximal order, given in any basis of it, is a ring
+    F = NumberField([-5, 0, 1], integral_basis=[[0, 1], [q(1, 2), q(1, 2)]])
+    assert F.order_basis == sqrt5().order_basis and F.order_index == 2
+
+
 def test_ideal_group_laws():
     F = sqrt5()
     one = Ideal.unit_ideal(F)

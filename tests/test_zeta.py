@@ -8,6 +8,7 @@ from eisenzeta.dedekind import LinearForms, sigma_ell
 from eisenzeta.exact import Matrix, coset_reps, identity, mat_det, mat_mul
 from eisenzeta.numberfield import (DependentUnits, Ideal, NotTotallyPositive,
                                    NumberField, adapted_basis, prime_over,
+                                   totally_positive_generator,
                                    totally_positive_unit, unit_basis)
 from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
                             _change_costs, _reduce_adapted, _unit_changes,
@@ -15,7 +16,7 @@ from eisenzeta.zeta import (CrossCheckFailure, MissingClassData, ZetaData,
                             combine_smoothing, norm_form, zeta_minus_k,
                             zeta_star_minus_k)
 
-from zeta_oracles import zagier_zeta_minus1
+from zeta_oracles import zagier_cycles, zagier_zeta_minus1
 
 
 def sigma3(n):
@@ -90,6 +91,31 @@ def test_values_in_z_one_over_ell():
         while den % 11 == 0:
             den //= 11
         assert den == 1
+
+
+def test_zagier_cycles_sqrt3():
+    # D = 12: two narrow classes, as the fundamental unit 2 + sqrt3 has
+    # norm +1; the cycle with a = 1 is the class of O
+    assert zagier_cycles(12) == [
+        (((1, 4, 1),), (4,), Fraction(1, 12)),
+        (((2, 6, 3), (3, 6, 2)), (3, 2), Fraction(-1, 12))]
+
+
+@pytest.mark.parametrize("ell", [11, 13, 23])
+def test_narrow_class_number_two_per_class(ell):
+    # zeta_{O,c}(A, 0) = zeta(A [c], 0) - ell zeta(A, 0) for both narrow
+    # classes A of Q(sqrt3), against Zagier's reduced cycles; c is narrowly
+    # principal (e = 1) at 13, and in the class of (sqrt3) at 11 and 23
+    F = NumberField([-3, 0, 1])
+    one = Ideal.unit_ideal(F)
+    root3 = Ideal.from_generators(F, [F.element((0, 1))])
+    zeta0 = [value for _, _, value in zagier_cycles(12)]  # O, (sqrt3)
+    c = prime_over(F, ell)
+    e, _ = totally_positive_generator(c, one, bound=2, coeff_bound=30)
+    assert e == (1 if ell == 13 else 2)
+    for cls, A in enumerate((one, root3)):
+        assert zeta_minus_k(build_zeta_data(F, one, A, c, ell), 0) == \
+            zeta0[(cls + e - 1) % 2] - ell * zeta0[cls]
 
 
 def test_class_invariance():
