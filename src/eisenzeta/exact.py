@@ -6,8 +6,8 @@ are small (n <= 8), so dense quadratic/cubic algorithms are used throughout.
 
 Each concept has one implementation: `mat_solve` is the only Gauss-Jordan
 elimination (`mat_inv` and the field-element inverses solve through it),
-`adjugate` the only integer adjugate (the p-adic cell kernel's and the
-unit search's inverse matrices), `power` the only square-and-multiply
+`adjugate` the only integer adjugate (the p-adic cell kernel's, the unit
+search's and the ideal inverse's), `power` the only square-and-multiply
 loop (the powers of `MultiPoly`, field elements and p-adic integers),
 `_bareiss` the only elimination determinant (`mat_det` over the integers,
 `poly_det` over the polynomial ring), `_hermite` the only Hermite
@@ -135,9 +135,10 @@ def mat_inv(a: Matrix) -> Matrix:
 
 
 def adjugate(m: Matrix) -> Matrix:
-    """det(m) m^-1 of a nonsingular integer matrix, in integers."""
-    det = mat_det(m)
-    return tuple(tuple(int(e * det) for e in row) for row in mat_inv(m))
+    """det(m) m^-1 of an integer matrix: its cofactors, `_bareiss` minors."""
+    return tuple(tuple((-1) ** (i + j) * _bareiss([list(r[:i] + r[i + 1:])
+                 for r in m[:j] + m[j + 1:]], 0, 1, floordiv)
+                 for j in range(len(m))) for i in range(len(m)))
 
 
 def power(x, k: int):
@@ -335,17 +336,17 @@ def forward_extend(qs: Sequence[int], count: int, mod: int) -> Iterator[int]:
 
 def poly_eval(coeffs: Sequence, x) -> Fraction:
     """The dense univariate polynomial with ascending `coeffs` at x."""
-    total = Fraction(0)
+    total = 0
     for c in reversed(coeffs):
         total = total * x + c
     return total
 
 
 class MultiPoly:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial with Fraction coefficients, or int ones.
 
     Stored as {exponent tuple: coefficient}; zero coefficients are never
-    kept.  Instances are treated as immutable.
+    kept, ints stay ints.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "coeffs")
@@ -355,7 +356,7 @@ class MultiPoly:
         clean = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = Fraction(c)
+                c = c if type(c) is int else Fraction(c)
                 if c:
                     assert len(mono) == nvars
                     clean[tuple(mono)] = c
@@ -396,7 +397,7 @@ class MultiPoly:
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out[mono] + c if mono in out else c
         return MultiPoly(self.nvars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -407,13 +408,14 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
+            other = other if type(other) is int else Fraction(other)
             return MultiPoly(self.nvars,
-                             {m: c * Fraction(other) for m, c in self.coeffs.items()})
+                             {m: c * other for m, c in self.coeffs.items()})
         out: dict[tuple, Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = out[mono] + c1 * c2 if mono in out else c1 * c2
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -476,8 +478,9 @@ class MultiPoly:
             qm = tuple(a - b for a, b in zip(rm, lm))
             if any(e < 0 for e in qm):
                 raise ValueError("division is not exact")
-            qc = rc / lc
-            quot[qm] = quot.get(qm, Fraction(0)) + qc
+            qc = (rc // lc if type(rc) is type(lc) is int and not rc % lc
+                  else Fraction(rc) / lc)
+            quot[qm] = quot[qm] + qc if qm in quot else qc
             rem = rem - MultiPoly(self.nvars, {qm: qc}) * other
         return MultiPoly(self.nvars, quot)
 
@@ -506,7 +509,7 @@ def poly_det(mat: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     the interior divisions is a theorem."""
     nvars = mat[0][0].nvars
     return _bareiss([list(row) for row in mat], MultiPoly(nvars),
-                    MultiPoly.constant(nvars, 1), MultiPoly.divexact)
+                    MultiPoly(nvars, {(0,) * nvars: 1}), MultiPoly.divexact)
 
 
 def multiplication_matrix(f: Sequence[int], coeffs: Sequence, zero) -> Matrix:

@@ -25,17 +25,24 @@ units alike), and `totally_positive_unit` the only unit-power search.
 An element's products, norm, trace and inverse read
 `FieldElement.mult_matrix`, which is `exact.multiplication_matrix` for f,
 and `_poly_rem` is the one univariate remainder (Sturm and factor tests).
+Those, Sturm signs, embedding intervals and ideal lattices run on integer
+numerators over a common denominator (`_common`).  Log bounds are fixed
+point, an integer b for b / 2^B (B = `_B`), floored when lower and ceiled
+when upper: from 0 <= l <= r 2^B <= u and l' <= r' 2^B <= u', floor(l l' /
+2^B) <= r r' 2^B <= ceil(u u' / 2^B) and floor(l / d) <= r 2^B / d <=
+ceil(u / d), so `_atanh_bounds`'s floored partial sum is below the exact
+one and its ceiled one plus the ceiled geometric tail above the series.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import ceil, isqrt
+from itertools import combinations, combinations_with_replacement, product
+from math import ceil, gcd, isqrt, lcm, prod
 
-from .exact import (Matrix, SingularMatrix, identity, lattice_hnf, mat_det,
-                    mat_inv, mat_mul, mat_solve, mat_vec,
+from .exact import (Matrix, SingularMatrix, adjugate, identity, lattice_hnf,
+                    mat_det, mat_inv, mat_mul, mat_solve, mat_vec,
                     multiplication_matrix, poly_eval, power,
                     reduce_mod_lattice, snf)
 
@@ -98,8 +105,10 @@ class RefinementBudgetExceeded(ArithmeticError):
 
 # --- dense univariate helpers (ascending coefficient lists) ------------------
 
-def poly_deriv(coeffs: Sequence) -> list[Fraction]:
-    return [Fraction(i * c) for i, c in enumerate(coeffs)][1:]
+def _common(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational vectors as integer numerators over one common denominator."""
+    d = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (d // x.denominator) for x in v] for v in vectors], d
 
 
 def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -116,9 +125,9 @@ def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         a.pop()
 
 
-def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
+def sturm_sequence(coeffs: Sequence) -> list[list[int]]:
     seq = [[Fraction(c) for c in coeffs]]
-    d = poly_deriv(seq[0])
+    d = [i * c for i, c in enumerate(seq[0])][1:]
     if d:
         seq.append(d)
     while len(seq[-1]) > 1:
@@ -126,7 +135,7 @@ def sturm_sequence(coeffs: Sequence) -> list[list[Fraction]]:
         if not r:
             break
         seq.append([-c for c in r])
-    return seq
+    return [_common([p])[0][0] for p in seq]  # positive multiples: same signs
 
 
 def _poly_str(g: Sequence[int]) -> str:
@@ -137,15 +146,18 @@ def _poly_str(g: Sequence[int]) -> str:
                     for k, c in reversed(list(enumerate(g))) if c)[2:]
 
 
-def _sign_changes(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _scaled_value(cs: Sequence[int], x: Fraction) -> int:
+    """q^deg g(x) for x = p / q and g an integer polynomial: its sign."""
+    return sum(c * x.numerator ** k * x.denominator ** (len(cs) - 1 - k)
+               for k, c in enumerate(cs))
 
 
 def sturm_count(seq, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]."""
-    return (_sign_changes([poly_eval(p, lo) for p in seq])
-            - _sign_changes([poly_eval(p, hi) for p in seq]))
+    def changes(x):
+        signs = [v > 0 for v in (_scaled_value(p, x) for p in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(lo) - changes(hi)
 
 
 def _cauchy_bound(coeffs: Sequence) -> Fraction:
@@ -173,13 +185,6 @@ def _iv_mul(a: Interval, b: Interval) -> Interval:
     return (min(prods), max(prods))
 
 
-def poly_eval_interval(coeffs: Sequence[Fraction], x: Interval) -> Interval:
-    total: Interval = (Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        total = _iv_add(_iv_mul(total, x), (Fraction(c), Fraction(c)))
-    return total
-
-
 def ln_interval(x: Fraction, terms: int = 24) -> Interval:
     """Rational lower/upper bounds for ln(x), x > 0, via the atanh series."""
     if x <= 0:
@@ -187,27 +192,30 @@ def ln_interval(x: Fraction, terms: int = 24) -> Interval:
     if x < 1:
         lo, hi = ln_interval(1 / x, terms)
         return (-hi, -lo)
-    # scale into [1, 2) by 2^-k; k ln 2 bounds folded in afterwards
+    # x = 2^k y with y in [1, 2): ln y = 2 atanh((y - 1) / (y + 1)), + k ln 2
     k = (x.numerator // x.denominator).bit_length() - 1
-    x /= 2 ** k
-    lo, hi = _atanh_bounds((x - 1) / (x + 1), terms)
-    return (lo + k * _LN2[0], hi + k * _LN2[1])
+    d = x.denominator << k
+    return tuple(Fraction(b + k * ln2, 1 << _B) for b, ln2 in zip(
+        _atanh_bounds(x.numerator - d, x.numerator + d, terms), _LN2))
 
 
-def _atanh_bounds(y: Fraction, terms: int) -> Interval:
-    """Bounds on 2 atanh(y) = ln((1 + y) / (1 - y)), 0 <= y < 1: the first
-    terms of the series, and that sum plus a geometric tail bound."""
-    s = Fraction(0)
-    ypow = y
-    y2 = y * y
-    for i in range(terms):
-        s += ypow / (2 * i + 1)
-        ypow *= y2
-    rem = 2 * ypow / ((2 * terms + 1) * (1 - y2))
-    return (2 * s, 2 * s + rem)
+def _atanh_bounds(p: int, q: int, terms: int) -> tuple[int, int]:
+    """Fixed-point bounds on 2 atanh(y) = ln((1 + y) / (1 - y)), y = p / q
+    in [0, 1/3]: the first terms, and the least cut-off t <= terms + tail."""
+    one, best, slo, shi = 1 << _B, [], 0, 0
+    ylo, yhi = (p << _B) // q, -(-(p << _B) // q)  # floor, ceil
+    y2lo, y2hi = ylo * ylo >> _B, -(-yhi * yhi >> _B)
+    for d in range(1, 2 * terms + 2, 2):  # d = 2t + 1 for t = 0 .. terms
+        # the tail from y^d / d on is at most y^d / (d (1 - y^2))
+        best.append(shi - (-(yhi << _B) // (d * (one - y2hi))))
+        if d < 2 * terms:
+            slo, shi = slo + ylo // d, shi - (-yhi // d)
+            ylo, yhi = ylo * y2lo >> _B, -(-yhi * y2hi >> _B)
+    return 2 * slo, 2 * min(best)
 
 
-_LN2 = _atanh_bounds(Fraction(1, 3), 40)  # ln 2 = 2 atanh(1/3)
+_B = 96  # log bounds are fixed point: integers over 2^_B
+_LN2 = _atanh_bounds(1, 3, 40)  # ln 2 = 2 atanh(1/3)
 
 
 # --- the field ----------------------------------------------------------------
@@ -294,7 +302,7 @@ class NumberField:
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            while poly_eval(self.f, mid) == 0:  # a rational root of f
+            while _scaled_value(self.f, mid) == 0:  # a rational root of f
                 mid = (lo + mid) / 2
             left = sturm_count(self._sturm, lo, mid)
             stack.append((lo, mid, left))
@@ -306,8 +314,7 @@ class NumberField:
         """Halve the i-th isolating interval."""
         lo, hi = self._roots[i]
         mid = (lo + hi) / 2
-        flo = poly_eval(self.f, lo)
-        fmid = poly_eval(self.f, mid)
+        flo, fmid = _scaled_value(self.f, lo), _scaled_value(self.f, mid)
         if flo == 0 or fmid == 0:  # endpoints are never roots for deg >= 2
             raise RuntimeError("rational root encountered")
         # f keeps its sign across a root of even multiplicity, which only a
@@ -350,8 +357,8 @@ class NumberField:
                 g = [ceil(lo) for lo, _ in box]
                 if any(c > hi for c, (_, hi) in zip(g, box)):
                     continue  # no integer polynomial fits
-                # _sturm[0] is f in Fractions, as _poly_rem divides with /
-                if not _poly_rem(self._sturm[0], g):
+                # f in Fractions, as _poly_rem divides with /
+                if not _poly_rem([Fraction(c) for c in self.f], g):
                     return g
         return None
 
@@ -376,7 +383,14 @@ class NumberField:
         return FieldElement(self, (Fraction(c),) + (0,) * (self.n - 1))
 
     def embed_interval(self, x: "FieldElement", i: int) -> Interval:
-        return poly_eval_interval(x.coords, self.root_interval(i))
+        """Interval Horner on numerators: values are d e^j times the rational."""
+        [[a, b]], e = _common([self._roots[i]])
+        [cs], d = _common([x.coords])
+        lo = hi = 0
+        for j, c in enumerate(reversed(cs)):
+            prods = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = min(prods) + c * e ** j, max(prods) + c * e ** j
+        return Fraction(lo, d * e ** j), Fraction(hi, d * e ** j)
 
     def sign_at(self, x: "FieldElement", i: int) -> int:
         """Exact sign of the i-th real embedding of x, after at most 400
@@ -473,7 +487,8 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             c = Fraction(other)
             return FieldElement(self.field, [a * c for a in self.coords])
-        return FieldElement(self.field, mat_vec(self.mult_matrix(), other.coords))
+        (m, d), ([v], e) = self.mult_matrix(), _common([other.coords])
+        return FieldElement(self.field, [Fraction(x, d * e) for x in mat_vec(m, v)])
 
     __rmul__ = __mul__
 
@@ -482,24 +497,26 @@ class FieldElement:
             return self.inverse() ** (-k)
         return power(self, k) if k else self.field.one()
 
-    def mult_matrix(self) -> Matrix:
-        """Matrix of multiplication by self on the power basis (columns are
-        images of basis vectors)."""
-        return multiplication_matrix(self.field.f, self.coords, Fraction(0))
+    def mult_matrix(self) -> tuple[Matrix, int]:
+        """(m, d): m the integer matrix of multiplication by d self on the
+        power basis (columns are images of basis vectors)."""
+        [u], d = _common([self.coords])
+        return multiplication_matrix(self.field.f, u, 0), d
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(self.field.n))
+        m, d = self.mult_matrix()
+        return Fraction(sum(m[i][i] for i in range(self.field.n)), d)
 
     def norm(self) -> Fraction:
-        return mat_det(self.mult_matrix())
+        m, d = self.mult_matrix()
+        return mat_det(m) / d ** self.field.n
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        e0 = ((1,),) + ((0,),) * (self.field.n - 1)
-        return FieldElement(self.field,
-                            [row[0] for row in mat_solve(self.mult_matrix(), e0)])
+        m, d = self.mult_matrix()
+        return FieldElement(self.field, [row[0] for row in mat_solve(
+            m, ((d,),) + ((0,),) * (self.field.n - 1))])
 
     def is_totally_positive(self) -> bool:
         return all(self.field.sign_at(self, i) > 0 for i in range(self.field.n))
@@ -509,6 +526,22 @@ class FieldElement:
 
 
 # --- ideals --------------------------------------------------------------------
+
+def _lattice_over(cols: Sequence[Sequence[int]], den: int) -> Matrix:
+    """lattice_hnf(cols / den), den > 0, made as lattice_hnf makes it."""
+    g = gcd(den, *(x for col in cols for x in col))
+    h, den = lattice_hnf([[x // g for x in col] for col in cols]), den // g
+    return h if den == 1 else tuple(tuple(Fraction(x, den) for x in row)
+                                    for row in h)
+
+
+def _product_lattice(f: Sequence[int], xs: Sequence[Sequence],
+                     ys: Sequence[Sequence]) -> Matrix:
+    """HNF basis of the span of the products x y, x in xs and y in ys."""
+    (us, du), (vs, dv) = _common(xs), _common(ys)
+    return _lattice_over([mat_vec(m, v) for m in (
+        multiplication_matrix(f, u, 0) for u in us) for v in vs], du * dv)
+
 
 class Ideal:
     """Fractional ideal as an O-module lattice; basis columns in HNF."""
@@ -530,9 +563,9 @@ class Ideal:
     def from_generators(cls, field: NumberField, gens: Sequence[FieldElement]) -> "Ideal":
         if all(g.is_zero() for g in gens):
             raise ZeroIdeal("zero ideal")
-        omegas = cls.unit_ideal(field).basis_elements()
-        cols = [(g * w).coords for g in gens for w in omegas]
-        return cls.from_columns(field, cols, check=False)
+        return cls(field, _product_lattice(field.f, [g.coords for g in gens],
+                                           list(zip(*field.order_basis))),
+                   check=False)
 
     @classmethod
     def unit_ideal(cls, field: NumberField) -> "Ideal":
@@ -557,41 +590,34 @@ class Ideal:
         return hash((id(self.field), self.basis))
 
     def __mul__(self, other: "Ideal") -> "Ideal":
-        cols = [(b * c).coords for b in self.basis_elements()
-                for c in other.basis_elements()]
-        return Ideal.from_columns(self.field, cols, check=False)
+        return Ideal(self.field, _product_lattice(
+            self.field.f, list(zip(*self.basis)), list(zip(*other.basis))),
+            check=False)
 
     def inverse(self) -> "Ideal":
-        """(O : I) = {x : x I contained in O}, computed as the dual of the
-        lattice of multiplication constraints."""
+        """(O : I) = {x : x I in O}: for the order basis B / e and I's c_j / d,
+        the x with each e adj(B) M(c_j) x / (d det B) integral, (S^t)^-1 Z^n
+        for S = H / h an HNF basis of the lattice those constraint rows span."""
         n = self.field.n
-        order_inv = mat_inv(self.field.order_basis)
-        # x = sum y_k omega_k lies in the inverse iff for every basis
-        # element b_j of I the order coordinates of x*b_j are integral,
-        # i.e. T_j y in Z^n with T_j[:, k] = coords_O(omega_k b_j).
-        rows = []
-        omegas = Ideal.unit_ideal(self.field).basis_elements()
-        for b in self.basis_elements():
-            prod_cols = [mat_vec(order_inv, (w * b).coords) for w in omegas]
-            for i in range(n):
-                rows.append([prod_cols[k][i] for k in range(n)])
-        # {y : <r, y> in Z for all constraint rows r} = (S^t)^-1 Z^n where
-        # the columns of S are an HNF basis of the lattice the rows span
-        s = lattice_hnf(rows)
-        st_inv = mat_inv(tuple(zip(*s)))
-        cols = []
-        for j in range(n):
-            y = [st_inv[i][j] for i in range(n)]
-            cols.append(mat_vec(self.field.order_basis, y))
-        return Ideal.from_columns(self.field, cols, check=False)
+        (b, e), (cs, d) = _common(self.field.order_basis), _common(
+            list(zip(*self.basis)))
+        adj = adjugate(b)
+        rows = [[e * x for x in row] for c in cs for row in mat_mul(
+            adj, multiplication_matrix(self.field.f, c, 0))]
+        h, hd = _common(_lattice_over(rows, abs(sum(
+            x * r[0] for x, r in zip(b[0], adj))) * d))
+        adj = adjugate(tuple(zip(*h)))  # (S^t)^-1 = h adj(H^t) / det H
+        return Ideal(self.field, _lattice_over(
+            [[hd * row[j] for row in adj] for j in range(n)],
+            prod(h[i][i] for i in range(n))), check=False)
 
     def is_integral(self) -> bool:
         one = Ideal.unit_ideal(self.field)
         return all(one.contains(b) for b in self.basis_elements())
 
     def is_coprime(self, other: "Ideal") -> bool:
-        cols = [b.coords for b in self.basis_elements() + other.basis_elements()]
-        return lattice_hnf(cols) == Ideal.unit_ideal(self.field).basis
+        cols = list(zip(*self.basis)) + list(zip(*other.basis))
+        return _lattice_over(*_common(cols)) == Ideal.unit_ideal(self.field).basis
 
     def scale(self, c) -> "Ideal":
         c = Fraction(c)
@@ -666,10 +692,11 @@ def _check_adapted(ws: Sequence[FieldElement], L1: Ideal, L2: Ideal,
                    ell: int) -> None:
     """Fail fast unless ws spans L1 = a^-1 f and (w_1/ell, w_2, ...) spans
     L2 = a^-1 c^-1 f."""
-    if lattice_hnf([w.coords for w in ws]) != L1.basis:
+    cols, d = _common([w.coords for w in ws])
+    if _lattice_over(cols, d) != L1.basis:
         raise IndexNotPrime("basis does not span a^-1 f")
-    half = [tuple(x / ell for x in ws[0].coords)] + [w.coords for w in ws[1:]]
-    if lattice_hnf(half) != L2.basis:
+    half = cols[:1] + [[ell * x for x in col] for col in cols[1:]]
+    if _lattice_over(half, ell * d) != L2.basis:
         raise IndexNotPrime("w_1/ell does not complete a basis of a^-1 c^-1 f")
 
 
@@ -752,12 +779,12 @@ def regulator_det_sign(field: NumberField, units: Sequence[FieldElement]) -> int
     certified by interval refinement.
 
     The log entries (one pair of series each, see `log_embed_interval`)
-    are taken at widths 10^-6, 10^-10, 10^-14, 10^-18 until the interval
-    determinant separates from zero, which certifies independence; if it
-    never does, or refinement runs out of budget, the units are reported
-    dependent."""
+    are taken at widths 10^-2 (few refinements; a determinant far from 0),
+    10^-6, 10^-10, 10^-14, 10^-18 until the interval determinant separates
+    from zero, which certifies independence; if it never does, or
+    refinement runs out of budget, the units are reported dependent."""
     n1 = len(units)
-    for width in (Fraction(1, 10 ** e) for e in (6, 10, 14, 18)):
+    for width in (Fraction(1, 10 ** e) for e in (2, 6, 10, 14, 18)):
         try:
             entries = [[field.log_embed_interval(units[j], i, width=width)
                         for j in range(n1)] for i in range(n1)]
@@ -781,25 +808,30 @@ def totally_positive_generator(I: Ideal, f: Ideal, *, bound: int = 6,
                                coeff_bound: int = 60) -> tuple[int, FieldElement]:
     """Search (e, pi) with (pi) = I^e, pi totally positive and = 1 mod f.
 
-    Enumerates small coordinate combinations of the ideal basis, up to sign.
+    Enumerates small coordinate combinations of the ideal basis, up to sign,
+    screened in integers by the norm form of the power's basis.
     No unit power repairs a candidate: a totally positive unit u = 1 mod f
     changes no sign, and pi u^k - 1 = pi - 1 mod f for integral pi.
     """
+    from .zeta import norm_form  # zeta imports this module
     field = I.field
     one = field.one()
     power = Ideal.unit_ideal(field)
     for e in range(1, bound + 1):
         power = power * I
-        target = power.norm()
         basis = power.basis_elements()
+        form = norm_form(field, basis).coeffs
+        d = lcm(*(c.denominator for c in form.values()))
+        terms, target = [(m, int(c * d)) for m, c in form.items()], power.norm() * d
         for radius in range(1, coeff_bound + 1):
             for coeffs in _shell(field.n, radius):
+                if abs(sum(c * prod(map(pow, coeffs, mono))
+                           for mono, c in terms)) != target:
+                    continue
                 alpha = field.zero()
                 for cf, b in zip(coeffs, basis):
                     if cf:
                         alpha = alpha + cf * b
-                if alpha.is_zero() or abs(alpha.norm()) != target:
-                    continue
                 for cand in (alpha, -alpha):
                     if cand.is_totally_positive() and f.contains(cand - one):
                         return e, cand
@@ -807,12 +839,9 @@ def totally_positive_generator(I: Ideal, f: Ideal, *, bound: int = 6,
 
 
 def _shell(n: int, radius: int):
-    """Integer vectors with max-norm exactly radius."""
-    def rec(prefix):
-        if len(prefix) == n:
-            if max(abs(c) for c in prefix) == radius:
-                yield tuple(prefix)
-            return
-        for c in range(-radius, radius + 1):
-            yield from rec(prefix + [c])
-    yield from rec([])
+    """Integer vectors with max-norm exactly radius, in lexicographic order."""
+    full = range(-radius, radius + 1)
+    for head in product(full, repeat=n - 1):
+        ends = full if radius in head or -radius in head else (-radius, radius)
+        for c in ends:
+            yield head + (c,)

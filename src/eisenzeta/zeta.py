@@ -30,6 +30,7 @@ from .dedekind import DedekindCache, LinearForms
 from .exact import (Matrix, MultiPoly, _intval, _is_prime, adjugate,
                     mat_det, mat_solve, mat_vec, resultant_norm)
 from .numberfield import (FieldElement, Ideal, NumberField, _check_adapted,
+                          _common,
                           adapted_basis, dual_basis, embedding_matrix_det_sign,
                           unit_basis, validate_units)
 
@@ -81,13 +82,14 @@ class ZetaData:
 
 
 def norm_form(field: NumberField, ws: Sequence[FieldElement]) -> MultiPoly:
-    """N(w_1 X_1 + ... + w_n X_n) as a homogeneous degree-n polynomial."""
+    """N(w_1 X_1 + ... + w_n X_n) as a homogeneous degree-n polynomial: the
+    resultant of the integer forms sum_j d w_j X_j, over d^n."""
     n = field.n
-    g = []
-    for k in range(n):
-        g.append(MultiPoly(n, {tuple(int(j == t) for t in range(n)): ws[j].coords[k]
-                               for j in range(n) if ws[j].coords[k]}))
-    return resultant_norm(list(field.f), g)
+    cols, d = _common([w.coords for w in ws])
+    g = [MultiPoly(n, {tuple(int(j == t) for t in range(n)): col[k]
+                       for j, col in enumerate(cols)}) for k in range(n)]
+    return MultiPoly(n, {mono: Fraction(c, d ** n) for mono, c in
+                         resultant_norm(list(field.f), g).coeffs.items()})
 
 
 def _unit_matrices(field: NumberField, ws: Sequence[FieldElement],
@@ -207,6 +209,16 @@ def _change_costs(mats: Sequence[Matrix], ell: int) -> dict:
     return costs
 
 
+@lru_cache(maxsize=32)
+def _least_change(field: NumberField, units: tuple) -> Matrix:
+    """The change of least `_change_costs` on the order basis: on a basis w
+    each K(E) is that times |N(w_1) det(order) / det(w)| / ell^(n-1), so
+    the least change and its ties depend on the field and units alone."""
+    costs = _change_costs(_unit_matrices(
+        field, Ideal.unit_ideal(field).basis_elements(), units), 1)
+    return min(costs, key=costs.get, default=_unit_changes(len(units))[0])
+
+
 def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
                     ell: int, units: Sequence[FieldElement] | None = None,
                     ws: Sequence[FieldElement] | None = None) -> ZetaData:
@@ -218,9 +230,9 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
     `_reduce_adapted`, which shrinks the coset systems the evaluator walks.
     Either way the norm form is computed once.  Once `validate_units` has
     certified the units, the chain is built from the units E.eps of the
-    change E in `_unit_changes` of least `_change_costs`, the supplied
-    basis kept on ties; ZetaData.units are those units.  rho is computed
-    from the supplied basis, which det E = +1 leaves unchanged.
+    change E in `_unit_changes` of least `_change_costs`, the supplied basis
+    kept on ties (`_least_change`); ZetaData.units are those units.  rho is
+    computed from the supplied basis, which det E = +1 leaves unchanged.
     """
     if not _is_prime(ell):
         raise ValueError(f"the smoothing ideal's norm ell = {ell} is not prime")
@@ -250,10 +262,7 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         if den != ell ** _intval(den, ell):
             raise ValueError("norm polynomial has a denominator away from ell")
     v = tuple(w.trace() for w in wstar)
-    acc = field.zero()
-    for vi, wi in zip(v, ws):
-        acc = acc + vi * wi
-    if acc != field.one():
+    if sum((vi * wi for vi, wi in zip(v, ws)), field.zero()) != field.one():
         raise ValueError("w . v != 1")
     # sample check of the integrality domain of P
     for probe in ((Fraction(1, ell), 0) + (0,) * (n - 2),
@@ -261,17 +270,15 @@ def build_zeta_data(field: NumberField, f: Ideal, a: Ideal, c: Ideal,
         den = P.evaluate([vi + pi for vi, pi in zip(v, probe)]).denominator
         if den != ell ** _intval(den, ell):
             raise ValueError("P does not map v + (1/ell)Z + Z^(n-1) into Z[1/ell]")
-    mats = _unit_matrices(field, ws, eps)
-    if mats is None:
-        raise ChainDegenerate("unit does not preserve the adapted lattice")
-    costs, eye = _change_costs(mats, ell), _unit_changes(len(eps))[0]
-    change = min(costs, key=costs.get, default=eye)
-    if change != eye:
+    change = _least_change(field, tuple(eps))
+    if change != _unit_changes(len(eps))[0]:
         # E.eps generates the group eps does (det E = 1): its matrices are
         # integral, and in Gamma_ell exactly when those of eps are
         eps = [prod((u ** k for u, k in zip(eps, row)), start=field.one())
                for row in change]
-        mats = _unit_matrices(field, ws, eps)
+    mats = _unit_matrices(field, ws, eps)
+    if mats is None:
+        raise ChainDegenerate("unit does not preserve the adapted lattice")
     amats = []
     for mat in mats:
         try:

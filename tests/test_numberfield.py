@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -350,6 +351,88 @@ def test_regulator_sign_quadratic():
     assert regulator_det_sign(F, [eps]) == -1
 
 
+def _quartic():
+    """Criterion 13's field t^4 - 14t^2 + 9 with its index-48 integral
+    basis and units (see test_acceptance.py)."""
+    q = Fraction
+    F = NumberField([9, 0, -14, 0, 1], integral_basis=[
+        [1, 0, 0, 0], [0, q(-11, 6), 0, q(1, 6)],
+        [q(1, 2), q(17, 12), 0, q(-1, 12)],
+        [q(-7, 4), q(-11, 12), q(1, 4), q(1, 12)]])
+    units = [F.element(u) for u in (
+        [q(27, 2), q(-173, 12), -1, q(13, 12)],
+        [q(3, 2), q(17, 12), 0, q(-1, 12)], [-2, 0, 3, 0])]
+    return F, units
+
+
+def _test_unit_sets():
+    """(field, units, the regulator sign the exact-Fraction series gave)
+    for every field and unit set the tests build zeta data from."""
+    sets = []
+    for poly in ([-5, 0, 1], [-2, 0, 1], [-3, 0, 1]):
+        F = NumberField(poly)
+        sets.append((F, unit_basis(F, Ideal.unit_ideal(F)), -1))
+    C = NumberField([-1, -3, 0, 1])
+    e1, e2 = C.element([0, 0, 1]), C.element([1, 2, 1])
+    sets += [(C, [e1, e2], -1), (C, [e2, e1], 1)]
+    F, units = _quartic()
+    sets += [(F, units, -1),
+             (F, [units[0] * units[1] * units[2], units[1], units[2]], -1)]
+    return sets
+
+
+@pytest.mark.parametrize("case", range(7), ids=[
+    "sqrt5", "sqrt2", "sqrt3", "cubic", "cubic-swapped", "quartic",
+    "quartic-unreduced"])
+def test_regulator_sign_on_every_test_field(case):
+    # the fixed-point logs certify the sign the Fraction series did, and
+    # the float regulator agrees
+    F, units, sign = _test_unit_sets()[case]
+    assert regulator_det_sign(F, units) == sign
+    n1 = len(units)
+    logs = []
+    for i in range(n1):
+        while F.root_interval(i)[1] - F.root_interval(i)[0] > 1e-12:
+            F.refine_root(i)
+        t = float(F.root_interval(i)[0])
+        logs.append([math.log(abs(sum(float(c) * t ** k
+                                      for k, c in enumerate(u.coords))))
+                     for u in units])
+    assert (_float_det(logs) > 0) == (sign > 0)
+
+
+def _float_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * x * _float_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+def test_nearly_dependent_units_certify():
+    # the log vectors of eps1^34 eps2^55 and eps1^55 eps2^89 are 8e-5 rad
+    # from parallel, and the exponent determinant is 34 * 89 - 55^2 = 1:
+    # independent, with the sign of (eps1, eps2); (eps1, eps1^2) stays
+    # dependent
+    C = NumberField([-1, -3, 0, 1])
+    e1, e2 = C.element([0, 0, 1]), C.element([1, 2, 1])
+    near = [e1 ** 34 * e2 ** 55, e1 ** 55 * e2 ** 89]
+    assert regulator_det_sign(C, near) == regulator_det_sign(C, [e1, e2]) == -1
+    with pytest.raises(DependentUnits):
+        regulator_det_sign(C, [e1, e1 * e1])
+
+
+@pytest.mark.parametrize("ell, e, pi", [(11, 2, (13, 4)), (13, 1, (4, -1)),
+                                        (23, 2, (26, -7))])
+def test_totally_positive_generator_default_bounds(ell, e, pi):
+    # Q(sqrt3) has narrow class number 2: the prime above 13 is narrowly
+    # principal, those above 11 and 23 are not, so their search exhausts
+    # every exponent-1 candidate up to the default coefficient bound
+    F = NumberField([-3, 0, 1])
+    one = Ideal.unit_ideal(F)
+    assert totally_positive_generator(prime_over(F, ell), one) == \
+        (e, F.element(pi))
+
+
 def test_totally_positive_generator_11():
     F = sqrt5()
     one = Ideal.unit_ideal(F)
@@ -428,7 +511,9 @@ def test_log_embed_interval_sums_one_series_pair(monkeypatch):
     F = sqrt5()
     one = Ideal.unit_ideal(F)
     build_zeta_data(F, one, one, prime_over(F, 11), 11)
-    assert len(per_call) == 4 + 4 * 4 + 1 and set(per_call) == {2}
+    # the cubic separates at the first of the five widths, the dependent
+    # pair tries all five, Q(sqrt 5) separates at the first
+    assert len(per_call) == 4 + 4 * 5 + 1 and set(per_call) == {2}
 
 
 def test_dual_basis_singular_gram():

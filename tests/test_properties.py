@@ -5,9 +5,10 @@ determinants and its columns against reduction mod f, field and
 cyclotomic products against the schoolbook product mod f, lattice membership,
 the exact irreducibility test (a named factor of every product of
 real-rooted polynomials, and biquadratic fields accepted though reducible
-mod every prime), logarithm bounds, the regulator sign under a change of
-units, zeta(-1), rho and the coset count under a change of unit basis,
-the Bernoulli distribution relation, the integer
+mod every prime), logarithm bounds (the fixed-point series against the
+exact-Fraction one kept here as an oracle), the regulator sign under a
+change of units, zeta(-1), rho and the coset count under a change of unit
+basis, the Bernoulli distribution relation, the integer
 Bernoulli rows and convolution behind the restricted distribution (one
 level at a time and the whole row of levels), the
 cocycle relation and equivariance at polynomials of degree 2 to 6, and the
@@ -411,6 +412,52 @@ def test_ln_interval_brackets_log(x):
     slack = 1e-12 * max(1.0, abs(ref))
     assert float(lo) - slack <= ref <= float(hi) + slack
 
+
+
+def _fraction_atanh(y, terms):
+    """2 atanh(y) for 0 <= y < 1 between the partial sum of its first
+    terms and that sum plus the geometric tail bound, in exact Fractions."""
+    s, ypow, y2 = Fraction(0), y, y * y
+    for i in range(terms):
+        s += ypow / (2 * i + 1)
+        ypow *= y2
+    return 2 * s, 2 * s + 2 * ypow / ((2 * terms + 1) * (1 - y2))
+
+
+_FRACTION_LN2 = _fraction_atanh(Fraction(1, 3), 40)
+
+
+def fraction_ln_interval(x, terms):
+    """Oracle for `ln_interval`: the same series cut at the same terms,
+    summed in exact Fractions, ln x = k ln 2 + 2 atanh((y - 1) / (y + 1))
+    for x = 2^k y with y in [1, 2), and ln x = -ln(1 / x) below 1."""
+    if x < 1:
+        lo, hi = fraction_ln_interval(1 / x, terms)
+        return -hi, -lo
+    k = (x.numerator // x.denominator).bit_length() - 1
+    y = x / 2 ** k
+    lo, hi = _fraction_atanh((y - 1) / (y + 1), terms)
+    return lo + k * _FRACTION_LN2[0], hi + k * _FRACTION_LN2[1]
+
+
+@PROPS
+@given(st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)),
+       st.sampled_from([1, 2, 8, 24, 40]))
+@example(Fraction(1), 24)
+@example(Fraction(2 ** 40), 24)
+@example(Fraction(1, 3), 24)
+@example(Fraction(3, 2) ** 5, 40)
+def test_fixed_point_ln_brackets_the_fraction_series(x, terms):
+    # each fixed-point bound is rounded outward from the exact series' one,
+    # by less than 64 units of 2^-96 per series term and per factor 2
+    lo, hi = ln_interval(x, terms)
+    olo, ohi = fraction_ln_interval(x, terms)
+    assert lo <= olo <= ohi <= hi
+    k = abs(x.numerator.bit_length() - x.denominator.bit_length()) + 1
+    assert (olo - lo) + (hi - ohi) < Fraction(64 * (terms + k + 1), 2 ** 96)
+    ref = math.log(x.numerator) - math.log(x.denominator)
+    slack = 1e-12 * max(1.0, abs(ref))
+    assert float(lo) - slack <= ref <= float(hi) + slack
 
 _CUBIC_UNITS = (FIELDS[1].element([0, 0, 1]), FIELDS[1].element([1, 2, 1]))
 

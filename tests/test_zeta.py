@@ -452,6 +452,39 @@ def test_change_costs_match_rebuilding(ell):
     assert costs[((1, 0), (0, 1))] == 8 and min(costs.values()) == 5
 
 
+
+def test_change_memo_keys_on_the_units(monkeypatch):
+    # each unit basis of one field gets the change of least cost on its
+    # own adapted basis, scored here without the memo: a memo keyed on the
+    # field alone would hand (eps1, eps1 eps2) the change ((1, -1), (0, 1))
+    # of (eps1, eps2), not ((1, 0), (-2, 1)); a second build with the same
+    # units, here at another ell, scores no change
+    import eisenzeta.zeta as zeta
+    F = NumberField(CUBIC[0])
+    one = Ideal.unit_ideal(F)
+    c = prime_over(F, 17)
+    e1, e2 = (F.element(u) for u in CUBIC[1])
+    bases = ([e1, e2], [e1, e1 * e2], [e2, e1])
+    zeta._least_change.cache_clear()
+    chosen = []
+    for units in bases:
+        z = build_zeta_data(F, one, one, c, 17, units=units)
+        costs = _change_costs(_unit_matrices(F, z.w, units), 17)
+        chosen.append(min(costs, key=costs.get))
+        assert z.units == [prod((u ** k for u, k in zip(units, row)),
+                                start=F.one()) for row in chosen[-1]]
+    assert chosen[:2] == [((1, -1), (0, 1)), ((1, 0), (-2, 1))]
+    assert zeta._least_change.cache_info().currsize == 3
+    scored = []
+    costs = zeta._change_costs
+    monkeypatch.setattr(zeta, "_change_costs",
+                        lambda *args: scored.append(args) or costs(*args))
+    again = build_zeta_data(F, one, one, prime_over(F, 19), 19,
+                            units=bases[1])
+    assert not scored and again.units == build_zeta_data(
+        F, one, one, c, 17, units=bases[1]).units
+
+
 @pytest.mark.parametrize("units, error, message", [
     ([[0, 0, -1], [1, 2, 1]], NotTotallyPositive,
      "unit is not totally positive"),
